@@ -55,32 +55,47 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _number(value, field: str) -> float:
+    """A JSON number as a float; strings, booleans and nulls are input errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_design_spec(path: str | Path) -> DesignSpec:
     """Read and validate a JSON design request."""
     path = Path(path)
     data = json.loads(path.read_text())
-    spacing = float(data["spacing_wavelengths"])
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a design request is a JSON object")
+    spacing = _number(data["spacing_wavelengths"], "spacing_wavelengths")
     angle_unit = data.get("angle_unit", "u_rad")
     if angle_unit not in ("u_rad", "theta_deg"):
         raise ValueError(f"angle_unit must be 'u_rad' or 'theta_deg', got {angle_unit!r}")
 
     def to_u(value: float) -> float:
         if angle_unit == "u_rad":
-            return float(value)
-        return theta_to_u(math.radians(float(value)), spacing)
+            return value
+        return theta_to_u(math.radians(value), spacing)
 
+    entries = data["bands"]
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError("bands must be a list of JSON objects")
     bands = []
-    for entry in data["bands"]:
+    for i, entry in enumerate(entries):
+        level = {key: None if entry.get(key) is None
+                 else _number(entry[key], f"bands[{i}].{key}")
+                 for key in ("ripple_db", "max_level_db")}
         bands.append(BandSpec(
-            u_lo=to_u(entry["u_lo"]),
-            u_hi=to_u(entry["u_hi"]),
+            u_lo=to_u(_number(entry["u_lo"], f"bands[{i}].u_lo")),
+            u_hi=to_u(_number(entry["u_hi"], f"bands[{i}].u_hi")),
             kind=entry["kind"],
-            ripple_db=entry.get("ripple_db"),
-            max_level_db=entry.get("max_level_db")))
+            **level))
     spec = DesignSpec(
         spacing_wavelengths=spacing,
         bands=tuple(bands),
-        steering_angle_rad=float(data.get("steering_angle_rad", 0.0)),
+        steering_angle_rad=_number(data.get("steering_angle_rad", 0.0),
+                                   "steering_angle_rad"),
         name=str(data.get("name", path.stem)))
     return validate_spec(spec)
 

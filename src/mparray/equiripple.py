@@ -188,7 +188,10 @@ def _bary_eval(nodes, values, weights, x) -> np.ndarray:
         t = weights[k] / d
         num += t * values[k]
         den += t
-    out = num / den
+    # den cancels to exactly zero only on a degenerate reference; callers
+    # get inf or nan there, which the exchange does not accept.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
     hits = exact >= 0
     if np.any(hits):
         out[hits] = values[exact[hits]]
@@ -202,56 +205,48 @@ def _leveled_delta(x_ext, d_ext, w_ext) -> float:
     return float(np.sum(g * d_ext) / den)
 
 
-def _parabola_vertex(u0, u1, u2, e0, e1, e2):
-    d1 = (e1 - e0) / (u1 - u0)
-    d2 = (e2 - e1) / (u2 - u1)
-    c2 = (d2 - d1) / (u2 - u0)
-    if c2 == 0.0 or not math.isfinite(c2):
-        return None
-    return 0.5 * (u0 + u1) - d1 / (2.0 * c2)
-
-
-def _refine_peak(u3, e3, err_fn, lo, hi, rounds):
-    best_u, best_e = u3[1], e3[1]
-    tri_u, tri_e = list(u3), list(e3)
-    for _ in range(rounds):
-        v = _parabola_vertex(*tri_u, *tri_e)
-        if v is None or not (lo <= v <= hi):
-            break
-        ev = float(err_fn(v))
-        if abs(ev) > abs(best_e):
-            best_u, best_e = v, ev
-        h = 0.25 * (tri_u[2] - tri_u[0])
-        if h <= 0.0:
-            break
-        ul, ur = max(lo, best_u - h), min(hi, best_u + h)
-        if not (ul < best_u < ur):
-            break
-        tri_u = [ul, best_u, ur]
-        tri_e = [float(err_fn(ul)), best_e, float(err_fn(ur))]
-    return best_u, best_e
-
-
 def _extrema_candidates(us, es, err_fn, rounds=2):
     """Local extrema of |e| on one band's grid, with both edges included.
 
-    Interior peaks are refined off-grid with ``err_fn``; band edges are
-    kept where they fall.  Returns (u, e) pairs in ascending u.
+    All interior peaks are refined off-grid together by parabolic
+    interpolation: each round makes one ``err_fn`` call on the vertices of
+    the live peaks and one on their new brackets.  A peak stops refining
+    when its parabola is flat or non-finite, its vertex leaves the band, or
+    its bracket collapses.  Band edges are kept where they fall.  Returns
+    (u, e) pairs in ascending u.
     """
-    n = len(us)
-    if n == 1:
+    if len(us) == 1:
         return [(float(us[0]), float(es[0]))]
-    out = [(float(us[0]), float(es[0]))]
+    lo, hi = us[0], us[-1]
     mag = np.abs(es)
-    for i in range(1, n - 1):
-        if mag[i] >= mag[i - 1] and mag[i] >= mag[i + 1]:
-            u_r, e_r = _refine_peak(
-                (us[i - 1], us[i], us[i + 1]),
-                (es[i - 1], es[i], es[i + 1]),
-                err_fn, us[0], us[-1], rounds)
-            out.append((u_r, e_r))
-    out.append((float(us[-1]), float(es[-1])))
-    return out
+    i = 1 + np.flatnonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))
+    u0, u1, u2 = us[i - 1], us[i], us[i + 1]
+    e0, e1, e2 = es[i - 1], es[i], es[i + 1]
+    best_u, best_e = u1.copy(), e1.copy()
+    live = np.ones(len(i), bool)
+    for _ in range(rounds):
+        with np.errstate(all="ignore"):
+            d1 = (e1 - e0) / (u1 - u0)
+            c2 = ((e2 - e1) / (u2 - u1) - d1) / (u2 - u0)
+            v = 0.5 * (u0 + u1) - d1 / (2.0 * c2)
+        live &= (c2 != 0.0) & np.isfinite(c2) & (lo <= v) & (v <= hi)
+        k = np.flatnonzero(live)
+        if not len(k):
+            break
+        ev = err_fn(v[k])
+        better = np.abs(ev) > np.abs(best_e[k])
+        best_u[k[better]], best_e[k[better]] = v[k[better]], ev[better]
+        h = 0.25 * (u2 - u0)
+        ul, ur = np.maximum(lo, best_u - h), np.minimum(hi, best_u + h)
+        live &= (h > 0.0) & (ul < best_u) & (best_u < ur)
+        k = np.flatnonzero(live)
+        if not len(k):
+            break
+        e_lr = err_fn(np.concatenate([ul[k], ur[k]]))
+        u0[k], u1[k], u2[k] = ul[k], best_u[k], ur[k]
+        e0[k], e1[k], e2[k] = e_lr[:len(k)], best_e[k], e_lr[len(k):]
+    return ([(float(lo), float(es[0]))] + list(zip(best_u.tolist(), best_e.tolist()))
+            + [(float(hi), float(es[-1]))])
 
 
 def _alternating_skeleton(cands):
@@ -446,18 +441,19 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
 
         r_grid = _bary_eval(nodes, values, bweights, grid_x)
         e_grid = grid_what * (r_grid - grid_dhat)
+        if not np.all(np.isfinite(e_grid)):
+            raise RemezConvergenceError(
+                "non-finite error on the working grid", iterations, abs(delta), quality)
 
         err_scale = max(np.max(np.abs(grid_dhat * grid_what)), 1.0)
         if np.max(np.abs(e_grid)) <= 1e-13 * err_scale:
             quality = 0.0
             break
 
-        def err_at(u: float, bi: int) -> float:
-            x = np.array([math.cos(u)])
+        def err_at(u: np.ndarray, bi: int) -> np.ndarray:
+            x = np.cos(u)
             r = _bary_eval(nodes, values, bweights, x)
-            dh = problem.dhat(x, bands[bi].desired)
-            wh = problem.what(x, bands[bi].weight)
-            return float(wh[0] * (r[0] - dh[0]))
+            return problem.what(x, bands[bi].weight) * (r - problem.dhat(x, bands[bi].desired))
 
         # rounds=4: the exit test below trusts these peak values, and two
         # parabola rounds undershoot narrow inter-node peaks by ~1e-5
@@ -478,7 +474,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
         new_u = np.array([u for u, _ in chosen])
         new_e = np.array([e for _, e in chosen])
 
-        quality = (np.max(np.abs(new_e)) - abs(delta)) / max(abs(delta), 1e-300)
+        with np.errstate(over="ignore"):  # a vanishing delta reads as inf
+            quality = (np.max(np.abs(new_e)) - abs(delta)) / max(abs(delta), 1e-300)
         same_set = prev_set is not None and len(prev_set) == len(new_u) \
             and np.allclose(prev_set, new_u, rtol=0.0, atol=1e-14)
         stalled = prev_delta is not None and \

@@ -23,8 +23,8 @@ from dataclasses import dataclass, replace
 from .analysis import (PatternMetrics, array_factor, build_report,
                        metrics_grid, min_phase_check, pattern_metrics,
                        polynomial_zeros, DesignReport, ZERO_RADIUS_TOL)
-from .equiripple import (LinearPhasePrototype, PrototypeBand, estimate_order,
-                         remez_design)
+from .equiripple import (LinearPhasePrototype, PrototypeBand,
+                         RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
 from .spectral_factor import (DEFAULT_EXPANSION_FACTOR, DEFAULT_GAMMA_MARGIN,
                               FactorizationError, FactorizationDiagnostics,
@@ -155,7 +155,8 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
 
     A uniform tolerance shrink would leave the Chebyshev weights in the
     same ratio and reproduce the identical prototype, so only the side
-    that failed verification is tightened.
+    that failed verification is tightened.  An exchange that fails to
+    converge ends the attempt as a failed trial, so the search goes on.
 
     The designed stop deviation is handed to the factorization as the
     gamma floor: G dips to exactly that value below zero, and the
@@ -167,7 +168,11 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
     last: DesignTrial | None = None
     for shrink in range(limits.max_shrinks + 1):
         plan = _scaled(pspec, pass_scale, stop_scale)
-        prototype = design_prototype(plan, order, grid_density=limits.grid_density)
+        try:
+            prototype = design_prototype(plan, order, grid_density=limits.grid_density)
+        except RemezConvergenceError as err:
+            return DesignTrial(order, False, None, None, None, None,
+                               (f"exchange failed: {err}",), shrink)
         dip = max((prototype.achieved_delta[i] / band.weight
                    for i, band in enumerate(prototype.bands) if band.desired == 0.0),
                   default=0.0)

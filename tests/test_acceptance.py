@@ -3,8 +3,10 @@
 Each test prints one PASS/FAIL line (run with -s or -rA to see them all)
 before asserting, so a red criterion still reports its measured numbers.
 """
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -249,3 +251,17 @@ def test_criterion_10_steering_invariance(design1):
     _emit(10, ok, f"pattern translation under u0=0.7: max deviation "
                   f"{db_dev:.3e} dB (bound 1e-9)")
     assert db_dev <= 1e-9
+
+
+def test_weights_match_published_fixture(design1, design2, design3, pencil):
+    # Reference weights written with repr floats; 1e-12 absolute is the
+    # tolerance the designs are held to across machines (LAPACK rounding).
+    published = json.loads(
+        (Path(__file__).parent / "data" / "published_weights.json").read_text())
+    got = {"design1": design1.weights.c, "design2": design2.weights.c,
+           "design3": design3.weights.c, "pencil27": pencil.taps,
+           "pencil29": design_pencil(29).taps}
+    for name, c in got.items():
+        want = np.array(published[name])
+        assert c.shape == want.shape, name
+        assert np.max(np.abs(c - want)) <= 1e-12, name

@@ -95,6 +95,55 @@ def test_missing_and_malformed_inputs_exit_one(tmp_path):
     assert main(["design", "--spec", str(bad), "--out", out]) == 1
 
 
+# The exchange loses alternation at some element counts on this request
+# ("only 15 alternating extrema for 17 required" at 16 elements).
+EXCHANGE_FAILURE_BANDS = [
+    {"u_lo": 0.0, "u_hi": 1.1147, "kind": "pass", "ripple_db": 2.0},
+    {"u_lo": 1.7247, "u_hi": math.pi, "kind": "stop", "max_level_db": -47.54},
+]
+
+
+def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, bands=EXCHANGE_FAILURE_BANDS)
+    out = tmp_path / "out"
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) in (0, 2)
+    for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
+        assert (out / name).exists()
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("ripple_db", "0.25"), ("spacing_wavelengths", "0.5"),
+    ("steering_angle_rad", True), ("u_hi", "1.0"), ("max_level_db", False),
+    ("spacing_wavelengths", None)])
+def test_non_numeric_request_fields_exit_one(tmp_path, capsys, field, value):
+    request = {"spacing_wavelengths": 0.5, "steering_angle_rad": 0.0, "bands": [
+        {"u_lo": 0.0, "u_hi": 1.0, "kind": "pass", "ripple_db": 0.25},
+        {"u_lo": 2.0, "u_hi": math.pi, "kind": "stop", "max_level_db": -40.0}]}
+    if field in request:
+        request[field] = value
+    else:
+        request["bands"][1 if field == "max_level_db" else 0][field] = value
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(request))
+    assert main(["design", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "error: " in captured.err and f"{field} must be a number" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("request_json", [
+    [0.5], {"spacing_wavelengths": 0.5, "bands": 5},
+    {"spacing_wavelengths": 0.5, "bands": [1, 2]}])
+def test_malformed_request_shapes_exit_one(tmp_path, capsys, request_json):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(request_json))
+    assert main(["design", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

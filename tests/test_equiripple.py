@@ -9,7 +9,7 @@ from mparray import (PrototypeBand, amplitude_response, count_alternations,
                      design_prototype, equioscillation_extrema, estimate_order,
                      remez_design, to_prototype_spec)
 from mparray import design1_spec, design2_spec
-from mparray.equiripple import _cosine_coefficients
+from mparray.equiripple import _cosine_coefficients, _extrema_candidates
 
 
 def test_constant_band_fits_exactly():
@@ -141,3 +141,91 @@ def test_lowpass_family_meets_alternation_bound(half_order):
     proto = remez_design(bands, half_order)
     scan = equioscillation_extrema(proto)
     assert count_alternations(scan, proto.delta) >= half_order + 2
+
+
+def _refine_peak_loop(u3, e3, err_fn, lo, hi, rounds):
+    """One peak at a time with scalar calls: the reference for the batched finder."""
+    best_u, best_e = u3[1], e3[1]
+    tri_u, tri_e = list(u3), list(e3)
+    for _ in range(rounds):
+        u0, u1, u2 = tri_u
+        e0, e1, e2 = tri_e
+        d1 = (e1 - e0) / (u1 - u0)
+        c2 = ((e2 - e1) / (u2 - u1) - d1) / (u2 - u0)
+        if c2 == 0.0 or not math.isfinite(c2):
+            break
+        v = 0.5 * (u0 + u1) - d1 / (2.0 * c2)
+        if not (lo <= v <= hi):
+            break
+        ev = float(err_fn(np.array([v]))[0])
+        if abs(ev) > abs(best_e):
+            best_u, best_e = v, ev
+        h = 0.25 * (u2 - u0)
+        if h <= 0.0:
+            break
+        ul, ur = max(lo, best_u - h), min(hi, best_u + h)
+        if not (ul < best_u < ur):
+            break
+        tri_u = [ul, best_u, ur]
+        tri_e = [float(err_fn(np.array([ul]))[0]), best_e, float(err_fn(np.array([ur]))[0])]
+    return best_u, best_e
+
+
+def _wavy(u):
+    return np.cos(40.0 * u) * (1.0 + 0.3 * np.cos(3.0 * u)) + 0.01 * u
+
+
+def _steps(u):  # plateaus: refined values often tie the best one so far
+    return np.round(8.0 * np.sin(997.0 * u)) / 8.0
+
+
+def _hill(u):  # apex at u = 5: the second vertex of every peak leaves the band
+    return 100.0 - (u - 5.0) ** 2
+
+
+@pytest.mark.parametrize("grid_fn, err_fn", [(_wavy, _wavy), (_steps, _steps), (_wavy, _hill)])
+@pytest.mark.parametrize("rounds", [2, 3, 4])
+@pytest.mark.parametrize("lo, hi, points", [(0.0, math.pi, 1500), (0.37, 1.91, 201)])
+def test_batched_finder_matches_scalar_loop(grid_fn, err_fn, rounds, lo, hi, points):
+    us = np.linspace(lo, hi, points)
+    es = grid_fn(us)
+    got = _extrema_candidates(us, es, err_fn, rounds=rounds)
+    want = [(us[0], es[0])]
+    for i in range(1, points - 1):
+        if abs(es[i]) >= abs(es[i - 1]) and abs(es[i]) >= abs(es[i + 1]):
+            want.append(_refine_peak_loop(us[i - 1:i + 2], es[i - 1:i + 2], err_fn,
+                                          us[0], us[-1], rounds))
+    want.append((us[-1], es[-1]))
+    assert len(got) == len(want) > 20
+    assert np.array_equal(np.array(got), np.array(want, float))
+
+
+def test_finder_batches_err_fn_calls():
+    calls = []
+
+    def counted(u):
+        calls.append(np.size(u))
+        return _wavy(u)
+
+    us = np.linspace(0.0, math.pi, 1500)
+    cands = _extrema_candidates(us, _wavy(us), counted, rounds=4)
+    assert len(cands) - 2 >= 39  # every interior peak was refined ...
+    assert len(calls) <= 2 * 4  # ... in at most two calls per round
+    assert max(calls) >= 39
+
+
+def test_finder_locates_chebyshev_extrema():
+    n = 7
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+
+    def err(u):  # T_n(cos u) = cos(n u): interior extrema at k pi / n, |e| = 1
+        return cheb.chebval(np.cos(u), coeffs)
+
+    us = np.linspace(0.0, math.pi, 1000)  # no extremum falls on a grid point
+    exact = np.arange(1, n) * math.pi / n
+    assert np.min(np.abs(us[:, None] - exact[None, :]), axis=0).max() > 1e-4
+    cands = np.array(_extrema_candidates(us, err(us), err, rounds=3))[1:-1]
+    assert len(cands) == n - 1
+    assert np.max(np.abs(cands[:, 0] - exact)) <= 1e-12
+    assert np.max(np.abs(np.abs(cands[:, 1]) - 1.0)) <= 1e-15

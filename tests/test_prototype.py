@@ -8,7 +8,7 @@ from mparray import (BandSpec, DesignSpec, InfeasibleSpecError, PrototypeSpec,
                      design1_spec, design2_spec, find_min_order, pencil_spec,
                      to_prototype_spec)
 from mparray import PrototypeBand
-from mparray.prototype import OrderSearchError
+from mparray.prototype import OrderSearchError, _attempt
 
 
 def test_squared_pattern_tolerances_for_design1():
@@ -102,3 +102,17 @@ def test_feasibility_is_judged_on_original_bands(design2):
         assert lv.u_lo == pytest.approx(band.u_lo)
         assert lv.u_hi == pytest.approx(band.u_hi)
         assert lv.margin_db >= 0.0
+
+
+
+def test_exchange_failure_does_not_end_the_search():
+    # At 16 elements the exchange finds only 15 alternating extrema of the
+    # 17 it needs; that count is recorded as failed and the search goes on.
+    spec = DesignSpec(0.5, (BandSpec(0.0, 1.1147, "pass", ripple_db=2.0),
+                            BandSpec(1.7247, math.pi, "stop", max_level_db=-47.54)))
+    failed = _attempt(spec, to_prototype_spec(spec), 16, SearchLimits())
+    assert not failed.feasible and failed.prototype is None
+    assert failed.violations[0].startswith("exchange failed: only 15")
+    result = find_min_order(spec)
+    assert result.order == 17
+    assert not result.metrics.violations
