@@ -17,21 +17,15 @@ from mparray import builtin_spec, find_min_order, spectral_factorize
 FACTORS = (5, 10, 15, 30, 60, 120)
 
 
-def stop_dip(prototype) -> float:
-    return max(prototype.achieved_delta[i] / band.weight
-               for i, band in enumerate(prototype.bands) if band.desired == 0.0)
-
-
 def sweep(key: str) -> None:
     result = find_min_order(builtin_spec(key))
     g = result.prototype.taps
-    dip = stop_dip(result.prototype)
     runs: dict[bool, list] = {False: [], True: []}
     expansions = []
     for factor in FACTORS:
         for newton in (False, True):
             weights, diag = spectral_factorize(g, expansion_factor=factor,
-                                               gamma_floor=dip, newton=newton)
+                                               newton=newton)
             runs[newton].append(weights.c)
         expansions.append(diag.expansion)
     print(f"{key} (N={result.order}): max weight move vs Q={expansions[-1]}")

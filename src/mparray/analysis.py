@@ -102,12 +102,12 @@ class DesignReport:
     min_phase: bool
     steering_angle_rad: float = 0.0
     gamma: float | None = None
-    lambda_min_estimate: float | None = None
+    symbol_min: float | None = None
     autocorr_residual: float | None = None
-    purge_residual: float | None = None
     expansion: int | None = None
     refined: bool | None = None
     witness: tuple[str, ...] = ()
+    minimality: str | None = None
 
     def to_dict(self) -> dict:
         def db(x):
@@ -138,12 +138,12 @@ class DesignReport:
             "min_phase": self.min_phase,
             "steering_angle_rad": self.steering_angle_rad,
             "gamma": self.gamma,
-            "lambda_min_estimate": self.lambda_min_estimate,
+            "symbol_min": self.symbol_min,
             "autocorr_residual": self.autocorr_residual,
-            "purge_residual": self.purge_residual,
             "expansion": self.expansion,
             "refined": self.refined,
             "witness": list(self.witness),
+            "minimality": self.minimality,
         }
 
 
@@ -293,7 +293,8 @@ def apply_steering(c, u0: float) -> np.ndarray:
 def build_report(spec: DesignSpec, element_count: int, metrics: PatternMetrics,
                  zero_set: ZeroSet, verdict: MinPhaseVerdict, *,
                  feasible: bool = True, diagnostics=None,
-                 witness: tuple[str, ...] = (), name: str | None = None) -> DesignReport:
+                 witness: tuple[str, ...] = (), minimality: str | None = None,
+                 name: str | None = None) -> DesignReport:
     radii = zero_set.radii
     return DesignReport(
         name=name if name is not None else spec.name,
@@ -308,9 +309,8 @@ def build_report(spec: DesignSpec, element_count: int, metrics: PatternMetrics,
         min_phase=verdict.is_min_phase,
         steering_angle_rad=spec.steering_angle_rad,
         gamma=None if diagnostics is None else diagnostics.gamma,
-        lambda_min_estimate=None if diagnostics is None else diagnostics.lambda_min_estimate,
+        symbol_min=None if diagnostics is None else diagnostics.symbol_min,
         autocorr_residual=None if diagnostics is None else diagnostics.autocorr_residual,
-        purge_residual=None if diagnostics is None else diagnostics.purge_residual,
         expansion=None if diagnostics is None else diagnostics.expansion,
         refined=None if diagnostics is None else diagnostics.refined,
-        witness=tuple(witness))
+        witness=tuple(witness), minimality=minimality)

@@ -157,11 +157,8 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
     same ratio and reproduce the identical prototype, so only the side
     that failed verification is tightened.  An exchange that fails to
     converge ends the attempt as a failed trial, so the search goes on.
-
-    The designed stop deviation is handed to the factorization as the
-    gamma floor: G dips to exactly that value below zero, and the
-    finite-section bisection underestimates it, which would leave G +
-    gamma without a real spectral factor.
+    The factorization lifts G by its exact minimum, which covers the
+    stop-band dips and any dip in a transition band alike.
     """
     grid = metrics_grid(spec, limits.grid_points)
     pass_scale = stop_scale = 1.0
@@ -173,15 +170,11 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
         except RemezConvergenceError as err:
             return DesignTrial(order, False, None, None, None, None,
                                (f"exchange failed: {err}",), shrink)
-        dip = max((prototype.achieved_delta[i] / band.weight
-                   for i, band in enumerate(prototype.bands) if band.desired == 0.0),
-                  default=0.0)
         try:
             weights, diag = spectral_factorize(
                 prototype.taps,
                 expansion_factor=limits.expansion_factor,
                 gamma_margin=limits.gamma_margin,
-                gamma_floor=dip,
                 newton=limits.newton)
         except FactorizationError as err:
             last = DesignTrial(order, False, None, None, prototype, None,
@@ -212,8 +205,11 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> MinO
     Starts from the heuristic estimate, then walks down while feasible or
     up while infeasible.  Feasibility of a count is judged on the final
     minimum-phase pattern against the original bands.  The report carries
-    a minimality witness: the band violations observed at one element
-    fewer.
+    a minimality witness, the failure observed at one element fewer, and
+    says what backs the claim: ``"route_only"`` when that trial violated a
+    band (this design route cannot meet the bands there), ``"unproven"``
+    when its exchange or factorization failed, ``"trivial"`` at one
+    element.
 
     Raises
     ------
@@ -250,12 +246,17 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> MinO
                 f"no element count up to {limits.max_order} meets the bands", best)
 
     best = trial(order)
-    witness = trial(order - 1).violations if order > 1 else ()
+    if order > 1:
+        below = trial(order - 1)
+        witness = below.violations
+        minimality = "route_only" if below.metrics is not None else "unproven"
+    else:
+        witness, minimality = (), "trivial"
     zero_set = polynomial_zeros(best.weights.c)
     verdict = min_phase_check(zero_set, limits.zero_radius_tol)
     report = build_report(spec, order, best.metrics, zero_set, verdict,
                           feasible=True, diagnostics=best.diagnostics,
-                          witness=witness)
+                          witness=witness, minimality=minimality)
     return MinOrderResult(order=order, weights=best.weights,
                           diagnostics=best.diagnostics, prototype=best.prototype,
                           metrics=best.metrics, report=report)

@@ -9,9 +9,14 @@ and all pattern zeros inside the closed unit disc is recovered from the
 banded Cholesky factor of the (2Q+N)-dimensional symmetric Toeplitz
 matrix with entry (i, j) = g[N-1-|i-j|], lifted by gamma on the diagonal.
 The middle column of the factor converges, as the expansion Q grows, to
-the reversed coefficient vector of the minimum-phase factor; gamma is the
-smallest diagonal loading (found by bisection on Cholesky success) that
-makes the matrix positive definite, enlarged by a small safety margin.
+the reversed coefficient vector of the minimum-phase factor.
+
+G is a Chebyshev series in x = cos u, so its minimum m is exact: the
+smallest value at x = +-1 and at the real roots of G' in [-1, 1].  Every
+finite Toeplitz section has its eigenvalues in [min G, max G]
+(Grenander-Szego), so the lift gamma = -m, enlarged by a small safety
+margin and kept above a tiny pivot floor, makes every section positive
+definite; one banded Cholesky per factorization suffices.
 
 Everything here stays in banded storage; the dense matrix is never formed.
 """
@@ -21,12 +26,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as _sla
+from numpy.polynomial import chebyshev as _cheb
 
 DEFAULT_EXPANSION_FACTOR = 30
 MIN_EXPANSION = 176
 DEFAULT_GAMMA_MARGIN = 1e-3
 PIVOT_FLOOR_FACTOR = 1e-14
-PURGE_WARN_TOL = 1e-6
 
 
 class FactorizationError(RuntimeError):
@@ -84,28 +89,19 @@ class ToeplitzOperator:
 
 @dataclass(frozen=True)
 class MinPhaseWeights:
-    """Minimum-phase excitation extracted from a factorization.
-
-    ``purge_residual`` is the largest entry (relative to max |c|) discarded
-    outside the order-N read window of the augmented factor column.  The
-    banded factor of a banded matrix is itself banded, so this is zero up
-    to storage round-off; the meaningful convergence diagnostic is the
-    autocorrelation residual.
-    """
+    """Minimum-phase excitation extracted from a factorization."""
 
     c: np.ndarray
     gamma_used: float
     q_used: int
-    purge_residual: float
     refined: bool = False
 
 
 @dataclass(frozen=True)
 class FactorizationDiagnostics:
     gamma: float
-    lambda_min_estimate: float
+    symbol_min: float
     autocorr_residual: float
-    purge_residual: float
     expansion: int
     refined: bool
 
@@ -118,50 +114,28 @@ def autocorrelation(c) -> np.ndarray:
     return np.correlate(c, c, mode="full")
 
 
-def _try_factor(ab: np.ndarray, shift: float, pivot_floor: float):
-    work = ab.copy()
-    work[-1, :] += shift
-    try:
-        fact = _sla.cholesky_banded(work, lower=False, check_finite=False)
-    except np.linalg.LinAlgError:
-        return None
-    pivots = fact[-1, :] ** 2
-    if pivots.min() <= pivot_floor:
-        return None
-    return fact
-
-
-def find_gamma(taps, order: int, expansion: int, *,
-               gamma_margin: float = DEFAULT_GAMMA_MARGIN,
-               rel_tol: float = 1e-6,
+def find_gamma(taps, *, gamma_margin: float = DEFAULT_GAMMA_MARGIN,
                pivot_floor_factor: float = PIVOT_FLOOR_FACTOR) -> tuple[float, float]:
-    """Diagonal lift for the Toeplitz operator, by bisection on Cholesky success.
+    """Diagonal lift for the Toeplitz operator, from the exact symbol minimum.
 
-    Returns ``(gamma, lambda_min_estimate)``.  If the unlifted operator
-    already factors, gamma is 0.  Otherwise the smallest shift s making
-    the banded Cholesky succeed equals |lambda_min| up to the bisection
-    tolerance, and gamma = s * (1 + gamma_margin).
+    Returns ``(gamma, m)`` with m = min over u of
+    G(u) = g_0 + 2 sum_k g_k cos(k u).  With x = cos u, G is the Chebyshev
+    series a_0 = g_0, a_k = 2 g_k, so m is its least value at x = +-1 and
+    at the roots of G'; roots are taken by their real part, clipped to
+    [-1, 1], since a spurious point only adds a value G does take.
+
+    gamma = -m * (1 + gamma_margin), raised so that min(G + gamma) reaches
+    the pivot floor ``pivot_floor_factor * max|g|``; a symbol above that
+    floor gets exactly 0.
     """
-    op = ToeplitzOperator(taps, order, expansion)
-    ab = op.banded()
-    pivot_floor = pivot_floor_factor * float(np.max(np.abs(op.taps)))
-    if _try_factor(ab, 0.0, pivot_floor) is not None:
-        return 0.0, 0.0
-    hi = float(np.sum(np.abs(op.taps))) + pivot_floor
-    for _ in range(64):
-        if _try_factor(ab, hi, pivot_floor) is not None:
-            break
-        hi *= 2.0
-    else:
-        raise FactorizationError("no diagonal shift renders the operator positive definite")
-    lo = 0.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (hi + lo)
-        if _try_factor(ab, mid, pivot_floor) is not None:
-            hi = mid
-        else:
-            lo = mid
-    return hi * (1.0 + gamma_margin), -hi
+    taps = np.asarray(taps, float)
+    a = taps[(len(taps) - 1) // 2:].copy()
+    a[1:] *= 2.0
+    roots = np.real(_cheb.chebroots(_cheb.chebder(a)))
+    x = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
+    m = float(np.min(_cheb.chebval(x, a)))
+    floor = pivot_floor_factor * float(np.max(np.abs(taps)))
+    return max((1.0 + gamma_margin) * -m, floor - m, 0.0), m
 
 
 def cholesky_banded(op: ToeplitzOperator) -> np.ndarray:
@@ -170,13 +144,15 @@ def cholesky_banded(op: ToeplitzOperator) -> np.ndarray:
     Raises
     ------
     FactorizationError
-        If a pivot fails, which signals that gamma is too small.
+        If a pivot fails or falls to the pivot floor.
     """
-    fact = _try_factor(op.banded(), 0.0,
-                       PIVOT_FLOOR_FACTOR * float(np.max(np.abs(op.taps))))
-    if fact is None:
-        raise FactorizationError(
-            f"banded Cholesky failed at gamma = {op.gamma!r}; enlarge the margin")
+    try:
+        fact = _sla.cholesky_banded(op.banded(), lower=False, check_finite=False)
+    except np.linalg.LinAlgError:
+        fact = None
+    floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(op.taps)))
+    if fact is None or np.min(fact[-1, :] ** 2) <= floor:
+        raise FactorizationError(f"banded Cholesky failed at gamma = {op.gamma!r}")
     return fact
 
 
@@ -192,22 +168,15 @@ def extract_min_phase(fact: np.ndarray, op: ToeplitzOperator) -> MinPhaseWeights
 
     Applying the factor to a Kronecker delta with the 1 at row Q+N-1
     selects the column holding (c_{N-1}, ..., c_1, c_0) in matrix rows
-    Q .. Q+N-1; the 2Q entries outside that window are purged.  The sign
-    is normalized so that sum(c) > 0.
+    Q .. Q+N-1.  The factor of a banded matrix is banded with the same
+    bandwidth, so that order-N window is the whole stored column.  The
+    sign is normalized so that sum(c) > 0.
     """
     n, q = op.order, op.expansion
-    jc = q + n - 1
-    col_aug = np.zeros(op.dim)
-    col_aug[jc - n + 1:jc + 1] = factor_column(fact, jc)
-    window = col_aug[q:q + n]
-    purged = np.concatenate([col_aug[:q], col_aug[q + n:]])
-    peak = float(np.max(np.abs(window)))
-    purge_residual = float(np.max(np.abs(purged))) / peak if peak > 0.0 else 0.0
-    c = window[::-1].copy()
+    c = factor_column(fact, q + n - 1)[::-1].copy()
     if c.sum() < 0.0:
         c = -c
-    return MinPhaseWeights(c=c, gamma_used=op.gamma, q_used=q,
-                           purge_residual=purge_residual)
+    return MinPhaseWeights(c=c, gamma_used=op.gamma, q_used=q)
 
 
 def verify_factorization(weights: MinPhaseWeights, taps) -> np.ndarray:
@@ -217,6 +186,41 @@ def verify_factorization(weights: MinPhaseWeights, taps) -> np.ndarray:
     center = (len(taps) - 1) // 2
     residual[center] -= weights.gamma_used
     return residual
+
+
+def _jacobian_of(n: int):
+    """Jacobian of c -> (sum_k c_k c_{k+m})_{m<n}, as a function of c.
+
+    Entry (m, j) is c[j+m] + c[j-m], a Hankel plus a Toeplitz part, with a
+    term dropped where its index leaves 0..n-1.  The index arrays are
+    built once; dropped terms read a zero padded after c.
+    """
+    m, j = np.ogrid[:n, :n]
+    hankel = np.where(j + m < n, j + m, n)
+    toeplitz = np.where(j >= m, j - m, n)
+
+    def jacobian(c):
+        padded = np.append(c, 0.0)
+        return padded[hankel] + padded[toeplitz]
+
+    return jacobian
+
+
+def reflect_into_disc(c) -> np.ndarray:
+    """c with each pattern zero z outside the unit circle moved to 1/conj(z).
+
+    Each move is an all-pass factor scaled by |z|, so |C(u)| and the
+    autocorrelation stay as they are; a vector with no zero outside is
+    returned unchanged.  The sign is normalized so that sum(c) >= 0.
+    """
+    z = np.roots(c)
+    out = np.abs(z) > 1.0
+    if not out.any():
+        return c
+    gain = c[0] * np.prod(np.abs(z[out]))
+    z[out] = 1.0 / np.conj(z[out])
+    c = np.real(gain * np.poly(z))
+    return c if c.sum() >= 0.0 else -c
 
 
 def refine_newton(c_init, taps, gamma: float, *,
@@ -242,18 +246,12 @@ def refine_newton(c_init, taps, gamma: float, *,
     def residual(v):
         return np.correlate(v, v, mode="full")[n - 1:] - target
 
+    jacobian = _jacobian_of(n)
     r = residual(c)
     norm = float(np.max(np.abs(r)))
     for _ in range(max_iter):
-        jac = np.zeros((n, n))
-        for m in range(n):
-            for j in range(n):
-                if j + m < n:
-                    jac[m, j] += c[j + m]
-                if j - m >= 0:
-                    jac[m, j] += c[j - m]
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(jacobian(c), -r)
         except np.linalg.LinAlgError:
             break
         scale = 1.0
@@ -275,58 +273,40 @@ def refine_newton(c_init, taps, gamma: float, *,
 def spectral_factorize(taps, *,
                        expansion_factor: int = DEFAULT_EXPANSION_FACTOR,
                        gamma_margin: float = DEFAULT_GAMMA_MARGIN,
-                       newton: bool = False,
-                       gamma_floor: float = 0.0,
-                       gamma_rel_tol: float = 1e-6
+                       newton: bool = False
                        ) -> tuple[MinPhaseWeights, FactorizationDiagnostics]:
     """Full pipeline: lift, factor, extract, optionally polish, verify.
 
-    ``expansion_factor`` sets Q = expansion_factor * N, floored at
-    MIN_EXPANSION: the extraction error decays like r^(2Q) with r the
-    largest zero radius, so tiny arrays still need Q in the hundreds
+    The lift comes from the exact symbol minimum (:func:`find_gamma`), so
+    one banded Cholesky factors the lifted operator; a failure raises
+    FactorizationError.  ``expansion_factor`` sets Q = expansion_factor * N,
+    floored at MIN_EXPANSION: the extraction error decays like r^(2Q) with
+    r the largest zero radius, so tiny arrays still need Q in the hundreds
     when a zero sits near 0.95.  The optional Newton polish tightens the
     autocorrelation residual toward machine precision; if it diverges,
     the unrefined extraction is kept and flagged in the diagnostics.
 
-    ``gamma_floor`` is for callers that know the symbol minimum of g
-    analytically (an equiripple prototype dips to exactly -delta_stop):
-    the bisection estimates the finite section's lowest eigenvalue,
-    which approaches that minimum only as Q grows, and an under-lifted
-    symbol has no real spectral factor, leaving zeros stranded outside
-    the unit circle.
+    A lift that leaves G + gamma nearly touching zero puts zeros of the
+    factor close to the unit circle, where a finite Q may not resolve
+    them and the extraction can land a zero just outside; Newton then
+    converges to that non-minimum-phase factor.  Such zeros are
+    reflected into the disc (:func:`reflect_into_disc`), which turns any
+    spectral factor into the minimum-phase one.
     """
     taps = np.asarray(taps, float)
     order = (len(taps) + 1) // 2
     expansion = max(expansion_factor * order, MIN_EXPANSION)
-    gamma, lam = find_gamma(taps, order, expansion,
-                            gamma_margin=gamma_margin, rel_tol=gamma_rel_tol)
-    if gamma_floor > 0.0:
-        gamma = max(gamma, gamma_floor * (1.0 + gamma_margin))
+    gamma, m = find_gamma(taps, gamma_margin=gamma_margin)
     op = ToeplitzOperator(taps, order, expansion, gamma)
-    fact = None
-    for _ in range(4):
-        try:
-            fact = cholesky_banded(op)
-            break
-        except FactorizationError:
-            op = replace(op, gamma=op.gamma * (1.0 + 10.0 * gamma_margin))
-    if fact is None:
-        raise FactorizationError("diagonal lift failed to stabilize the factorization")
-
-    weights = extract_min_phase(fact, op)
-    if weights.purge_residual > PURGE_WARN_TOL:
-        import warnings
-        warnings.warn(f"purge residual {weights.purge_residual:.3e} exceeds "
-                      f"{PURGE_WARN_TOL:g}; expansion Q = {op.expansion} looks too small",
-                      RuntimeWarning, stacklevel=2)
+    weights = extract_min_phase(cholesky_banded(op), op)
     if newton:
         c_ref, ok = refine_newton(weights.c, taps, op.gamma)
         weights = replace(weights, c=c_ref if ok else weights.c, refined=ok)
+    weights = replace(weights, c=reflect_into_disc(weights.c))
 
     residual = verify_factorization(weights, taps)
     diag = FactorizationDiagnostics(
-        gamma=op.gamma, lambda_min_estimate=lam,
+        gamma=op.gamma, symbol_min=m,
         autocorr_residual=float(np.max(np.abs(residual))),
-        purge_residual=weights.purge_residual,
         expansion=op.expansion, refined=weights.refined)
     return weights, diag

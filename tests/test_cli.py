@@ -44,6 +44,9 @@ def test_design_writes_artifacts(tmp_path):
     assert report["feasible"] is True
     assert report["min_phase"] is True
     assert report["max_sidelobe_db"] <= -52.0
+    assert report["minimality"] == "route_only"
+    assert report["symbol_min"] < 0.0 < report["gamma"]
+    assert "purge_residual" not in report and "lambda_min_estimate" not in report
     assert len(_read_weights(out / "weights.csv")) == 6
 
     header = (out / "pattern.csv").read_text().splitlines()[0]
@@ -164,6 +167,7 @@ def test_unreachable_bands_write_best_attempt(tmp_path, capsys):
     assert report["feasible"] is False
     assert report["element_count"] == 3
     assert report["witness"]
+    assert report["minimality"] is None
     assert len(_read_weights(out / "weights.csv")) == 3
 
 

@@ -78,6 +78,7 @@ def test_minimal_order_search_design1(design1):
     assert design1.report.min_phase
     # minimality witness: the trial one element short violated a band
     assert design1.report.witness
+    assert design1.report.minimality == "route_only"
     assert all(lv.margin_db >= 0.0 for lv in design1.metrics.bands)
 
 
@@ -116,3 +117,30 @@ def test_exchange_failure_does_not_end_the_search():
     result = find_min_order(spec)
     assert result.order == 17
     assert not result.metrics.violations
+
+
+def test_minimality_rests_on_an_exchange_failure_is_unproven():
+    # 16 elements failed in the exchange, not against the bands, so nothing
+    # shows that 16 elements cannot meet them.
+    spec = DesignSpec(0.5, (BandSpec(0.0, 1.1147, "pass", ripple_db=2.0),
+                            BandSpec(1.7247, math.pi, "stop", max_level_db=-47.54)))
+    result = find_min_order(spec)
+    assert result.order == 17
+    assert result.report.minimality == "unproven"
+    assert result.report.to_dict()["minimality"] == "unproven"
+    assert result.report.witness[0].startswith("exchange failed:")
+
+
+def test_zeros_near_the_circle_end_minimum_phase():
+    # The lifted G of this request nearly touches zero, so at Q = 30N the
+    # extracted factor has a zero at radius 1.0007; reflecting it into the
+    # disc gives the minimum-phase factor with the same pattern.
+    spec = DesignSpec(0.5, (BandSpec(0.0, 0.49831031292556177, "pass",
+                                     ripple_db=1.3299101106803255),
+                            BandSpec(2.170245083630752, math.pi, "stop",
+                                     max_level_db=-69.21116506441766)))
+    result = find_min_order(spec)
+    assert result.order == 9
+    assert result.report.min_phase
+    assert np.max(np.abs(np.roots(result.weights.c))) <= 1.0
+    assert result.diagnostics.autocorr_residual <= 1e-12

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mparray import (FactorizationError, ToeplitzOperator, autocorrelation,
                      design1_spec, find_gamma, refine_newton,
                      spectral_factorize, to_prototype_spec,
                      verify_factorization)
-from mparray.spectral_factor import (MIN_EXPANSION, cholesky_banded,
-                                     extract_min_phase, factor_column)
+from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
+                                     DEFAULT_GAMMA_MARGIN, MIN_EXPANSION,
+                                     PIVOT_FLOOR_FACTOR, _jacobian_of,
+                                     cholesky_banded, extract_min_phase,
+                                     factor_column, reflect_into_disc)
 
 from conftest import make_min_phase
 
@@ -66,34 +70,132 @@ def test_operator_rejects_malformed_taps():
         ToeplitzOperator(np.array([0.5, 1.25, 0.5]), 2, 0)
 
 
+def symbol_on_grid(g, points: int = 2_000_001) -> np.ndarray:
+    """G(u) = g_0 + 2 sum_k g_k cos(k u) on a uniform grid over [0, pi]."""
+    n = (len(g) + 1) // 2
+    u = np.linspace(0.0, np.pi, points)
+    G = np.full(points, g[n - 1])
+    for k in range(1, n):
+        G += 2.0 * g[n - 1 + k] * np.cos(k * u)
+    return G
+
+
 def test_gamma_zero_for_nonnegative_symbol():
-    gamma, lam = find_gamma(autocorrelation([1.0, 0.5]), 2, 30)
-    assert gamma == 0.0 and lam == 0.0
-    gamma, lam = find_gamma(np.array([1.0]), 1, 5)
-    assert gamma == 0.0 and lam == 0.0
+    gamma, m = find_gamma(autocorrelation([1.0, 0.5]))
+    assert gamma == 0.0
+    assert m == pytest.approx(0.25, abs=1e-15)  # |1 + 0.5 e^{iu}|^2 at u = pi
+    gamma, m = find_gamma(np.array([1.0]))
+    assert gamma == 0.0 and m == 1.0
 
 
-def test_gamma_matches_dense_eigensolve(design1):
+def test_symbol_min_matches_dense_grid(design1, design2, design3):
+    # T_7(cos u) + 0.3: Chebyshev coefficients a_0 = 0.3, a_7 = 1.
+    chebyshev = np.zeros(15)
+    chebyshev[[0, 14]] = 0.5
+    chebyshev[7] = 0.3
+    cases = [r.prototype.taps for r in (design1, design2, design3)] + [chebyshev]
+    for g in cases:
+        _, m = find_gamma(g)
+        assert m == pytest.approx(float(symbol_on_grid(g).min()),
+                                  abs=1e-12 * float(np.max(np.abs(g))))
+    assert find_gamma(chebyshev)[1] == pytest.approx(-0.7, abs=1e-12)
+
+
+def test_section_eigenvalues_lie_above_symbol_min(design1):
+    # Grenander-Szego: every finite section's spectrum lies in [min G, max G],
+    # so the lift -m covers every Q; by interlacing, a longer section's
+    # lowest eigenvalue is lower, approaching m from above.
     pspec = to_prototype_spec(design1_spec())
     g = design1.prototype.taps
     order = (len(g) + 1) // 2
-    op = ToeplitzOperator(g, order, 24)
-    gamma, lam_est = find_gamma(g, order, 24)
-    lam_dense = float(np.linalg.eigvalsh(dense_operator(op)).min())
-    assert lam_dense < 0.0
-    assert -lam_est == pytest.approx(-lam_dense, rel=1e-4)
+    gamma, m = find_gamma(g)
+    lams = []
+    for q in (24, 100):
+        lam = float(np.linalg.eigvalsh(dense_operator(ToeplitzOperator(g, order, q))).min())
+        assert m <= lam < 0.0
+        assert gamma > -lam
+        lams.append(lam)
+    assert lams[1] <= lams[0]
+    assert gamma == (1.0 + DEFAULT_GAMMA_MARGIN) * -m
     assert 0.0 < gamma <= 2.0 * pspec.delta_stop * 1.01
 
 
-def test_shift_success_is_monotone(design1):
+def test_cholesky_fails_below_lift_and_succeeds_at_gamma(design1):
     g = design1.prototype.taps
     order = (len(g) + 1) // 2
-    _, lam_est = find_gamma(g, order, 24)
-    lam = -lam_est
-    assert lam > 0.0
+    expansion = max(DEFAULT_EXPANSION_FACTOR * order, MIN_EXPANSION)
+    gamma, m = find_gamma(g)
+    assert m < 0.0
     with pytest.raises(FactorizationError):
-        cholesky_banded(ToeplitzOperator(g, order, 24, gamma=0.5 * lam))
-    cholesky_banded(ToeplitzOperator(g, order, 24, gamma=1.5 * lam))
+        cholesky_banded(ToeplitzOperator(g, order, expansion, gamma=0.5 * -m))
+    cholesky_banded(ToeplitzOperator(g, order, expansion, gamma=gamma))
+
+
+def test_factorize_runs_one_cholesky(monkeypatch, design2):
+    calls = []
+    original = scipy.linalg.cholesky_banded
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", counting)
+    for g in (design2.prototype.taps, autocorrelation([1.0, 0.5]),
+              autocorrelation([1.0, 2.0, 1.0])):
+        calls.clear()
+        spectral_factorize(g, newton=True)
+        assert len(calls) == 1
+
+
+def test_touching_symbol_gets_the_pivot_floor_and_keeps_newton():
+    g = autocorrelation([1.0, 2.0, 1.0])  # (1 + e^{iu})^2 vanishes at u = pi
+    gamma, m = find_gamma(g)
+    assert m == pytest.approx(0.0, abs=1e-15)
+    assert gamma == PIVOT_FLOOR_FACTOR * 6.0 - m
+    w, diag = spectral_factorize(g, newton=True)
+    assert diag.refined and diag.symbol_min == m
+    assert diag.autocorr_residual <= 1e-12
+
+
+def test_lifted_input_is_fully_lifted_and_min_phase():
+    # The centre tap lowered by 5 % of max G leaves G dipping below zero.
+    # A lift from a finite section's lowest eigenvalue falls short of
+    # -min G here, and the factor then misses the residual bound.
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(4, 13))
+    g = autocorrelation(make_min_phase(rng, n))
+    g[n - 1] -= 0.05 * float(symbol_on_grid(g).max())
+    need = -float(symbol_on_grid(g).min())
+    assert need > 0.0
+    w, diag = spectral_factorize(g, newton=True)
+    assert w.gamma_used >= need
+    assert diag.refined
+    assert np.max(np.abs(verify_factorization(w, g))) <= 1e-12 * float(np.max(np.abs(g)))
+    assert np.max(np.abs(np.roots(w.c))) <= 1.0
+
+
+def test_reflection_moves_outside_zeros_and_keeps_autocorrelation():
+    inside = np.real(np.poly([0.5 * np.exp(1j), 0.5 * np.exp(-1j), -0.3]))
+    assert reflect_into_disc(inside) is inside
+    c = np.real(np.poly([2.0, 0.5 * np.exp(1j), 0.5 * np.exp(-1j), -1.25]))
+    flipped = reflect_into_disc(c)
+    assert np.sort(np.abs(np.roots(flipped))) == pytest.approx([0.5, 0.5, 0.5, 0.8])
+    assert autocorrelation(flipped) == pytest.approx(autocorrelation(c), abs=1e-12)
+    assert flipped.sum() > 0.0
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(1, 24), st.integers(0, 2 ** 31 - 1))
+def test_newton_jacobian_matches_double_loop(n, seed):
+    c = np.random.default_rng(seed).standard_normal(n)
+    loop = np.zeros((n, n))
+    for m in range(n):
+        for j in range(n):
+            if j + m < n:
+                loop[m, j] += c[j + m]
+            if j - m >= 0:
+                loop[m, j] += c[j - m]
+    assert np.array_equal(_jacobian_of(n)(c), loop)
 
 
 def test_scalar_cholesky():
@@ -122,7 +224,6 @@ def test_extraction_recovers_two_element_oracle():
     op = ToeplitzOperator(g, 2, 60)
     weights = extract_min_phase(cholesky_banded(op), op)
     assert weights.c == pytest.approx([1.0, 0.5], abs=1e-6)
-    assert weights.purge_residual == 0.0
 
 
 def test_extraction_trivial_single_tap():
@@ -210,7 +311,6 @@ def test_residual_improves_with_expansion():
     resids = []
     for factor in (15, 30, 60):
         _, diag = spectral_factorize(g, expansion_factor=factor)
-        assert diag.purge_residual == 0.0  # banded factor has no spill to purge
         resids.append(diag.autocorr_residual)
     assert resids[1] <= resids[0] * (1.0 + 1e-9)
     assert resids[2] <= resids[1] * (1.0 + 1e-9)
