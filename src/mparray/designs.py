@@ -82,8 +82,7 @@ def builtin_spec(key: str) -> DesignSpec:
     return table[key]()
 
 
-def design_pencil(element_count: int = PENCIL_ELEMENT_COUNT, *,
-                  grid_density: int = 16) -> LinearPhasePrototype:
+def design_pencil(element_count: int = PENCIL_ELEMENT_COUNT) -> LinearPhasePrototype:
     """Direct equiripple pencil design: the taps are the excitation.
 
     The pattern is pinned to 1 at u = 0 and minimized over the sidelobe
@@ -97,4 +96,4 @@ def design_pencil(element_count: int = PENCIL_ELEMENT_COUNT, *,
         PrototypeBand(0.0, 0.0, 1.0, 1.0),
         PrototypeBand(PENCIL_STOP_EDGE, math.pi, 0.0, 1.0),
     )
-    return remez_design(bands, half_order, grid_density=grid_density)
+    return remez_design(bands, half_order)

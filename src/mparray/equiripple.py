@@ -30,6 +30,8 @@ from .spec_model import DEGENERATE_WIDTH
 _QUALITY_STOP = 1e-9
 _QUALITY_ACCEPT = 1e-6
 _DELTA_STALL = 1e-10
+_GRID_DENSITY = 16  # working grid points per expected error extremum
+_MAX_ITERATIONS = 250
 
 
 class RemezConvergenceError(RuntimeError):
@@ -321,10 +323,10 @@ class _ExchangeProblem:
         return self._lagrange(x) + self._prod(x) * r_values
 
 
-def _build_grid(bands, degree, density):
+def _build_grid(bands, degree):
     proper = [b for b in bands if not b.is_degenerate]
     total_width = sum(b.width for b in proper)
-    target = max(density * (degree + 2), 48)
+    target = max(_GRID_DENSITY * (degree + 2), 48)
     parts_u, parts_band = [], []
     for b in proper:
         npts = max(8, int(round(target * b.width / total_width)) + 1)
@@ -334,9 +336,7 @@ def _build_grid(bands, degree, density):
 
 
 def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
-                 constraints: Sequence[tuple[float, float]] = (),
-                 grid_density: int = 16,
-                 max_iterations: int = 250) -> LinearPhasePrototype:
+                 constraints: Sequence[tuple[float, float]] = ()) -> LinearPhasePrototype:
     """Weighted-Chebyshev design of a 2*half_order+1 tap symmetric prototype.
 
     Parameters
@@ -349,10 +349,6 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
     constraints : sequence of (u, value), optional
         Exact amplitude values to interpolate.  Each constraint costs one
         degree of freedom of the exchange.
-    grid_density : int, optional
-        Working grid points per expected error extremum.
-    max_iterations : int, optional
-        Exchange iteration cap.
 
     Returns
     -------
@@ -387,7 +383,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
         raise ValueError("all bands are degenerate; nothing to approximate")
 
     problem = _ExchangeProblem(bands, all_constraints, half_order)
-    grid_u, grid_band = _build_grid(bands, problem.degree_hat, grid_density)
+    grid_u, grid_band = _build_grid(bands, problem.degree_hat)
     grid_x = np.cos(grid_u)
     grid_d = np.array([bands[i].desired for i in grid_band], float)
     grid_w = np.array([bands[i].weight for i in grid_band], float)
@@ -429,7 +425,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
     quality = math.inf
     iterations = 0
 
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         x_ext = np.cos(ext_u)
         d_ext = problem.dhat(x_ext, np.array([bands[i].desired for i in ext_band]))
         w_ext = problem.what(x_ext, np.array([bands[i].weight for i in ext_band]))
@@ -496,8 +492,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
     else:
         if quality > _QUALITY_ACCEPT:
             raise RemezConvergenceError(
-                f"no convergence in {max_iterations} iterations",
-                max_iterations, abs(delta), quality)
+                f"no convergence in {_MAX_ITERATIONS} iterations",
+                _MAX_ITERATIONS, abs(delta), quality)
 
     # Final node set -> amplitude values at Chebyshev abscissae -> taps.
     x_ext = np.cos(ext_u)

@@ -52,19 +52,21 @@ class PrototypeSpec:
     delta_stop: float
 
 
+# Tolerance walk of one element count (see _attempt).
+DELTA_SHRINK = 0.9
+MAX_SHRINKS = 5
+
+
 @dataclass(frozen=True)
 class SearchLimits:
-    """Knobs of the minimal element-count search."""
+    """Knobs of the minimal element-count search, one per CLI option."""
 
     max_order: int = 64
     expansion_factor: int = DEFAULT_EXPANSION_FACTOR
     grid_points: int = 8192
-    grid_density: int = 16
     newton: bool = True
     gamma_margin: float = DEFAULT_GAMMA_MARGIN
     zero_radius_tol: float = ZERO_RADIUS_TOL
-    delta_shrink: float = 0.9
-    max_shrinks: int = 5
 
 
 @dataclass(frozen=True)
@@ -78,7 +80,6 @@ class DesignTrial:
     prototype: LinearPhasePrototype | None
     metrics: PatternMetrics | None
     violations: tuple[str, ...]
-    shrinks: int
 
 
 @dataclass(frozen=True)
@@ -129,47 +130,53 @@ def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
     return PrototypeSpec(bands=tuple(bands), delta_pass=delta1, delta_stop=delta2)
 
 
-def design_prototype(pspec: PrototypeSpec, order: int, *,
-                     grid_density: int = 16) -> LinearPhasePrototype:
+def design_prototype(pspec: PrototypeSpec, order: int) -> LinearPhasePrototype:
     """Equiripple G design with 2*order-1 taps for an order-N excitation."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return remez_design(pspec.bands, order - 1, grid_density=grid_density)
+    return remez_design(pspec.bands, order - 1)
 
 
-def _scaled(pspec: PrototypeSpec, pass_scale: float, stop_scale: float) -> PrototypeSpec:
-    if pass_scale == 1.0 and stop_scale == 1.0:
+def _tilted(pspec: PrototypeSpec, side: str | None, scale: float) -> PrototypeSpec:
+    """The plan with only the ``side`` ("pass" or "stop") tolerance scaled."""
+    if side is None:
         return pspec
-    bands = []
-    for b in pspec.bands:
-        scale = pass_scale if b.desired != 0.0 else stop_scale
-        bands.append(replace(b, weight=b.weight / scale))
-    return PrototypeSpec(bands=tuple(bands),
-                         delta_pass=pspec.delta_pass * pass_scale,
-                         delta_stop=pspec.delta_stop * stop_scale)
+    is_pass = side == "pass"
+    bands = tuple(replace(b, weight=b.weight / scale) if (b.desired != 0.0) == is_pass
+                  else b for b in pspec.bands)
+    if is_pass:
+        return replace(pspec, bands=bands, delta_pass=pspec.delta_pass * scale)
+    return replace(pspec, bands=bands, delta_stop=pspec.delta_stop * scale)
 
 
 def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
              limits: SearchLimits) -> DesignTrial:
-    """Try one element count, tightening violated tolerances a few times.
+    """Try one element count, walking the one violated tolerance tighter.
 
-    A uniform tolerance shrink would leave the Chebyshev weights in the
-    same ratio and reproduce the identical prototype, so only the side
-    that failed verification is tightened.  An exchange that fails to
-    converge ends the attempt as a failed trial, so the search goes on.
+    Only the ratio of the pass and stop weights shapes the equiripple
+    prototype.  If the first trial violates one side only, that side's
+    weight is divided by DELTA_SHRINK**k, k = 1..MAX_SHRINKS.  The walk
+    returns the trial in hand once it is feasible, or once going on would
+    have no side to tighten or would redesign a ratio already tried:
+
+      * the exchange fails: no pattern names a side (a failed trial; the
+        search goes on);
+      * the factorization fails: no pattern names a side, and tightening
+        both would keep this ratio;
+      * both bands fail: tightening both would keep this ratio;
+      * the other band fails: tightening it would return to the last ratio.
+
     The factorization lifts G by its exact minimum, which covers the
     stop-band dips and any dip in a transition band alike.
     """
     grid = metrics_grid(spec, limits.grid_points)
-    pass_scale = stop_scale = 1.0
-    last: DesignTrial | None = None
-    for shrink in range(limits.max_shrinks + 1):
-        plan = _scaled(pspec, pass_scale, stop_scale)
+    side, scale = None, 1.0
+    for _ in range(MAX_SHRINKS + 1):
         try:
-            prototype = design_prototype(plan, order, grid_density=limits.grid_density)
+            prototype = design_prototype(_tilted(pspec, side, scale), order)
         except RemezConvergenceError as err:
             return DesignTrial(order, False, None, None, None, None,
-                               (f"exchange failed: {err}",), shrink)
+                               (f"exchange failed: {err}",))
         try:
             weights, diag = spectral_factorize(
                 prototype.taps,
@@ -177,26 +184,21 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
                 gamma_margin=limits.gamma_margin,
                 newton=limits.newton)
         except FactorizationError as err:
-            last = DesignTrial(order, False, None, None, prototype, None,
-                               (f"factorization failed: {err}",), shrink)
-            pass_scale *= limits.delta_shrink
-            stop_scale *= limits.delta_shrink
-            continue
+            return DesignTrial(order, False, None, None, prototype, None,
+                               (f"factorization failed: {err}",))
         metrics = pattern_metrics(array_factor(weights.c, grid), spec)
         violations = tuple(
             f"{lv.kind} band [{lv.u_lo:.6g}, {lv.u_hi:.6g}]: achieved "
             f"{lv.achieved_db:.4f} dB vs bound {lv.bound_db:.4f} dB"
             for lv in metrics.violations)
         trial = DesignTrial(order, not violations, weights, diag, prototype,
-                            metrics, violations, shrink)
-        if trial.feasible:
+                            metrics, violations)
+        failed = {lv.kind for lv in metrics.violations}
+        if len(failed) != 1 or (side is not None and failed != {side}):
             return trial
-        last = trial
-        if any(lv.kind == "pass" for lv in metrics.violations):
-            pass_scale *= limits.delta_shrink
-        if any(lv.kind == "stop" for lv in metrics.violations):
-            stop_scale *= limits.delta_shrink
-    return last
+        side = failed.pop()
+        scale *= DELTA_SHRINK
+    return trial
 
 
 def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> MinOrderResult:

@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import mparray.prototype as prototype_module
 from mparray import (BandSpec, DesignSpec, InfeasibleSpecError, PrototypeSpec,
                      SearchLimits, amplitude_response, design_prototype,
-                     design1_spec, design2_spec, find_min_order, pencil_spec,
-                     to_prototype_spec)
+                     design1_spec, design2_spec, design3_spec, find_min_order,
+                     pencil_spec, to_prototype_spec)
 from mparray import PrototypeBand
 from mparray.prototype import OrderSearchError, _attempt
 
@@ -144,3 +146,58 @@ def test_zeros_near_the_circle_end_minimum_phase():
     assert result.report.min_phase
     assert np.max(np.abs(np.roots(result.weights.c))) <= 1.0
     assert result.diagnostics.autocorr_residual <= 1e-12
+
+
+def _count_prototypes(monkeypatch) -> list[int]:
+    """Record the element count of every design_prototype call."""
+    calls = []
+    real = prototype_module.design_prototype
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(prototype_module, "design_prototype", counted)
+    return calls
+
+
+@pytest.mark.parametrize("make_spec, orders", [(design1_spec, [7, 6, 5]),
+                                               (design2_spec, [13, 14]),
+                                               (design3_spec, [13, 13, 14])])
+def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
+    # Each count is designed at the mapped weight ratio; design3 tilts 13
+    # once, toward the pass band, then fails on the stop band, which ends
+    # the walk.  No weight ratio is designed twice.
+    calls = _count_prototypes(monkeypatch)
+    find_min_order(make_spec())
+    assert calls == orders
+
+
+@pytest.mark.parametrize("make_spec, order", [(design1_spec, 5), (design2_spec, 13),
+                                              (design3_spec, 13)])
+def test_uniform_weight_scaling_keeps_the_prototype(make_spec, order):
+    # Only the ratio of the band weights shapes the equiripple prototype,
+    # which is why the walk never tightens both sides at once.
+    pspec = to_prototype_spec(make_spec())
+    base = design_prototype(pspec, order).taps
+    for k in range(1, 6):
+        bands = tuple(replace(b, weight=b.weight / 0.9 ** k) for b in pspec.bands)
+        taps = design_prototype(replace(pspec, bands=bands), order).taps
+        assert np.max(np.abs(taps - base)) <= 1e-12 * np.max(np.abs(base))
+
+
+def test_pass_side_tilt_rescues_an_element_count(monkeypatch):
+    spec = DesignSpec(0.5, (BandSpec(0.0, 1.1799745512985573, "pass",
+                                     ripple_db=1.7713404806886275),
+                            BandSpec(2.7224321676816112, math.pi, "stop",
+                                     max_level_db=-46.029040801240924)))
+    pspec = to_prototype_spec(spec)
+    assert find_min_order(spec).order == 5
+    monkeypatch.setattr(prototype_module, "MAX_SHRINKS", 0)
+    untilted = _attempt(spec, pspec, 5, SearchLimits())
+    assert not untilted.feasible
+    assert {lv.kind for lv in untilted.metrics.violations} == {"pass"}
+    monkeypatch.undo()
+    calls = _count_prototypes(monkeypatch)
+    assert _attempt(spec, pspec, 5, SearchLimits()).feasible
+    assert len(calls) == 2
