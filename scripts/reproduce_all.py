@@ -52,7 +52,8 @@ def chebyshev_pencil_db(element_count: int, edge: float) -> float:
     """Least sidelobe level of an array with unit peak at u = 0, in dB.
 
     1/T_M(y1) with M = (element_count-1)/2 and y1 = (3 - cos edge)/(1 + cos
-    edge), as derived for acceptance criterion 4.
+    edge).  The same closed form is derived in ``_chebyshev_pencil_level``
+    of tests/test_acceptance.py (criterion 4); keep the two in step.
     """
     x_edge = math.cos(edge)
     y1 = (3.0 - x_edge) / (1.0 + x_edge)

@@ -138,15 +138,12 @@ def design_prototype(pspec: PrototypeSpec, order: int) -> LinearPhasePrototype:
 
 
 def _tilted(pspec: PrototypeSpec, side: str | None, scale: float) -> PrototypeSpec:
-    """The plan with only the ``side`` ("pass" or "stop") tolerance scaled."""
+    """The plan with only the ``side`` ("pass" or "stop") band weights divided by ``scale``."""
     if side is None:
         return pspec
-    is_pass = side == "pass"
-    bands = tuple(replace(b, weight=b.weight / scale) if (b.desired != 0.0) == is_pass
-                  else b for b in pspec.bands)
-    if is_pass:
-        return replace(pspec, bands=bands, delta_pass=pspec.delta_pass * scale)
-    return replace(pspec, bands=bands, delta_stop=pspec.delta_stop * scale)
+    return replace(pspec, bands=tuple(
+        replace(b, weight=b.weight / scale) if (b.desired != 0.0) == (side == "pass") else b
+        for b in pspec.bands))
 
 
 def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
