@@ -169,34 +169,28 @@ def estimate_order(bands: Sequence[PrototypeBand], delta_pass: float, delta_stop
 
 
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.empty(len(nodes))
-    for k in range(len(nodes)):
-        diff = nodes[k] - nodes
-        diff[k] = 1.0
-        w[k] = 1.0 / np.prod(diff)
-    return w
+    diff = nodes[:, None] - nodes
+    np.fill_diagonal(diff, 1.0)
+    return 1.0 / np.prod(diff, axis=1)
 
 
 def _bary_eval(nodes, values, weights, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, float))
-    num = np.zeros(len(x))
-    den = np.zeros(len(x))
-    exact = np.full(len(x), -1)
-    for k in range(len(nodes)):
-        d = x - nodes[k]
-        hit = d == 0.0
-        exact[hit] = k
-        d[hit] = 1.0
-        t = weights[k] / d
-        num += t * values[k]
-        den += t
+    d = x - nodes[:, None]
+    hit = d == 0.0
+    d[hit] = 1.0
+    t = weights[:, None] / d
+    # accumulate adds the node rows strictly in order, as a loop over the
+    # nodes would; sum/reduce switch to pairwise summation on a single
+    # point and so change the last bit.
+    num = np.add.accumulate(t * values[:, None], axis=0)[-1]
+    den = np.add.accumulate(t, axis=0)[-1]
     # den cancels to exactly zero only on a degenerate reference; callers
     # get inf or nan there, which the exchange does not accept.
     with np.errstate(divide="ignore", invalid="ignore"):
         out = num / den
-    hits = exact >= 0
-    if np.any(hits):
-        out[hits] = values[exact[hits]]
+    k, j = np.nonzero(hit)
+    out[j] = values[k]
     return out
 
 
@@ -309,12 +303,12 @@ class _ExchangeProblem:
 
     def dhat(self, x, desired):
         if len(self.cx) == 0:
-            return np.broadcast_to(desired, np.shape(x)).astype(float)
+            return desired
         return (desired - self._lagrange(x)) / self._prod(x)
 
     def what(self, x, weight):
         if len(self.cx) == 0:
-            return np.broadcast_to(weight, np.shape(x)).astype(float)
+            return weight
         return weight * np.abs(self._prod(x))
 
     def to_amplitude_values(self, x, r_values):

@@ -9,7 +9,7 @@ from mparray import (PrototypeBand, amplitude_response, count_alternations,
                      design_prototype, equioscillation_extrema, estimate_order,
                      remez_design, to_prototype_spec)
 from mparray import design1_spec, design2_spec
-from mparray.equiripple import _cosine_coefficients, _extrema_candidates
+from mparray.equiripple import _bary_eval, _bary_weights, _cosine_coefficients, _extrema_candidates
 
 
 def test_constant_band_fits_exactly():
@@ -229,3 +229,64 @@ def test_finder_locates_chebyshev_extrema():
     assert len(cands) == n - 1
     assert np.max(np.abs(cands[:, 0] - exact)) <= 1e-12
     assert np.max(np.abs(np.abs(cands[:, 1]) - 1.0)) <= 1e-15
+
+
+# Node-by-node reference for the array forms: same arithmetic, same order.
+def _bary_weights_loop(nodes):
+    w = np.empty(len(nodes))
+    for k in range(len(nodes)):
+        diff = nodes[k] - nodes
+        diff[k] = 1.0
+        w[k] = 1.0 / np.prod(diff)
+    return w
+
+
+def _bary_eval_loop(nodes, values, weights, x):
+    x = np.atleast_1d(np.asarray(x, float))
+    num = np.zeros(len(x))
+    den = np.zeros(len(x))
+    exact = np.full(len(x), -1)
+    for k in range(len(nodes)):
+        d = x - nodes[k]
+        hit = d == 0.0
+        exact[hit] = k
+        d[hit] = 1.0
+        t = weights[k] / d
+        num += t * values[k]
+        den += t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = num / den
+    hits = exact >= 0
+    if np.any(hits):
+        out[hits] = values[exact[hits]]
+    return out
+
+
+def _bary_draws():
+    """Seeded (nodes, values, x) draws: 1-40 nodes, 1-900 points, some on a node."""
+    rng = np.random.default_rng(20261018)
+    for i in range(400):
+        nodes = np.cos(np.sort(rng.uniform(0.0, math.pi, int(rng.integers(1, 41)))))
+        values = rng.normal(size=len(nodes))
+        points = (1, 2, 3)[i % 3] if i % 2 else int(rng.integers(1, 901))
+        x = np.cos(rng.uniform(0.0, math.pi, points))
+        if i % 5 == 0:  # exact node hits
+            j = rng.integers(0, points, size=max(1, points // 4))
+            x[j] = nodes[rng.integers(0, len(nodes), size=len(j))]
+        yield nodes, values, x
+
+
+def test_bary_weights_match_scalar_loop():
+    for nodes, _, _ in _bary_draws():
+        assert np.array_equal(_bary_weights(nodes), _bary_weights_loop(nodes), equal_nan=True)
+
+
+def test_bary_eval_matches_scalar_loop():
+    hits = few = 0
+    for nodes, values, x in _bary_draws():
+        w = _bary_weights_loop(nodes)
+        got = _bary_eval(nodes, values, w, x)
+        assert np.array_equal(got, _bary_eval_loop(nodes, values, w, x), equal_nan=True)
+        hits += bool(np.isin(x, nodes).any())
+        few += len(x) <= 2
+    assert hits >= 40 and few >= 100  # the draws reach both special cases

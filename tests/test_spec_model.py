@@ -28,8 +28,13 @@ def test_u_outside_visible_region_rejected():
 
 @given(st.floats(-math.pi / 2, math.pi / 2),
        st.floats(0.05, 2.0))
+@example(1.5707802767056902, 1.0)  # comes back 9.8e-12 off
 def test_theta_u_round_trip(theta, spacing):
-    assert u_to_theta(theta_to_u(theta, spacing), spacing) == pytest.approx(theta, abs=1e-12)
+    # Near +-pi/2 sin is flat: rounding sin(theta) alone moves the recovered
+    # angle by about eps/cos(theta), so the bound follows that conditioning.
+    eps = 2.0 ** -52
+    back = u_to_theta(theta_to_u(theta, spacing), spacing)
+    assert abs(back - theta) <= 1e-12 + 4 * eps / max(math.cos(theta), math.sqrt(eps))
 
 
 @given(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0))
