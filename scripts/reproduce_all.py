@@ -16,9 +16,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mparray import (array_factor, builtin_spec, design_pencil, find_min_order,
-                     metrics_grid, min_phase_check, pattern_metrics,
-                     polynomial_zeros)
+from mparray import (SearchLimits, builtin_spec, design_pencil, evaluate,
+                     find_min_order)
 from mparray.designs import PENCIL_STOP_EDGE
 
 PENCIL_TOL_DB = 1e-4
@@ -31,14 +30,13 @@ def flat_top_designs() -> int:
         t0 = time.perf_counter()
         result = find_min_order(spec)
         elapsed = time.perf_counter() - t0
-        zs = polynomial_zeros(result.weights.c)
         diag = result.diagnostics
         unmet = result.metrics.violations
         failures += bool(unmet)
         print(f"{key}: N={result.order}  "
               f"sidelobes {result.metrics.max_sidelobe_db:.4f} dB  "
               f"ripple {result.metrics.flattop_ripple_db:.4f} dB  "
-              f"max|z| {zs.max_radius:.9f}  ({elapsed:.2f} s)")
+              f"max|z| {result.report.zero_max_radius:.9f}  ({elapsed:.2f} s)")
         print(f"  gamma {diag.gamma:.4e}  autocorr residual "
               f"{diag.autocorr_residual:.3e}  Q {diag.expansion}")
         for lv in result.metrics.bands:
@@ -63,16 +61,13 @@ def chebyshev_pencil_db(element_count: int, edge: float) -> float:
 
 def pencil_design() -> int:
     proto = design_pencil()
-    spec = builtin_spec("pencil")
-    metrics = pattern_metrics(array_factor(proto.taps, metrics_grid(spec)), spec)
-    zs = polynomial_zeros(proto.taps)
-    verdict = min_phase_check(zs)
-    circle = float(np.max(np.abs(zs.radii - 1.0)))
-    sll = metrics.max_sidelobe_db
+    report = evaluate(proto.taps, builtin_spec("pencil"), SearchLimits())
+    circle = float(np.max(np.abs(report.zeros.radii - 1.0)))
+    sll = report.max_sidelobe_db
     optimum_db = chebyshev_pencil_db(len(proto.taps), PENCIL_STOP_EDGE)
     print(f"pencil: N={len(proto.taps)}  sidelobes {sll:.4f} dB  "
           f"max||z|-1| {circle:.3e}  "
-          f"{'min phase' if verdict.is_min_phase else 'zeros on circle'}")
+          f"{'min phase' if report.min_phase else 'zeros on circle'}")
     print(f"  optimum ripple delta {proto.delta:.6f} "
           f"({20.0 * math.log10(proto.delta):.4f} dB); a 27-tap equiripple "
           f"design cannot reach -30 dB")

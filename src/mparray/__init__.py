@@ -18,12 +18,12 @@ from .spectral_factor import (FactorizationDiagnostics, FactorizationError,
                               spectral_factorize, verify_factorization)
 from .analysis import (DesignReport, MinPhaseVerdict, PatternMetrics,
                        PatternSamples, ZeroSet, allpass_variants,
-                       apply_steering, array_factor, build_report,
-                       metrics_grid, min_phase_check, partial_energy_profile,
+                       apply_steering, array_factor, metrics_grid,
+                       min_phase_check, partial_energy_profile,
                        pattern_metrics, polynomial_zeros)
 from .prototype import (InfeasibleSpecError, MinOrderResult, OrderSearchError,
                         PrototypeSpec, SearchLimits, design_prototype,
-                        find_min_order, to_prototype_spec)
+                        evaluate, find_min_order, to_prototype_spec)
 from .designs import (builtin_spec, design_pencil, design1_spec, design2_spec,
                       design3_spec, pencil_spec)
 
@@ -41,11 +41,11 @@ __all__ = [
     "spectral_factorize", "verify_factorization",
     "DesignReport", "MinPhaseVerdict", "PatternMetrics", "PatternSamples",
     "ZeroSet", "allpass_variants", "apply_steering", "array_factor",
-    "build_report", "metrics_grid", "min_phase_check",
+    "metrics_grid", "min_phase_check",
     "partial_energy_profile", "pattern_metrics", "polynomial_zeros",
     "InfeasibleSpecError", "MinOrderResult", "OrderSearchError",
-    "PrototypeSpec", "SearchLimits", "design_prototype", "find_min_order",
-    "to_prototype_spec",
+    "PrototypeSpec", "SearchLimits", "design_prototype", "evaluate",
+    "find_min_order", "to_prototype_spec",
     "builtin_spec", "design_pencil", "design1_spec", "design2_spec",
     "design3_spec", "pencil_spec",
     "__version__",

@@ -13,7 +13,7 @@ of every other excitation with the same pattern magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -55,7 +55,6 @@ class ZeroSet:
 class MinPhaseVerdict:
     is_min_phase: bool
     offenders: np.ndarray
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,10 @@ class PatternMetrics:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Everything a design run asserts about its output."""
+    """Everything a design run asserts about its output, built by ``evaluate``.
+
+    ``zeros``, the zero set the verdict was taken on, is not serialized.
+    """
 
     name: str
     element_count: int
@@ -108,6 +110,7 @@ class DesignReport:
     refined: bool | None = None
     witness: tuple[str, ...] = ()
     minimality: str | None = None
+    zeros: ZeroSet | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         def db(x):
@@ -237,8 +240,7 @@ def polynomial_zeros(c) -> ZeroSet:
 def min_phase_check(zero_set: ZeroSet, tol: float = ZERO_RADIUS_TOL) -> MinPhaseVerdict:
     """Are all zeros inside or on the unit circle (radius <= 1 + tol)?"""
     offenders = zero_set.zeros[np.abs(zero_set.zeros) > 1.0 + tol]
-    return MinPhaseVerdict(is_min_phase=len(offenders) == 0,
-                           offenders=offenders, tol=tol)
+    return MinPhaseVerdict(is_min_phase=len(offenders) == 0, offenders=offenders)
 
 
 def partial_energy_profile(c) -> np.ndarray:
@@ -288,29 +290,3 @@ def apply_steering(c, u0: float) -> np.ndarray:
     if u0 == 0.0:
         return c.copy()
     return c * np.exp(-1j * np.arange(len(c)) * u0)
-
-
-def build_report(spec: DesignSpec, element_count: int, metrics: PatternMetrics,
-                 zero_set: ZeroSet, verdict: MinPhaseVerdict, *,
-                 feasible: bool = True, diagnostics=None,
-                 witness: tuple[str, ...] = (), minimality: str | None = None,
-                 name: str | None = None) -> DesignReport:
-    radii = zero_set.radii
-    return DesignReport(
-        name=name if name is not None else spec.name,
-        element_count=element_count,
-        feasible=feasible,
-        bands=metrics.bands,
-        flattop_ripple_db=metrics.flattop_ripple_db,
-        max_sidelobe_db=metrics.max_sidelobe_db,
-        zero_count=len(zero_set.zeros),
-        zero_max_radius=float(radii.max()) if len(radii) else 0.0,
-        zero_min_radius=float(radii.min()) if len(radii) else 0.0,
-        min_phase=verdict.is_min_phase,
-        steering_angle_rad=spec.steering_angle_rad,
-        gamma=None if diagnostics is None else diagnostics.gamma,
-        symbol_min=None if diagnostics is None else diagnostics.symbol_min,
-        autocorr_residual=None if diagnostics is None else diagnostics.autocorr_residual,
-        expansion=None if diagnostics is None else diagnostics.expansion,
-        refined=None if diagnostics is None else diagnostics.refined,
-        witness=tuple(witness), minimality=minimality)

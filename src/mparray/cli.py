@@ -36,16 +36,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (array_factor, build_report, metrics_grid,
-                       min_phase_check, pattern_metrics, polynomial_zeros,
-                       ZERO_RADIUS_TOL)
+# pattern_metrics is not called here; perfbench/spans.py wraps it at this lookup site.
+from .analysis import (apply_steering, array_factor, min_phase_check,
+                       pattern_metrics, polynomial_zeros)
 from .designs import (EXPECTED_ELEMENTS, PENCIL_ELEMENT_COUNT, builtin_spec,
                       design_pencil)
 from .prototype import (InfeasibleSpecError, OrderSearchError, SearchLimits,
-                        find_min_order)
+                        evaluate, find_min_order)
 from .spec_model import (BandSpec, DesignSpec, SpecValidationError,
                          VisibleRegionError, theta_to_u, validate_spec)
-from .spectral_factor import DEFAULT_EXPANSION_FACTOR, DEFAULT_GAMMA_MARGIN
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,12 +100,15 @@ def load_design_spec(path: str | Path) -> DesignSpec:
 
 
 def _read_weights(path: str | Path) -> np.ndarray:
+    """Weights CSV whose indices are 0..N-1, each once, with N >= 1."""
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0].strip().lower() != "index,re,im":
         raise ValueError(f"{path}: expected a CSV with header 'index,re,im'")
-    c = np.zeros(len(rows) - 1, complex)
-    for line in rows[1:]:
-        k, re, im = line.split(",")
+    entries = [line.split(",") for line in rows[1:]]
+    if not entries or sorted(int(k) for k, _, _ in entries) != list(range(len(entries))):
+        raise ValueError(f"{path}: indices must be 0..N-1, each once, with N >= 1")
+    c = np.zeros(len(entries), complex)
+    for k, re, im in entries:
         c[int(k)] = complex(float(re), float(im))
     if np.all(c.imag == 0.0):
         return c.real.copy()
@@ -148,13 +150,13 @@ def _write_report(path: Path, report_dict: dict) -> None:
     path.write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
 
 
-def _write_artifacts(out: Path, c, spacing: float, zero_set, report_dict: dict,
+def _write_artifacts(out: Path, c, spacing: float, zero_set, report,
                      points: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_weights(out / "weights.csv", c)
     _write_pattern(out / "pattern.csv", c, spacing, points)
     _write_zeros(out / "zeros.csv", zero_set)
-    _write_report(out / "report.json", report_dict)
+    _write_report(out / "report.json", report.to_dict())
 
 
 def _limits_from(args) -> SearchLimits:
@@ -180,23 +182,19 @@ def run_design(args) -> int:
         if best is None or best.weights is None:
             print(f"error: {err}", file=sys.stderr)
             return 1
-        zero_set = polynomial_zeros(best.weights.c)
-        verdict = min_phase_check(zero_set, limits.zero_radius_tol)
-        report = build_report(spec, best.order, best.metrics, zero_set, verdict,
-                              feasible=False, diagnostics=best.diagnostics,
-                              witness=best.violations)
+        report = evaluate(best.weights.c, spec, limits, metrics=best.metrics,
+                          diagnostics=best.diagnostics)
         weights = best.weights
         print(f"bands unmet up to {limits.max_order} elements; "
               f"writing the best attempt ({best.order} elements)", file=sys.stderr)
 
-    c_out = weights.c
+    c_out, zero_set = weights.c, report.zeros
     if spec.steering_angle_rad != 0.0:
-        from .analysis import apply_steering
         u0 = theta_to_u(spec.steering_angle_rad, spec.spacing_wavelengths)
         c_out = apply_steering(weights.c, u0)
-    zero_set = polynomial_zeros(c_out)
-    _write_artifacts(out, c_out, spec.spacing_wavelengths, zero_set,
-                     report.to_dict(), args.grid)
+        zero_set = polynomial_zeros(c_out)  # steering rotates the zeros
+    _write_artifacts(out, c_out, spec.spacing_wavelengths, zero_set, report,
+                     args.grid)
     print(f"{report.name or 'design'}: {report.element_count} elements, "
           f"sidelobes {report.max_sidelobe_db:.4f} dB, "
           f"ripple {report.flattop_ripple_db:.4f} dB -> {out}")
@@ -215,21 +213,15 @@ def run_reproduce(args) -> int:
     checks: list[tuple[bool, str]] = []
 
     if key == "pencil":
-        proto = design_pencil()
-        c = proto.taps
-        grid = metrics_grid(spec, args.grid)
-        metrics = pattern_metrics(array_factor(c, grid), spec)
-        zero_set = polynomial_zeros(c)
-        verdict = min_phase_check(zero_set, limits.zero_radius_tol)
-        report = build_report(spec, len(c), metrics, zero_set, verdict,
-                              feasible=not metrics.violations)
-        circle_err = float(np.max(np.abs(zero_set.radii - 1.0)))
+        c = design_pencil().taps
+        report = evaluate(c, spec, limits)
+        circle_err = float(np.max(np.abs(report.zeros.radii - 1.0)))
         checks.append(_check(
             "element count", len(c) == PENCIL_ELEMENT_COUNT,
             f"{len(c)} (expected {PENCIL_ELEMENT_COUNT})"))
         checks.append(_check(
-            "sidelobes at or below -30 dB", metrics.max_sidelobe_db <= -30.0,
-            f"peak {metrics.max_sidelobe_db:.4f} dB"))
+            "sidelobes at or below -30 dB", report.max_sidelobe_db <= -30.0,
+            f"peak {report.max_sidelobe_db:.4f} dB"))
         checks.append(_check(
             "zeros on the unit circle", circle_err <= 1e-3,
             f"max |radius - 1| = {circle_err:.3e}"))
@@ -260,10 +252,9 @@ def run_reproduce(args) -> int:
             checks.append(_check(
                 "weights real (element phases 0 or pi)", real_ok,
                 "all imaginary parts zero" if real_ok else "complex weights"))
-        zero_set = polynomial_zeros(weights_c)
 
-    _write_artifacts(out, weights_c, spec.spacing_wavelengths, zero_set,
-                     report.to_dict(), args.grid)
+    _write_artifacts(out, weights_c, spec.spacing_wavelengths, report.zeros,
+                     report, args.grid)
     all_ok = all(ok for ok, _ in checks)
     for _, line in checks:
         print(line)
@@ -273,59 +264,38 @@ def run_reproduce(args) -> int:
 def run_analyze(args) -> int:
     c = _read_weights(args.weights)
     out = Path(args.out)
-    zero_set = polynomial_zeros(c)
-    verdict = min_phase_check(zero_set, args.zero_tol)
     spec = load_design_spec(args.spec) if args.spec else None
-
-    if spec is not None:
-        grid = metrics_grid(spec, args.grid)
-        metrics = pattern_metrics(array_factor(c, grid), spec)
-        feasible = not metrics.violations
-        report = build_report(spec, len(c), metrics, zero_set, verdict,
-                              feasible=feasible,
-                              witness=tuple(
-                                  f"{lv.kind} band [{lv.u_lo:.6g}, {lv.u_hi:.6g}]: "
-                                  f"margin {lv.margin_db:.4f} dB"
-                                  for lv in metrics.violations))
-        report_dict = report.to_dict()
-        spacing = spec.spacing_wavelengths
-    else:
-        feasible = True
-        radii = zero_set.radii
-        report_dict = {
-            "name": Path(args.weights).stem,
-            "element_count": int(len(np.atleast_1d(c))),
-            "min_phase": verdict.is_min_phase,
-            "zero_count": int(len(zero_set.zeros)),
-            "zero_max_radius": float(radii.max()) if len(radii) else 0.0,
-            "zero_min_radius": float(radii.min()) if len(radii) else 0.0,
-        }
-        spacing = 0.5
-
-    _write_artifacts(out, c, spacing, zero_set, report_dict, args.grid)
-    verdict_txt = "minimum phase" if verdict.is_min_phase else \
-        f"not minimum phase ({len(verdict.offenders)} zeros outside)"
-    print(f"{len(np.atleast_1d(c))} elements, {verdict_txt} -> {out}")
-    return 0 if feasible else 2
+    limits = SearchLimits(grid_points=args.grid, zero_radius_tol=args.zero_tol)
+    report = evaluate(c, spec, limits,
+                      name=Path(args.weights).stem if spec is None else None)
+    spacing = 0.5 if spec is None else spec.spacing_wavelengths
+    _write_artifacts(out, c, spacing, report.zeros, report, args.grid)
+    outside = len(min_phase_check(report.zeros, args.zero_tol).offenders)
+    verdict_txt = "minimum phase" if report.min_phase else \
+        f"not minimum phase ({outside} zeros outside)"
+    print(f"{len(c)} elements, {verdict_txt} -> {out}")
+    return 0 if report.feasible else 2
 
 
 def _add_common(p) -> None:
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=int, default=8192,
-                   help="pattern grid points over [0, pi] (default 8192)")
-    p.add_argument("--zero-tol", type=float, default=ZERO_RADIUS_TOL,
-                   help="zero-radius tolerance for the min-phase verdict")
+    p.add_argument("--grid", type=int, default=SearchLimits.grid_points,
+                   help="pattern grid points over [0, pi] (default %(default)s)")
+    p.add_argument("--zero-tol", type=float, default=SearchLimits.zero_radius_tol,
+                   help="zero-radius tolerance for the min-phase verdict "
+                        "(default %(default)s)")
 
 
 def _add_search(p) -> None:
-    p.add_argument("--q-factor", type=int, default=DEFAULT_EXPANSION_FACTOR,
-                   help="Toeplitz expansion Q as a multiple of N (default 30)")
-    p.add_argument("--max-n", type=int, default=64,
-                   help="largest element count the search may try (default 64)")
-    p.add_argument("--newton", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--q-factor", type=int, default=SearchLimits.expansion_factor,
+                   help="Toeplitz expansion Q as a multiple of N (default %(default)s)")
+    p.add_argument("--max-n", type=int, default=SearchLimits.max_order,
+                   help="largest element count the search may try (default %(default)s)")
+    p.add_argument("--newton", action=argparse.BooleanOptionalAction,
+                   default=SearchLimits.newton,
                    help="polish the factorization with Newton iterations")
-    p.add_argument("--gamma-margin", type=float, default=DEFAULT_GAMMA_MARGIN,
-                   help="relative safety margin on the diagonal lift (default 1e-3)")
+    p.add_argument("--gamma-margin", type=float, default=SearchLimits.gamma_margin,
+                   help="relative safety margin on the diagonal lift (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Squared-magnitude prototype mapping and the minimal element-count search.
+"""Squared-magnitude mapping, the minimal element-count search, one report path.
 
 The minimum-phase route designs the squared pattern G(u) = |C(u)|^2 as an
 equiripple prototype and factors it.  Amplitude bounds on |C| therefore
@@ -18,11 +18,11 @@ synthesized pattern against the original bands, never on the plan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
-from .analysis import (PatternMetrics, array_factor, build_report,
-                       metrics_grid, min_phase_check, pattern_metrics,
-                       polynomial_zeros, DesignReport, ZERO_RADIUS_TOL)
+from .analysis import (DEFAULT_GRID_POINTS, DesignReport, PatternMetrics,
+                       ZERO_RADIUS_TOL, array_factor, metrics_grid,
+                       min_phase_check, pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
@@ -59,11 +59,11 @@ MAX_SHRINKS = 5
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Knobs of the minimal element-count search, one per CLI option."""
+    """Knobs of the search and of :func:`evaluate`; the CLI's option defaults."""
 
     max_order: int = 64
     expansion_factor: int = DEFAULT_EXPANSION_FACTOR
-    grid_points: int = 8192
+    grid_points: int = DEFAULT_GRID_POINTS
     newton: bool = True
     gamma_margin: float = DEFAULT_GAMMA_MARGIN
     zero_radius_tol: float = ZERO_RADIUS_TOL
@@ -90,6 +90,52 @@ class MinOrderResult:
     prototype: LinearPhasePrototype
     metrics: PatternMetrics
     report: DesignReport
+
+
+def measure(c, spec: DesignSpec, grid_points: int) -> PatternMetrics:
+    """Band levels of the pattern of ``c`` on the metrics grid of ``spec``."""
+    return pattern_metrics(array_factor(c, metrics_grid(spec, grid_points)), spec)
+
+
+def _unmet(metrics: PatternMetrics) -> tuple[str, ...]:
+    """One line per violated band: the witness format of every report."""
+    return tuple(
+        f"{lv.kind} band [{lv.u_lo:.6g}, {lv.u_hi:.6g}]: achieved "
+        f"{lv.achieved_db:.4f} dB vs bound {lv.bound_db:.4f} dB"
+        for lv in metrics.violations)
+
+
+def evaluate(c, spec: DesignSpec | None, limits: SearchLimits, *,
+             metrics: PatternMetrics | None = None, diagnostics=None,
+             witness: tuple[str, ...] | None = None, minimality: str | None = None,
+             name: str | None = None) -> DesignReport:
+    """Judge excitation ``c`` against ``spec`` and report it: the one report path.
+
+    ``metrics``, if given, must be measured on the ``limits.grid_points``
+    grid.  The report is feasible when no band is violated, and ``witness``
+    defaults to the violated bands.  ``spec`` None judges the zeros only.
+    """
+    if metrics is None:
+        metrics = (PatternMetrics((), None, None) if spec is None
+                   else measure(c, spec, limits.grid_points))
+    zero_set = polynomial_zeros(c)
+    radii = zero_set.radii
+    return DesignReport(
+        name=name if name is not None else spec.name,
+        element_count=len(c),
+        feasible=not metrics.violations,
+        bands=metrics.bands,
+        flattop_ripple_db=metrics.flattop_ripple_db,
+        max_sidelobe_db=metrics.max_sidelobe_db,
+        zero_count=len(zero_set.zeros),
+        zero_max_radius=zero_set.max_radius,
+        zero_min_radius=float(radii.min()) if len(radii) else 0.0,
+        min_phase=min_phase_check(zero_set, limits.zero_radius_tol).is_min_phase,
+        steering_angle_rad=0.0 if spec is None else spec.steering_angle_rad,
+        witness=_unmet(metrics) if witness is None else tuple(witness),
+        minimality=minimality, zeros=zero_set,
+        # the factorization fields of the report are those of the diagnostics
+        **({} if diagnostics is None else asdict(diagnostics)))
 
 
 def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
@@ -166,7 +212,6 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
     The factorization lifts G by its exact minimum, which covers the
     stop-band dips and any dip in a transition band alike.
     """
-    grid = metrics_grid(spec, limits.grid_points)
     side, scale = None, 1.0
     for _ in range(MAX_SHRINKS + 1):
         try:
@@ -183,11 +228,8 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
         except FactorizationError as err:
             return DesignTrial(order, False, None, None, prototype, None,
                                (f"factorization failed: {err}",))
-        metrics = pattern_metrics(array_factor(weights.c, grid), spec)
-        violations = tuple(
-            f"{lv.kind} band [{lv.u_lo:.6g}, {lv.u_hi:.6g}]: achieved "
-            f"{lv.achieved_db:.4f} dB vs bound {lv.bound_db:.4f} dB"
-            for lv in metrics.violations)
+        metrics = measure(weights.c, spec, limits.grid_points)
+        violations = _unmet(metrics)
         trial = DesignTrial(order, not violations, weights, diag, prototype,
                             metrics, violations)
         failed = {lv.kind for lv in metrics.violations}
@@ -251,11 +293,9 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> MinO
         minimality = "route_only" if below.metrics is not None else "unproven"
     else:
         witness, minimality = (), "trivial"
-    zero_set = polynomial_zeros(best.weights.c)
-    verdict = min_phase_check(zero_set, limits.zero_radius_tol)
-    report = build_report(spec, order, best.metrics, zero_set, verdict,
-                          feasible=True, diagnostics=best.diagnostics,
-                          witness=witness, minimality=minimality)
+    report = evaluate(best.weights.c, spec, limits, metrics=best.metrics,
+                      diagnostics=best.diagnostics, witness=witness,
+                      minimality=minimality)
     return MinOrderResult(order=order, weights=best.weights,
                           diagnostics=best.diagnostics, prototype=best.prototype,
                           metrics=best.metrics, report=report)

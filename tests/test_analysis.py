@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mparray import (BandSpec, DesignSpec, allpass_variants, apply_steering,
-                     array_factor, build_report, design1_spec, metrics_grid,
-                     min_phase_check, partial_energy_profile, pattern_metrics,
-                     polynomial_zeros)
+from mparray import (BandSpec, DesignSpec, SearchLimits, allpass_variants,
+                     apply_steering, array_factor, design1_spec, evaluate,
+                     metrics_grid, min_phase_check, partial_energy_profile,
+                     pattern_metrics, polynomial_zeros)
 
 from conftest import make_min_phase
 
@@ -216,9 +216,8 @@ def test_design_metrics_round_trip(design1):
 
 def test_report_serializes_to_json(design1):
     spec = design1_spec()
-    zs = polynomial_zeros(design1.weights.c)
-    report = build_report(spec, len(design1.weights.c), design1.metrics, zs,
-                          min_phase_check(zs), diagnostics=design1.diagnostics)
+    report = evaluate(design1.weights.c, spec, SearchLimits(),
+                      metrics=design1.metrics, diagnostics=design1.diagnostics)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["name"] == spec.name
     assert payload["element_count"] == 6
@@ -234,8 +233,7 @@ def test_report_maps_unbounded_levels_to_null():
                       name="pass-only")
     metrics = pattern_metrics(array_factor([1.0, 0.5], metrics_grid(spec)), spec)
     assert metrics.max_sidelobe_db == -math.inf
-    zs = polynomial_zeros([1.0, 0.5])
-    report = build_report(spec, 2, metrics, zs, min_phase_check(zs))
+    report = evaluate([1.0, 0.5], spec, SearchLimits(), metrics=metrics)
     payload = report.to_dict()
     assert payload["max_sidelobe_db"] is None
     assert payload["gamma"] is None

@@ -4,7 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from mparray.cli import _read_weights, main
+from mparray import (OrderSearchError, SearchLimits, builtin_spec,
+                     find_min_order)
+from mparray.cli import (_build_parser, _limits_from, _read_weights,
+                         load_design_spec, main)
 
 PASS_EDGE = math.pi * math.sin(0.2182)
 STOP_EDGE = math.pi * math.sin(math.pi / 3.0)
@@ -29,6 +32,22 @@ def write_spec(path, *, angle_unit="u_rad", spacing=0.5, steering=0.0,
 
 def read_report(out):
     return json.loads((out / "report.json").read_text())
+
+
+def write_request(path, spec):
+    """The JSON request for a DesignSpec, as `design --spec` reads it."""
+    path.write_text(json.dumps({
+        "name": spec.name,
+        "spacing_wavelengths": spec.spacing_wavelengths,
+        "steering_angle_rad": spec.steering_angle_rad,
+        "bands": [{"u_lo": b.u_lo, "u_hi": b.u_hi, "kind": b.kind,
+                   "ripple_db": b.ripple_db, "max_level_db": b.max_level_db}
+                  for b in spec.bands],
+    }))
+
+
+FACTORIZATION_KEYS = ("gamma", "symbol_min", "autocorr_residual", "expansion",
+                      "refined")
 
 
 def test_design_writes_artifacts(tmp_path):
@@ -169,6 +188,9 @@ def test_unreachable_bands_write_best_attempt(tmp_path, capsys):
     assert report["witness"]
     assert report["minimality"] is None
     assert len(_read_weights(out / "weights.csv")) == 3
+    with pytest.raises(OrderSearchError) as err:
+        find_min_order(load_design_spec(spec), SearchLimits(max_order=3))
+    assert report["witness"] == list(err.value.best.violations)
 
 
 def test_reproduce_design1_passes(tmp_path, capsys):
@@ -229,6 +251,76 @@ def test_analyze_without_spec_flags_max_phase(tmp_path, capsys):
     report = read_report(out)
     assert report["min_phase"] is False
     assert report["zero_max_radius"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("key", ["design1", "design2", "design3"])
+def test_analyze_reports_what_reproduce_reports(tmp_path, key):
+    request = tmp_path / "request.json"
+    write_request(request, builtin_spec(key))
+    out, out2 = tmp_path / "out", tmp_path / "out2"
+    assert main(["reproduce", key, "--out", str(out)]) == 0
+    assert main(["analyze", "--weights", str(out / "weights.csv"),
+                 "--spec", str(request), "--out", str(out2)]) == 0
+    reproduced, analyzed = read_report(out), read_report(out2)
+    assert analyzed.keys() == reproduced.keys()
+    for field in FACTORIZATION_KEYS + ("witness", "minimality"):
+        del reproduced[field], analyzed[field]
+    assert analyzed == reproduced
+
+
+def test_analyze_of_the_pencil_equals_its_reproduce(tmp_path):
+    request = tmp_path / "pencil.json"
+    write_request(request, builtin_spec("pencil"))
+    out, out2 = tmp_path / "out", tmp_path / "out2"
+    assert main(["reproduce", "pencil", "--out", str(out)]) == 2
+    assert main(["analyze", "--weights", str(out / "weights.csv"),
+                 "--spec", str(request), "--out", str(out2)]) == 2
+    assert (out2 / "report.json").read_bytes() == (out / "report.json").read_bytes()
+    report = read_report(out)
+    assert len(report["witness"]) == 1 and report["witness"][0].startswith("stop band")
+
+
+def test_analyze_without_spec_writes_the_design_schema(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    out, out2 = tmp_path / "out", tmp_path / "out2"
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["analyze", "--weights", str(out / "weights.csv"),
+                 "--out", str(out2)]) == 0
+    designed, analyzed = read_report(out), read_report(out2)
+    assert analyzed.keys() == designed.keys()
+    assert analyzed["bands"] == [] and analyzed["witness"] == []
+    assert analyzed["max_sidelobe_db"] is None
+    assert analyzed["flattop_ripple_db"] is None
+    for key in ("element_count", "zero_count", "zero_max_radius", "min_phase"):
+        assert analyzed[key] == designed[key]
+
+
+def test_parser_defaults_are_the_search_defaults():
+    parser = _build_parser()
+    for command in ("design --spec s.json", "reproduce design1"):
+        args = parser.parse_args(command.split() + ["--out", "o"])
+        assert _limits_from(args) == SearchLimits()
+    args = parser.parse_args(["analyze", "--weights", "w.csv", "--out", "o"])
+    limits = SearchLimits()
+    assert (args.grid, args.zero_tol) == (limits.grid_points, limits.zero_radius_tol)
+
+
+@pytest.mark.parametrize("body", [
+    "0,1.0,0.0\n5,0.5,0.0\n",    # index past the end
+    "0,1.0,0.0\n0,0.5,0.0\n",    # repeated index, 1 missing
+    "-1,1.0,0.0\n0,0.5,0.0\n",   # negative index
+    "",                          # header only
+], ids=["out_of_range", "repeated", "negative", "header_only"])
+def test_analyze_rejects_bad_weight_indices(tmp_path, capsys, body):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("index,re,im\n" + body)
+    assert main(["analyze", "--weights", str(weights),
+                 "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert not (tmp_path / "o").exists()
 
 
 def test_analyze_rejects_bad_weights_header(tmp_path, capsys):
