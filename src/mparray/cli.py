@@ -169,30 +169,43 @@ def _limits_from(args) -> SearchLimits:
         zero_radius_tol=args.zero_tol)
 
 
-def run_design(args) -> int:
-    spec = load_design_spec(args.spec)
-    limits = _limits_from(args)
-    out = Path(args.out)
+def _search(spec: DesignSpec, limits: SearchLimits):
+    """The least-count design of ``spec`` and its report.
+
+    When no count meets the bands the search's best attempt is reported
+    instead, for the caller to write and exit 2 on.  A search in which no
+    trial produced weights has nothing to write: its OrderSearchError
+    propagates, an exit 1.
+    """
     try:
         result = find_min_order(spec, limits)
-        report = result.report
-        weights = result.weights
+        return result.weights.c, result.report
     except OrderSearchError as err:
         best = err.best
         if best is None or best.weights is None:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        report = evaluate(best.weights.c, spec, limits, metrics=best.metrics,
-                          diagnostics=best.diagnostics)
-        weights = best.weights
+            raise
         print(f"bands unmet up to {limits.max_order} elements; "
               f"writing the best attempt ({best.order} elements)", file=sys.stderr)
+        return best.weights.c, evaluate(best.weights.c, spec, limits,
+                                        metrics=best.metrics,
+                                        diagnostics=best.diagnostics)
 
-    c_out, zero_set = weights.c, report.zeros
-    if spec.steering_angle_rad != 0.0:
-        u0 = theta_to_u(spec.steering_angle_rad, spec.spacing_wavelengths)
-        c_out = apply_steering(weights.c, u0)
-        zero_set = polynomial_zeros(c_out)  # steering rotates the zeros
+
+def _steered(c, spec: DesignSpec | None, sign: float):
+    """``c`` steered by ``sign`` times the request's steering angle (``c`` if unsteered)."""
+    if spec is None or spec.steering_angle_rad == 0.0:
+        return c
+    return apply_steering(c, sign * theta_to_u(spec.steering_angle_rad,
+                                               spec.spacing_wavelengths))
+
+
+def run_design(args) -> int:
+    spec = load_design_spec(args.spec)
+    out = Path(args.out)
+    c, report = _search(spec, _limits_from(args))
+    c_out = _steered(c, spec, 1.0)
+    # steering rotates the zeros
+    zero_set = report.zeros if c_out is c else polynomial_zeros(c_out)
     _write_artifacts(out, c_out, spec.spacing_wavelengths, zero_set, report,
                      args.grid)
     print(f"{report.name or 'design'}: {report.element_count} elements, "
@@ -227,17 +240,11 @@ def run_reproduce(args) -> int:
             f"max |radius - 1| = {circle_err:.3e}"))
         weights_c = c
     else:
-        try:
-            result = find_min_order(spec, limits)
-        except OrderSearchError as err:
-            print(f"FAIL  {key}: {err}")
-            return 2
-        report = result.report
-        weights_c = result.weights.c
+        weights_c, report = _search(spec, limits)
         expected = EXPECTED_ELEMENTS[key]
         checks.append(_check(
-            "element count", result.order <= expected,
-            f"{result.order} (published value {expected})"))
+            "element count", report.feasible and len(weights_c) <= expected,
+            f"{len(weights_c)} (published value {expected})"))
         for lv in report.bands:
             label = f"{lv.kind} band [{lv.u_lo:.4f}, {lv.u_hi:.4f}] within bounds"
             checks.append(_check(
@@ -266,11 +273,15 @@ def run_analyze(args) -> int:
     out = Path(args.out)
     spec = load_design_spec(args.spec) if args.spec else None
     limits = SearchLimits(grid_points=args.grid, zero_radius_tol=args.zero_tol)
-    report = evaluate(c, spec, limits,
+    # The bands are stated for the unsteered pattern, as design judges them;
+    # the artifacts keep the file's own weights and zeros.
+    judged = _steered(c, spec, -1.0)
+    report = evaluate(judged, spec, limits,
                       name=Path(args.weights).stem if spec is None else None)
+    zero_set = report.zeros if judged is c else polynomial_zeros(c)
     spacing = 0.5 if spec is None else spec.spacing_wavelengths
-    _write_artifacts(out, c, spacing, report.zeros, report, args.grid)
-    outside = len(min_phase_check(report.zeros, args.zero_tol).offenders)
+    _write_artifacts(out, c, spacing, zero_set, report, args.grid)
+    outside = len(min_phase_check(zero_set, args.zero_tol).offenders)
     verdict_txt = "minimum phase" if report.min_phase else \
         f"not minimum phase ({outside} zeros outside)"
     print(f"{len(c)} elements, {verdict_txt} -> {out}")
@@ -331,7 +342,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SpecValidationError, InfeasibleSpecError, VisibleRegionError,
-            ValueError, KeyError, OSError, json.JSONDecodeError) as err:
+            OrderSearchError, ValueError, KeyError, OSError,
+            json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

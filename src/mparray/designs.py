@@ -3,6 +3,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+from numpy.polynomial import chebyshev as _cheb
+
+# remez_design is not called here; perfbench/spans.py wraps it at this lookup site.
 from .equiripple import LinearPhasePrototype, PrototypeBand, remez_design
 from .spec_model import BandSpec, DesignSpec
 
@@ -83,17 +87,32 @@ def builtin_spec(key: str) -> DesignSpec:
 
 
 def design_pencil(element_count: int = PENCIL_ELEMENT_COUNT) -> LinearPhasePrototype:
-    """Direct equiripple pencil design: the taps are the excitation.
+    """Dolph-Chebyshev pencil in closed form: the taps are the excitation.
 
-    The pattern is pinned to 1 at u = 0 and minimized over the sidelobe
-    region; no factorization is involved, so the element count equals the
-    tap count and all pattern zeros fall on the unit circle.
+    With M = (element_count-1)/2 the pattern is the degree-M polynomial
+
+        A(u) = T_M(y(cos u)) / T_M(y1),   y(x) = (2x + 1 - x_e) / (1 + x_e),
+
+    where y maps the sidelobe region x in [-1, x_e], x_e = cos(0.1 pi), onto
+    [-1, 1] and y1 = y(1) = (3 - x_e)/(1 + x_e) (Dolph, Proc. IRE 34(6),
+    1946).  A(0) = 1 and the sidelobes equioscillate at delta = 1/T_M(y1),
+    the least level any M-degree pattern with that peak reaches.  No
+    factorization is involved, so the element count equals the tap count
+    and all pattern zeros fall on the unit circle.
     """
     if element_count < 3 or element_count % 2 == 0:
         raise ValueError("pencil design wants an odd element count >= 3")
     half_order = (element_count - 1) // 2
-    bands = (
-        PrototypeBand(0.0, 0.0, 1.0, 1.0),
-        PrototypeBand(PENCIL_STOP_EDGE, math.pi, 0.0, 1.0),
-    )
-    return remez_design(bands, half_order)
+    x_edge = math.cos(PENCIL_STOP_EDGE)
+    y1 = (3.0 - x_edge) / (1.0 + x_edge)
+    delta = 1.0 / math.cosh(half_order * math.acosh(y1))
+    t_m = _cheb.Chebyshev.basis(half_order)
+    # Interpolation at M+1 Chebyshev points is exact at degree M.
+    a = delta * _cheb.chebinterpolate(
+        lambda x: t_m((2.0 * x + 1.0 - x_edge) / (1.0 + x_edge)), half_order)
+    taps = np.concatenate([0.5 * a[:0:-1], a[:1], 0.5 * a[1:]])
+    return LinearPhasePrototype(
+        taps=taps, half_order=half_order,
+        bands=(PrototypeBand(PENCIL_STOP_EDGE, math.pi, 0.0, 1.0),),
+        # T_M reaches +-1 on [-1, 1], so the peak is delta by construction.
+        achieved_delta=np.array([delta]), delta=delta)

@@ -10,11 +10,6 @@ closed bands is solved here with a Remez multiple exchange carried out in
 x.  Extremum locations are refined off the working grid by parabolic
 interpolation, so the returned solution equioscillates to well below the
 verification tolerances used downstream.
-
-A degenerate single-point band (a pencil beam) is imposed as an exact
-interpolation constraint: with constraints (x_c, v_c) the amplitude is
-written A = L + prod_c (x - x_c) R, where L interpolates the constraints,
-and the exchange runs on the remainder R over the proper bands.
 """
 from __future__ import annotations
 
@@ -49,8 +44,7 @@ class PrototypeBand:
     """A constant-target band for the Chebyshev approximation.
 
     ``desired`` is the amplitude target on the band and ``weight`` the
-    (positive) error weight.  A zero-width band states an exact value
-    instead of a weighted target.
+    (positive) error weight.  The band has positive width.
     """
 
     u_lo: float
@@ -59,8 +53,8 @@ class PrototypeBand:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.u_lo <= self.u_hi <= math.pi + 1e-9):
-            raise ValueError(f"band edges must satisfy 0 <= u_lo <= u_hi <= pi, "
+        if not (0.0 <= self.u_lo < self.u_hi <= math.pi + 1e-9):
+            raise ValueError(f"band edges must satisfy 0 <= u_lo < u_hi <= pi, "
                              f"got [{self.u_lo!r}, {self.u_hi!r}]")
         if not self.weight > 0.0:
             raise ValueError(f"band weight must be positive, got {self.weight!r}")
@@ -68,10 +62,6 @@ class PrototypeBand:
     @property
     def width(self) -> float:
         return self.u_hi - self.u_lo
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.width <= DEGENERATE_WIDTH
 
 
 @dataclass(frozen=True)
@@ -87,14 +77,11 @@ class LinearPhasePrototype:
     bands : tuple of PrototypeBand
         The bands the design was run against, in the order given.
     achieved_delta : ndarray
-        Per-band peak weighted error, refined off-grid; zero for a
-        degenerate band, which is met exactly.
+        Per-band peak weighted error, refined off-grid.
     delta : float
-        The equiripple level |delta| of the exchange.
-    constraints : tuple of (u, value)
-        Exact interpolation constraints honoured by the design.
+        The equiripple level |delta|.
     iterations : int
-        Exchange iterations used.
+        Exchange iterations used; 0 for a closed-form design.
     """
 
     taps: np.ndarray
@@ -102,13 +89,12 @@ class LinearPhasePrototype:
     bands: tuple[PrototypeBand, ...]
     achieved_delta: np.ndarray
     delta: float
-    constraints: tuple[tuple[float, float], ...] = ()
     iterations: int = 0
 
 
 @dataclass(frozen=True)
 class ExtremaScan:
-    """Refined local extrema of the weighted error over the proper bands."""
+    """Refined local extrema of the weighted error over the bands."""
 
     u: np.ndarray
     error: np.ndarray
@@ -275,74 +261,26 @@ def _trim_to(cands, m):
     return cands
 
 
-class _ExchangeProblem:
-    """The (possibly constraint-reduced) weighted Chebyshev problem in x."""
-
-    def __init__(self, bands, constraints, degree):
-        self.bands = bands
-        self.degree = degree
-        self.cx = np.array([math.cos(u) for u, _ in constraints])
-        self.cv = np.array([v for _, v in constraints])
-        self.degree_hat = degree - len(constraints)
-        if self.degree_hat < 0:
-            raise ValueError("more constraints than free coefficients")
-
-    def _lagrange(self, x):
-        if len(self.cx) == 0:
-            return np.zeros_like(x)
-        if len(self.cx) == 1:
-            return np.full_like(x, self.cv[0])
-        lw = _bary_weights(self.cx)
-        return _bary_eval(self.cx, self.cv, lw, x)
-
-    def _prod(self, x):
-        out = np.ones_like(x)
-        for xc in self.cx:
-            out = out * (x - xc)
-        return out
-
-    def dhat(self, x, desired):
-        if len(self.cx) == 0:
-            return desired
-        return (desired - self._lagrange(x)) / self._prod(x)
-
-    def what(self, x, weight):
-        if len(self.cx) == 0:
-            return weight
-        return weight * np.abs(self._prod(x))
-
-    def to_amplitude_values(self, x, r_values):
-        if len(self.cx) == 0:
-            return r_values
-        return self._lagrange(x) + self._prod(x) * r_values
-
-
 def _build_grid(bands, degree):
-    proper = [b for b in bands if not b.is_degenerate]
-    total_width = sum(b.width for b in proper)
+    total_width = sum(b.width for b in bands)
     target = max(_GRID_DENSITY * (degree + 2), 48)
     parts_u, parts_band = [], []
-    for b in proper:
+    for i, b in enumerate(bands):
         npts = max(8, int(round(target * b.width / total_width)) + 1)
         parts_u.append(np.linspace(b.u_lo, b.u_hi, npts))
-        parts_band.append(np.full(npts, bands.index(b)))
+        parts_band.append(np.full(npts, i))
     return np.concatenate(parts_u), np.concatenate(parts_band).astype(int)
 
 
-def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
-                 constraints: Sequence[tuple[float, float]] = ()) -> LinearPhasePrototype:
+def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhasePrototype:
     """Weighted-Chebyshev design of a 2*half_order+1 tap symmetric prototype.
 
     Parameters
     ----------
     bands : sequence of PrototypeBand
-        Sorted, non-overlapping bands.  Zero-width bands are folded into
-        the constraint list.
+        Sorted, non-overlapping bands.
     half_order : int
         Amplitude polynomial degree; the design has 2*half_order+1 taps.
-    constraints : sequence of (u, value), optional
-        Exact amplitude values to interpolate.  Each constraint costs one
-        degree of freedom of the exchange.
 
     Returns
     -------
@@ -351,8 +289,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
     Raises
     ------
     ValueError
-        On malformed bands, an over-constrained design, or a working grid
-        too coarse for the requested order.
+        On malformed bands, or a working grid too coarse for the requested
+        order.
     RemezConvergenceError
         If the exchange stalls away from an equiripple solution.
     """
@@ -368,27 +306,12 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
     if half_order < 0:
         raise ValueError("half_order must be non-negative")
 
-    all_constraints = list(constraints)
-    for b in bands:
-        if b.is_degenerate:
-            all_constraints.append((0.5 * (b.u_lo + b.u_hi), b.desired))
-    all_constraints = sorted(set(all_constraints))
-    if not any(not b.is_degenerate for b in bands):
-        raise ValueError("all bands are degenerate; nothing to approximate")
-
-    problem = _ExchangeProblem(bands, all_constraints, half_order)
-    grid_u, grid_band = _build_grid(bands, problem.degree_hat)
+    grid_u, grid_band = _build_grid(bands, half_order)
     grid_x = np.cos(grid_u)
     grid_d = np.array([bands[i].desired for i in grid_band], float)
     grid_w = np.array([bands[i].weight for i in grid_band], float)
-    if len(all_constraints):
-        gp = np.abs(problem._prod(grid_x))
-        if gp.min() <= 1e-12:
-            raise ValueError("constraint point lies inside a band")
-    grid_dhat = problem.dhat(grid_x, grid_d)
-    grid_what = problem.what(grid_x, grid_w)
 
-    m = problem.degree_hat + 2
+    m = half_order + 2
     if len(grid_u) < m:
         raise ValueError(f"grid has {len(grid_u)} points, need at least {m}")
 
@@ -408,7 +331,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
 
     def band_of(u: float) -> int:
         for i, b in enumerate(bands):
-            if not b.is_degenerate and b.u_lo - 1e-12 <= u <= b.u_hi + 1e-12:
+            if b.u_lo - 1e-12 <= u <= b.u_hi + 1e-12:
                 return i
         raise ValueError(f"u = {u} outside every band")
 
@@ -421,8 +344,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         x_ext = np.cos(ext_u)
-        d_ext = problem.dhat(x_ext, np.array([bands[i].desired for i in ext_band]))
-        w_ext = problem.what(x_ext, np.array([bands[i].weight for i in ext_band]))
+        d_ext = np.array([bands[i].desired for i in ext_band])
+        w_ext = np.array([bands[i].weight for i in ext_band])
         delta = _leveled_delta(x_ext, d_ext, w_ext)
         signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
         nodes = x_ext[:-1]
@@ -430,20 +353,19 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
         bweights = _bary_weights(nodes)
 
         r_grid = _bary_eval(nodes, values, bweights, grid_x)
-        e_grid = grid_what * (r_grid - grid_dhat)
+        e_grid = grid_w * (r_grid - grid_d)
         if not np.all(np.isfinite(e_grid)):
             raise RemezConvergenceError(
                 "non-finite error on the working grid", iterations, abs(delta), quality)
 
-        err_scale = max(np.max(np.abs(grid_dhat * grid_what)), 1.0)
+        err_scale = max(np.max(np.abs(grid_d * grid_w)), 1.0)
         if np.max(np.abs(e_grid)) <= 1e-13 * err_scale:
             quality = 0.0
             break
 
         def err_at(u: np.ndarray, bi: int) -> np.ndarray:
-            x = np.cos(u)
-            r = _bary_eval(nodes, values, bweights, x)
-            return problem.what(x, bands[bi].weight) * (r - problem.dhat(x, bands[bi].desired))
+            r = _bary_eval(nodes, values, bweights, np.cos(u))
+            return bands[bi].weight * (r - bands[bi].desired)
 
         # rounds=4: the exit test below trusts these peak values, and two
         # parabola rounds undershoot narrow inter-node peaks by ~1e-5
@@ -491,8 +413,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
 
     # Final node set -> amplitude values at Chebyshev abscissae -> taps.
     x_ext = np.cos(ext_u)
-    d_ext = problem.dhat(x_ext, np.array([bands[i].desired for i in ext_band]))
-    w_ext = problem.what(x_ext, np.array([bands[i].weight for i in ext_band]))
+    d_ext = np.array([bands[i].desired for i in ext_band])
+    w_ext = np.array([bands[i].weight for i in ext_band])
     delta = _leveled_delta(x_ext, d_ext, w_ext)
     signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     nodes = x_ext[:-1]
@@ -503,9 +425,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
         xc = np.array([1.0])
     else:
         xc = np.cos(np.arange(half_order + 1) * math.pi / half_order)
-    r_vals = _bary_eval(nodes, values, bweights, xc) if problem.degree_hat >= 0 else np.zeros_like(xc)
-    p_vals = problem.to_amplitude_values(xc, r_vals)
-    a = _cheb.chebfit(xc, p_vals, half_order)
+    a = _cheb.chebfit(xc, _bary_eval(nodes, values, bweights, xc), half_order)
 
     taps = np.zeros(2 * half_order + 1)
     taps[half_order] = a[0]
@@ -513,16 +433,11 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int, *,
         taps[half_order + mm] = 0.5 * a[mm]
         taps[half_order - mm] = 0.5 * a[mm]
 
-    achieved = np.zeros(len(bands))
-    for i, b in enumerate(bands):
-        if b.is_degenerate:
-            continue
-        achieved[i] = _band_peak_weighted_error(a, b)
+    achieved = np.array([_band_peak_weighted_error(a, b) for b in bands])
 
     return LinearPhasePrototype(
         taps=taps, half_order=half_order, bands=bands,
-        achieved_delta=achieved, delta=abs(delta),
-        constraints=tuple(all_constraints), iterations=iterations)
+        achieved_delta=achieved, delta=abs(delta), iterations=iterations)
 
 
 def _band_peak_weighted_error(a_cheb, band: PrototypeBand, points: int = 2048) -> float:
@@ -536,7 +451,7 @@ def _band_peak_weighted_error(a_cheb, band: PrototypeBand, points: int = 2048) -
 
 
 def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 ** 14) -> ExtremaScan:
-    """Refined local extrema of the weighted error across the proper bands.
+    """Refined local extrema of the weighted error across the bands.
 
     Evaluates the designed amplitude on a dense grid (about ``points``
     samples over the bands), locates every band-interior peak of the
@@ -544,10 +459,9 @@ def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 
     them together with the band edges, in ascending u.
     """
     a = _cosine_coefficients(prototype.taps)
-    proper = [b for b in prototype.bands if not b.is_degenerate]
-    total_width = sum(b.width for b in proper)
+    total_width = sum(b.width for b in prototype.bands)
     out: list[tuple[float, float]] = []
-    for b in proper:
+    for b in prototype.bands:
         def err(u, _b=b):
             return _b.weight * (_cheb.chebval(np.cos(u), a) - _b.desired)
 

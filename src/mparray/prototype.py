@@ -149,16 +149,16 @@ def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
     InfeasibleSpecError
         If the ripple and sidelobe bounds leave no room for G (delta1'
         <= 0), if there is no stop band, or if the pass band is a single
-        point (a pencil beam wants the direct equiripple route, not the
-        squared-magnitude mapping).
+        point (a pencil beam is designed in closed form by design_pencil,
+        not through the squared-magnitude mapping).
     """
     spec = validate_spec(spec)
     pass_band = spec.pass_band
     stops = spec.stop_bands
     if pass_band.is_degenerate:
         raise InfeasibleSpecError(
-            "degenerate pass band: design the pattern directly with "
-            "remez_design and an interpolation constraint")
+            "degenerate pass band: a pencil beam is designed directly, "
+            "see design_pencil")
     if not stops:
         raise InfeasibleSpecError("need at least one stop band to bound sidelobes")
     delta2_each = [0.5 * db_to_amplitude(b.max_level_db) ** 2 for b in stops]

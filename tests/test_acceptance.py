@@ -120,7 +120,7 @@ def test_criterion_04_pencil_beam(pencil):
     sll_29 = _pencil_sidelobe_db(design_pencil(29).taps)
     ok = (len(taps) == 27 and len(zero_set.zeros) == 26
           and circle_dev <= 1e-3 and abs(sll - optimum_db) <= 1e-4
-          and pencil.delta == pytest.approx(level, rel=1e-8)
+          and pencil.delta == pytest.approx(level, rel=1e-12)
           and sll_29 <= -30.0)
     _emit(4, ok, f"pencil: {len(taps)} taps, {len(zero_set.zeros)} zeros, "
                  f"max||z|-1| {circle_dev:.3e}, sidelobes {sll:.4f} dB "
@@ -131,11 +131,18 @@ def test_criterion_04_pencil_beam(pencil):
     assert circle_dev <= 1e-3
     # -30 dB is out of reach at 27 taps; the design must sit at the optimum.
     assert abs(sll - optimum_db) <= 1e-4
-    # The exchange stops on a 1e-9 excess-ripple estimate; the level it
-    # returns lands within a few 1e-9 of the optimum.
-    assert pencil.delta == pytest.approx(level, rel=1e-8)
+    assert pencil.delta == pytest.approx(level, rel=1e-12)
     # 29 is the next count design_pencil accepts, and the first to reach -30 dB.
     assert sll_29 <= -30.0
+
+
+@pytest.mark.parametrize("element_count", [27, 29])
+def test_pencil_peaks_at_its_level(element_count):
+    proto = design_pencil(element_count)
+    assert abs(proto.taps.sum() - 1.0) <= 1e-13  # A(0) = 1
+    u = np.linspace(PENCIL_EDGE, math.pi, 2 ** 16)
+    peak = float(np.max(np.abs(array_factor(proto.taps, u).values)))
+    assert peak == pytest.approx(proto.delta, rel=1e-12)
 
 
 def test_criterion_05_factorization_round_trip():
@@ -217,21 +224,20 @@ def test_criterion_08_partial_energy_dominance(design1):
 
 
 def test_criterion_09_equioscillation(design1, design2, design3, pencil):
-    details = []
-    ok = True
-    cases = (("design1", design1.prototype), ("design2", design2.prototype),
-             ("design3", design3.prototype), ("pencil", pencil))
-    for label, proto in cases:
-        scan = equioscillation_extrema(proto, points=2 ** 14)
-        count = count_alternations(scan, proto.delta, rel_tol=1e-6)
-        required = proto.half_order - len(proto.constraints) + 2
-        ok = ok and count >= required
-        details.append(f"{label} {count}/{required}")
-    _emit(9, ok, "alternations found/required: " + ", ".join(details))
-    for label, proto in cases:
-        scan = equioscillation_extrema(proto, points=2 ** 14)
-        count = count_alternations(scan, proto.delta, rel_tol=1e-6)
-        assert count >= proto.half_order - len(proto.constraints) + 2, label
+    # An exchange design of degree M has M+1 free coefficients plus its level:
+    # M+2 alternations.  The pencil spends one coefficient on A(0) = 1: M+1.
+    cases = (("design1", design1.prototype, design1.prototype.half_order + 2),
+             ("design2", design2.prototype, design2.prototype.half_order + 2),
+             ("design3", design3.prototype, design3.prototype.half_order + 2),
+             ("pencil", pencil, pencil.half_order + 1))
+    counts = {label: count_alternations(equioscillation_extrema(proto, points=2 ** 14),
+                                        proto.delta, rel_tol=1e-6)
+              for label, proto, _ in cases}
+    ok = all(counts[label] >= required for label, _, required in cases)
+    _emit(9, ok, "alternations found/required: " + ", ".join(
+        f"{label} {counts[label]}/{required}" for label, _, required in cases))
+    for label, _, required in cases:
+        assert counts[label] >= required, label
 
 
 def test_criterion_10_steering_invariance(design1):

@@ -166,6 +166,18 @@ def test_malformed_request_shapes_exit_one(tmp_path, capsys, request_json):
     assert "error:" in capsys.readouterr().err
 
 
+def test_zero_width_stop_band_exits_one(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, bands=[
+        {"u_lo": 0.0, "u_hi": 0.68, "kind": "pass", "ripple_db": 0.25},
+        {"u_lo": 2.0, "u_hi": 2.0, "kind": "stop", "max_level_db": -52.0},
+        {"u_lo": 2.72, "u_hi": math.pi, "kind": "stop", "max_level_db": -52.0}])
+    assert main(["design", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert "u_lo < u_hi" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -190,6 +202,25 @@ def test_unreachable_bands_write_best_attempt(tmp_path, capsys):
     assert len(_read_weights(out / "weights.csv")) == 3
     with pytest.raises(OrderSearchError) as err:
         find_min_order(load_design_spec(spec), SearchLimits(max_order=3))
+    assert report["witness"] == list(err.value.best.violations)
+
+
+def test_reproduce_with_unreachable_bands_writes_best_attempt(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["reproduce", "design1", "--out", str(out), "--max-n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "bands unmet" in captured.err
+    assert any(line.startswith("FAIL") and "element count" in line
+               for line in captured.out.splitlines())
+    for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
+        assert (out / name).exists()
+    report = read_report(out)
+    assert report["feasible"] is False
+    assert report["element_count"] == 3
+    assert report["minimality"] is None
+    assert len(_read_weights(out / "weights.csv")) == 3
+    with pytest.raises(OrderSearchError) as err:
+        find_min_order(builtin_spec("design1"), SearchLimits(max_order=3))
     assert report["witness"] == list(err.value.best.violations)
 
 
@@ -342,6 +373,22 @@ def test_steered_design_writes_complex_weights(tmp_path):
     report = read_report(out)
     assert report["steering_angle_rad"] == pytest.approx(0.3)
     assert report["min_phase"] is True
+
+
+def test_analyze_judges_a_steered_design_unsteered(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, steering=0.3)
+    out, out2 = tmp_path / "out", tmp_path / "out2"
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["analyze", "--weights", str(out / "weights.csv"),
+                 "--spec", str(spec), "--out", str(out2)]) == 0
+    designed, analyzed = read_report(out), read_report(out2)
+    assert [b["margin_db"] for b in analyzed["bands"]] == \
+        pytest.approx([b["margin_db"] for b in designed["bands"]], abs=1e-9)
+    assert analyzed["feasible"] is True and analyzed["min_phase"] is True
+    # The artifacts keep the file's own (steered) weights and zeros.
+    for name in ("weights.csv", "zeros.csv"):
+        assert (out2 / name).read_text() == (out / name).read_text()
 
 
 def test_pattern_marks_invisible_angles(tmp_path):

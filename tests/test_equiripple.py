@@ -93,16 +93,9 @@ def test_chebyshev_solution_is_locally_optimal():
             assert max_err(bumped) >= base * (1.0 - 1e-9)
 
 
-def test_degenerate_band_becomes_constraint():
-    proto = remez_design([PrototypeBand(0.0, 0.0, 1.0, 1.0),
-                          PrototypeBand(0.1 * math.pi, math.pi, 0.0, 1.0)], 4)
-    assert proto.constraints == ((0.0, 1.0),)
-    assert amplitude_response(proto, np.array([0.0]))[0] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_all_degenerate_bands_rejected():
-    with pytest.raises(ValueError, match="degenerate"):
-        remez_design([PrototypeBand(0.0, 0.0, 1.0, 1.0)], 2)
+def test_zero_width_band_rejected():
+    with pytest.raises(ValueError, match="u_lo < u_hi"):
+        PrototypeBand(0.0, 0.0, 1.0, 1.0)
 
 
 def test_unsorted_bands_rejected():
