@@ -93,9 +93,12 @@ def test_chebyshev_solution_is_locally_optimal():
             assert max_err(bumped) >= base * (1.0 - 1e-9)
 
 
-def test_zero_width_band_rejected():
+def test_all_degenerate_bands_rejected():
     with pytest.raises(ValueError, match="u_lo < u_hi"):
-        PrototypeBand(0.0, 0.0, 1.0, 1.0)
+        remez_design([PrototypeBand(0.0, 0.0, 1.0, 1.0)], 2)
+    with pytest.raises(ValueError, match="u_lo < u_hi"):
+        remez_design([PrototypeBand(0.0, 0.0, 1.0, 1.0),
+                      PrototypeBand(0.1 * math.pi, math.pi, 0.0, 1.0)], 4)
 
 
 def test_unsorted_bands_rejected():
