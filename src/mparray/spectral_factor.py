@@ -6,10 +6,14 @@ G(u) may dip slightly below zero, the excitation c with
     sum_k c_k c_{k+m} = g[N-1+m] + gamma * [m == 0]
 
 and all pattern zeros inside the closed unit disc is recovered from the
-banded Cholesky factor of the (2Q+N)-dimensional symmetric Toeplitz
-matrix with entry (i, j) = g[N-1-|i-j|], lifted by gamma on the diagonal.
-The middle column of the factor converges, as the expansion Q grows, to
-the reversed coefficient vector of the minimum-phase factor.
+banded Cholesky factor of the symmetric Toeplitz matrix with entry
+(i, j) = g[N-1-|i-j|], lifted by gamma on the diagonal.  In the factor of
+a (2Q+N)-dimensional section, column Q+N-1 converges, as the expansion Q
+grows, to the reversed coefficient vector of the minimum-phase factor.
+Column j of an upper Cholesky factor depends only on the leading
+(j+1)x(j+1) section, whose factor is the leading block of the full one,
+so that column is the last column of the factor of the (Q+N)-dimensional
+leading section; only that section is formed and factored.
 
 G is a Chebyshev series in x = cos u, so its minimum m is exact: the
 smallest value at x = +-1 and at the real roots of G' in [-1, 1].  Every
@@ -23,6 +27,7 @@ Everything here stays in banded storage; the dense matrix is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as _sla
@@ -43,8 +48,8 @@ class ToeplitzOperator:
     """Banded symmetric Toeplitz operator G + gamma*I in compact storage.
 
     ``taps`` is the full symmetric vector (length 2*order-1); ``expansion``
-    is the padding Q on each side of the order-N window, so the operator
-    dimension is 2Q+N.
+    is the padding Q ahead of the order-N window, so the operator is the
+    leading (Q+N)-dimensional section the extraction reads.
     """
 
     taps: np.ndarray
@@ -65,7 +70,7 @@ class ToeplitzOperator:
 
     @property
     def dim(self) -> int:
-        return 2 * self.expansion + self.order
+        return self.expansion + self.order
 
     def banded(self) -> np.ndarray:
         """Upper-diagonal ordered banded storage of G + gamma*I.
@@ -76,15 +81,6 @@ class ToeplitzOperator:
         ab = np.repeat(self.taps[:self.order, None], self.dim, axis=1)
         ab[-1, :] += self.gamma
         return ab
-
-    def entry(self, i: int, j: int) -> float:
-        lag = abs(i - j)
-        if lag >= self.order:
-            return 0.0
-        val = float(self.taps[self.order - 1 - lag])
-        if i == j:
-            val += self.gamma
-        return val
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,13 @@ def find_gamma(taps, *, gamma_margin: float = DEFAULT_GAMMA_MARGIN,
 def cholesky_banded(op: ToeplitzOperator) -> np.ndarray:
     """Upper banded Cholesky factor of op, in the same banded storage.
 
+    op is the leading section the extraction reads, so every pivot the
+    extracted column depends on is computed and checked against the pivot
+    floor; the trailing rows of a longer section are never computed.  They
+    need no check either: a Cholesky pivot is at least the smallest
+    eigenvalue of its leading section, which the lift keeps at or above
+    min(G + gamma) >= the floor, on a section of any length.
+
     Raises
     ------
     FactorizationError
@@ -164,19 +167,18 @@ def factor_column(fact: np.ndarray, j: int) -> np.ndarray:
 
 
 def extract_min_phase(fact: np.ndarray, op: ToeplitzOperator) -> MinPhaseWeights:
-    """Read the excitation out of the factor's symmetry-point column.
+    """Read the excitation out of the factor's last column.
 
-    Applying the factor to a Kronecker delta with the 1 at row Q+N-1
-    selects the column holding (c_{N-1}, ..., c_1, c_0) in matrix rows
-    Q .. Q+N-1.  The factor of a banded matrix is banded with the same
-    bandwidth, so that order-N window is the whole stored column.  The
-    sign is normalized so that sum(c) > 0.
+    Column Q+N-1, the last of the leading section's factor, holds
+    (c_{N-1}, ..., c_1, c_0) in matrix rows Q .. Q+N-1.  The factor of a
+    banded matrix is banded with the same bandwidth, so that order-N
+    window is the whole stored column.  The sign is normalized so that
+    sum(c) > 0.
     """
-    n, q = op.order, op.expansion
-    c = factor_column(fact, q + n - 1)[::-1].copy()
+    c = factor_column(fact, op.dim - 1)[::-1].copy()
     if c.sum() < 0.0:
         c = -c
-    return MinPhaseWeights(c=c, gamma_used=op.gamma, q_used=q)
+    return MinPhaseWeights(c=c, gamma_used=op.gamma, q_used=op.expansion)
 
 
 def verify_factorization(weights: MinPhaseWeights, taps) -> np.ndarray:
@@ -188,12 +190,14 @@ def verify_factorization(weights: MinPhaseWeights, taps) -> np.ndarray:
     return residual
 
 
+@lru_cache
 def _jacobian_of(n: int):
     """Jacobian of c -> (sum_k c_k c_{k+m})_{m<n}, as a function of c.
 
     Entry (m, j) is c[j+m] + c[j-m], a Hankel plus a Toeplitz part, with a
     term dropped where its index leaves 0..n-1.  The index arrays are
-    built once; dropped terms read a zero padded after c.
+    built once per n (the function is memoized); dropped terms read a
+    zero padded after c.
     """
     m, j = np.ogrid[:n, :n]
     hankel = np.where(j + m < n, j + m, n)
@@ -206,13 +210,42 @@ def _jacobian_of(n: int):
     return jacobian
 
 
+def _zeros_inside(c) -> bool:
+    """True when a Schur-Cohn step-down certifies every zero of c in |z| < 1.
+
+    With k = a[-1]/a[0], the zeros of a all lie strictly inside the unit
+    circle exactly when |k| < 1 and those of a - k*reversed(a), less its
+    vanished constant term, do too.  The O(N^2) scalar recursion takes no
+    eigensolve.  The certificate is for the open disc itself, with no
+    margin: a zero within rounding of the circle may land on either side,
+    as it may for np.roots.  A zero leading coefficient at any step, a
+    step with |k| >= 1 or a vector with no zero at all gives False, and
+    the caller takes roots.
+    """
+    a = np.asarray(c, float).tolist()
+    if len(a) < 2:
+        return False
+    for d in range(len(a) - 1, 0, -1):
+        if a[0] == 0.0:
+            return False
+        k = a[d] / a[0]
+        if not abs(k) < 1.0:
+            return False
+        a = [a[i] - k * a[d - i] for i in range(d)]
+    return True
+
+
 def reflect_into_disc(c) -> np.ndarray:
     """c with each pattern zero z outside the unit circle moved to 1/conj(z).
 
     Each move is an all-pass factor scaled by |z|, so |C(u)| and the
     autocorrelation stay as they are; a vector with no zero outside is
     returned unchanged.  The sign is normalized so that sum(c) >= 0.
+    Roots are taken only when the Schur-Cohn step-down
+    (:func:`_zeros_inside`) does not certify every zero strictly inside.
     """
+    if _zeros_inside(c):
+        return c
     z = np.roots(c)
     out = np.abs(z) > 1.0
     if not out.any():
@@ -278,7 +311,8 @@ def spectral_factorize(taps, *,
     """Full pipeline: lift, factor, extract, optionally polish, verify.
 
     The lift comes from the exact symbol minimum (:func:`find_gamma`), so
-    one banded Cholesky factors the lifted operator; a failure raises
+    one banded Cholesky factors the lifted (Q+N)-dimensional leading
+    section, whose last column is the extraction; a failure raises
     FactorizationError.  ``expansion_factor`` sets Q = expansion_factor * N,
     floored at MIN_EXPANSION: the extraction error decays like r^(2Q) with
     r the largest zero radius, so tiny arrays still need Q in the hundreds
@@ -291,7 +325,8 @@ def spectral_factorize(taps, *,
     them and the extraction can land a zero just outside; Newton then
     converges to that non-minimum-phase factor.  Such zeros are
     reflected into the disc (:func:`reflect_into_disc`), which turns any
-    spectral factor into the minimum-phase one.
+    spectral factor into the minimum-phase one; it takes roots only when
+    a Schur-Cohn step-down does not certify every zero inside.
     """
     taps = np.asarray(taps, float)
     order = (len(taps) + 1) // 2

@@ -10,8 +10,9 @@ from mparray import (FactorizationError, ToeplitzOperator, autocorrelation,
 from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
                                      DEFAULT_GAMMA_MARGIN, MIN_EXPANSION,
                                      PIVOT_FLOOR_FACTOR, _jacobian_of,
-                                     cholesky_banded, extract_min_phase,
-                                     factor_column, reflect_into_disc)
+                                     _zeros_inside, cholesky_banded,
+                                     extract_min_phase, factor_column,
+                                     reflect_into_disc)
 
 from conftest import make_min_phase
 
@@ -26,7 +27,10 @@ def dense_from_banded(fact: np.ndarray) -> np.ndarray:
 
 
 def dense_operator(op: ToeplitzOperator) -> np.ndarray:
-    return np.array([[op.entry(i, j) for j in range(op.dim)] for i in range(op.dim)])
+    first = np.zeros(op.dim)
+    first[:op.order] = op.taps[op.order - 1:]
+    first[0] += op.gamma
+    return scipy.linalg.toeplitz(first)
 
 
 def test_autocorrelation_known_values():
@@ -53,7 +57,7 @@ def test_autocorrelation_is_polynomial_product(vals):
 def test_operator_entries_and_dimension():
     g = np.array([0.5, 1.25, 0.5])
     op = ToeplitzOperator(g, 2, 3, gamma=0.125)
-    assert op.dim == 8
+    assert op.dim == 5  # Q + N: the leading section the extraction reads
     dense = dense_operator(op)
     assert np.allclose(dense, dense.T)
     assert dense[0, 0] == pytest.approx(1.375)
@@ -174,6 +178,78 @@ def test_lifted_input_is_fully_lifted_and_min_phase():
     assert np.max(np.abs(np.roots(w.c))) <= 1.0
 
 
+def lifted_taps(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Autocorrelation of an oracle draw, centre tap lowered by 1-20 % of sum|g| >= max G."""
+    g = autocorrelation(make_min_phase(rng, n))
+    g[n - 1] -= rng.uniform(0.01, 0.2) * float(np.sum(np.abs(g)))
+    return g
+
+
+def test_leading_section_column_equals_full_factor_column():
+    # Reference: the factor of the (2Q+N)-dimensional section the
+    # extraction used to read from.  By the nesting of Cholesky factors its
+    # column Q+N-1 is the last column of the leading section's factor.
+    rng = np.random.default_rng(10)
+    for n in range(1, 65):
+        g = lifted_taps(rng, n) if n > 1 else np.array([rng.uniform(0.5, 2.0)])
+        gamma, _ = find_gamma(g)
+        q = max(DEFAULT_EXPANSION_FACTOR * n, MIN_EXPANSION)
+        op = ToeplitzOperator(g, n, q, gamma)
+        full = np.repeat(g[:n, None], 2 * q + n, axis=1)
+        full[-1, :] += gamma
+        reference = factor_column(
+            scipy.linalg.cholesky_banded(full, lower=False, check_finite=False),
+            q + n - 1)
+        column = factor_column(cholesky_banded(op), op.dim - 1)
+        assert column.tobytes() == reference.tobytes(), n
+
+
+def radius_vector(radii, angles) -> np.ndarray:
+    """Real polynomial with a conjugate pair per (radius, angle), angle 0 or pi real."""
+    zeros = []
+    for r, a in zip(radii, angles):
+        z = r * np.exp(1j * a)
+        zeros += [z] if a in (0.0, np.pi) else [z, np.conj(z)]
+    return np.real(np.poly(zeros))
+
+
+def test_step_down_verdict_agrees_with_roots():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(200):
+        n = int(rng.integers(2, 33))
+        cases.append(rng.standard_normal(n))
+        cases.append(make_min_phase(rng, n))
+    for r in (0.3, 0.9, 1.0 - 1e-9, 1.0 + 1e-9, 1.1, 3.0):
+        for angle in (0.0, 0.7, 2.1, np.pi):
+            cases.append(radius_vector([r, 0.5, 0.6], [angle, 1.3, 2.6]))
+    for c in cases:
+        assert _zeros_inside(c) == (not np.any(np.abs(np.roots(c)) > 1.0)), c
+    assert sum(map(_zeros_inside, cases)) >= 200
+    # No zero, a leading zero, or a zero on the circle: never certified,
+    # so the reflection takes roots, finds none outside and keeps c.
+    for c in ([1.0], [0.0], [0.0, 1.0, 0.5], [0.0, 0.0], [1.0, 1.0], [1.0, 0.0, 1.0]):
+        c = np.array(c)
+        assert not _zeros_inside(c)
+        assert reflect_into_disc(c) is c
+
+
+def test_reflection_takes_no_roots_when_every_zero_is_inside(monkeypatch):
+    calls = []
+    original = np.roots
+
+    def counting(c):
+        calls.append(len(c))
+        return original(c)
+
+    monkeypatch.setattr(np, "roots", counting)
+    inside = make_min_phase(np.random.default_rng(12), 16)
+    assert reflect_into_disc(inside) is inside
+    assert calls == []
+    reflect_into_disc(radius_vector([2.0, 0.5], [0.0, 1.0]))
+    assert calls == [4]
+
+
 def test_reflection_moves_outside_zeros_and_keeps_autocorrelation():
     inside = np.real(np.poly([0.5 * np.exp(1j), 0.5 * np.exp(-1j), -0.3]))
     assert reflect_into_disc(inside) is inside
@@ -196,6 +272,7 @@ def test_newton_jacobian_matches_double_loop(n, seed):
             if j - m >= 0:
                 loop[m, j] += c[j - m]
     assert np.array_equal(_jacobian_of(n)(c), loop)
+    assert _jacobian_of(n) is _jacobian_of(n)  # index arrays built once per n
 
 
 def test_scalar_cholesky():
