@@ -9,9 +9,7 @@ from .spec_model import (BandSpec, DesignSpec, SpecValidationError,
                          VisibleRegionError, amplitude_to_db, db_to_amplitude,
                          theta_to_u, u_to_theta, validate_spec)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
-                         RemezConvergenceError, amplitude_response,
-                         count_alternations, equioscillation_extrema,
-                         estimate_order, remez_design)
+                         RemezConvergenceError, estimate_order, remez_design)
 from .spectral_factor import (FactorizationDiagnostics, FactorizationError,
                               MinPhaseWeights, ToeplitzOperator,
                               autocorrelation, find_gamma, refine_newton,
@@ -34,7 +32,6 @@ __all__ = [
     "amplitude_to_db", "db_to_amplitude", "theta_to_u", "u_to_theta",
     "validate_spec",
     "LinearPhasePrototype", "PrototypeBand", "RemezConvergenceError",
-    "amplitude_response", "count_alternations", "equioscillation_extrema",
     "estimate_order", "remez_design",
     "FactorizationDiagnostics", "FactorizationError", "MinPhaseWeights",
     "ToeplitzOperator", "autocorrelation", "find_gamma", "refine_newton",

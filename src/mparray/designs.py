@@ -113,6 +113,4 @@ def design_pencil(element_count: int = PENCIL_ELEMENT_COUNT) -> LinearPhaseProto
     taps = np.concatenate([0.5 * a[:0:-1], a[:1], 0.5 * a[1:]])
     return LinearPhasePrototype(
         taps=taps, half_order=half_order,
-        bands=(PrototypeBand(PENCIL_STOP_EDGE, math.pi, 0.0, 1.0),),
-        # T_M reaches +-1 on [-1, 1], so the peak is delta by construction.
-        achieved_delta=np.array([delta]), delta=delta)
+        bands=(PrototypeBand(PENCIL_STOP_EDGE, math.pi, 0.0, 1.0),), delta=delta)

@@ -7,7 +7,8 @@ A prototype of 2N-1 symmetric taps has the zero-phase amplitude
 which under x = cos(u) is an algebraic polynomial of degree N-1.  The
 weighted Chebyshev problem min max W(u) |A(u) - D(u)| over a union of
 closed bands is solved here with a Remez multiple exchange carried out in
-x.  Extremum locations are refined off the working grid by parabolic
+x.  Each exchange iteration makes one extremum pass over all bands: the
+peaks of every band are refined off the working grid together by parabolic
 interpolation, so the returned solution equioscillates to well below the
 verification tolerances used downstream.
 """
@@ -76,8 +77,6 @@ class LinearPhasePrototype:
         Degree N-1 of the amplitude polynomial in cos(u).
     bands : tuple of PrototypeBand
         The bands the design was run against, in the order given.
-    achieved_delta : ndarray
-        Per-band peak weighted error, refined off-grid.
     delta : float
         The equiripple level |delta|.
     iterations : int
@@ -87,45 +86,8 @@ class LinearPhasePrototype:
     taps: np.ndarray
     half_order: int
     bands: tuple[PrototypeBand, ...]
-    achieved_delta: np.ndarray
     delta: float
     iterations: int = 0
-
-
-@dataclass(frozen=True)
-class ExtremaScan:
-    """Refined local extrema of the weighted error over the bands."""
-
-    u: np.ndarray
-    error: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return len(self.u)
-
-
-def _cosine_coefficients(taps: np.ndarray) -> np.ndarray:
-    n = (len(taps) - 1) // 2
-    if len(taps) != 2 * n + 1:
-        raise ValueError("taps must have odd length")
-    scale = max(1.0, float(np.max(np.abs(taps))))
-    if np.max(np.abs(taps - taps[::-1])) > 1e-9 * scale:
-        raise ValueError("taps must be symmetric")
-    a = np.empty(n + 1)
-    a[0] = taps[n]
-    a[1:] = 2.0 * taps[n + 1:]
-    return a
-
-
-def amplitude_response(prototype, u) -> np.ndarray:
-    """Zero-phase amplitude A(u) of a symmetric prototype.
-
-    ``prototype`` may be a LinearPhasePrototype or a bare odd-length
-    symmetric tap vector.  The response is real and may be negative.
-    """
-    taps = prototype.taps if isinstance(prototype, LinearPhasePrototype) else np.asarray(prototype, float)
-    a = _cosine_coefficients(taps)
-    return _cheb.chebval(np.cos(np.asarray(u, float)), a)
 
 
 def estimate_order(bands: Sequence[PrototypeBand], delta_pass: float, delta_stop: float) -> int:
@@ -187,61 +149,72 @@ def _leveled_delta(x_ext, d_ext, w_ext) -> float:
     return float(np.sum(g * d_ext) / den)
 
 
-def _extrema_candidates(us, es, err_fn, rounds=2):
-    """Local extrema of |e| on one band's grid, with both edges included.
+def _extrema_candidates(us, es, counts, err_fn, rounds=2):
+    """Local extrema of |e| on every band's grid, with each band's edges included.
 
-    All interior peaks are refined off-grid together by parabolic
-    interpolation: each round makes one ``err_fn`` call on the vertices of
-    the live peaks and one on their new brackets.  A peak stops refining
-    when its parabola is flat or non-finite, its vertex leaves the band, or
-    its bracket collapses.  Band edges are kept where they fall.  Returns
-    (u, e) pairs in ascending u.
+    ``us`` and ``es`` are the bands' grids concatenated in band order, band
+    b taking the next ``counts[b]`` points.  A peak is interior to its band,
+    so no comparison crosses a band boundary.  One pass refines the peaks of all bands
+    together by parabolic interpolation: each round makes one
+    ``err_fn(u, band)`` call on the vertices of the live peaks and one on
+    their new brackets, ``band`` giving each point's band index.  A peak
+    stops refining when its parabola is flat or non-finite, its vertex
+    leaves its band, or its bracket collapses.  Band edges are kept where
+    they fall.  Returns (u, e, band) triples in grid order.
     """
-    if len(us) == 1:
-        return [(float(us[0]), float(es[0]))]
-    lo, hi = us[0], us[-1]
+    counts = np.asarray(counts)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    band = np.repeat(np.arange(len(counts)), counts)
     mag = np.abs(es)
-    i = 1 + np.flatnonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))
+    inner = np.ones(len(us), bool)
+    inner[first] = inner[last] = False
+    i = 1 + np.flatnonzero(inner[1:-1] & (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))
+    bi = band[i]
+    lo, hi = us[first[bi]], us[last[bi]]
     u0, u1, u2 = us[i - 1], us[i], us[i + 1]
     e0, e1, e2 = es[i - 1], es[i], es[i + 1]
     best_u, best_e = u1.copy(), e1.copy()
     live = np.ones(len(i), bool)
-    for _ in range(rounds):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for _ in range(rounds):
             d1 = (e1 - e0) / (u1 - u0)
             c2 = ((e2 - e1) / (u2 - u1) - d1) / (u2 - u0)
             v = 0.5 * (u0 + u1) - d1 / (2.0 * c2)
-        live &= (c2 != 0.0) & np.isfinite(c2) & (lo <= v) & (v <= hi)
-        k = np.flatnonzero(live)
-        if not len(k):
-            break
-        ev = err_fn(v[k])
-        better = np.abs(ev) > np.abs(best_e[k])
-        best_u[k[better]], best_e[k[better]] = v[k[better]], ev[better]
-        h = 0.25 * (u2 - u0)
-        ul, ur = np.maximum(lo, best_u - h), np.minimum(hi, best_u + h)
-        live &= (h > 0.0) & (ul < best_u) & (best_u < ur)
-        k = np.flatnonzero(live)
-        if not len(k):
-            break
-        e_lr = err_fn(np.concatenate([ul[k], ur[k]]))
-        u0[k], u1[k], u2[k] = ul[k], best_u[k], ur[k]
-        e0[k], e1[k], e2[k] = e_lr[:len(k)], best_e[k], e_lr[len(k):]
-    return ([(float(lo), float(es[0]))] + list(zip(best_u.tolist(), best_e.tolist()))
-            + [(float(hi), float(es[-1]))])
+            live &= (c2 != 0.0) & np.isfinite(c2) & (lo <= v) & (v <= hi)
+            k = np.flatnonzero(live)
+            if not len(k):
+                break
+            ev = err_fn(v[k], bi[k])
+            better = np.abs(ev) > np.abs(best_e[k])
+            best_u[k[better]], best_e[k[better]] = v[k[better]], ev[better]
+            h = 0.25 * (u2 - u0)
+            ul, ur = np.maximum(lo, best_u - h), np.minimum(hi, best_u + h)
+            live &= (h > 0.0) & (ul < best_u) & (best_u < ur)
+            k = np.flatnonzero(live)
+            if not len(k):
+                break
+            e_lr = err_fn(np.concatenate([ul[k], ur[k]]), np.tile(bi[k], 2))
+            u0[k], u1[k], u2[k] = ul[k], best_u[k], ur[k]
+            e0[k], e1[k], e2[k] = e_lr[:len(k)], best_e[k], e_lr[len(k):]
+    out_u, out_e = us.copy(), es.copy()
+    out_u[i], out_e[i] = best_u, best_e
+    keep = np.union1d(np.union1d(first, last), i)
+    return list(zip(out_u[keep].tolist(), out_e[keep].tolist(), band[keep].tolist()))
 
 
 def _alternating_skeleton(cands):
-    """Collapse same-signed runs of candidates, keeping the largest of each."""
-    out: list[tuple[float, float]] = []
-    for u, e in cands:
+    """Collapse same-signed runs of (u, e, ...) candidates, keeping the largest of each."""
+    out = []
+    for cand in cands:
+        e = cand[1]
         if e == 0.0:
             continue
         if out and (e > 0.0) == (out[-1][1] > 0.0):
             if abs(e) > abs(out[-1][1]):
-                out[-1] = (u, e)
+                out[-1] = cand
         else:
-            out.append((u, e))
+            out.append(cand)
     return out
 
 
@@ -262,14 +235,11 @@ def _trim_to(cands, m):
 
 
 def _build_grid(bands, degree):
+    """Concatenated band grids and the number of points of each band."""
     total_width = sum(b.width for b in bands)
     target = max(_GRID_DENSITY * (degree + 2), 48)
-    parts_u, parts_band = [], []
-    for i, b in enumerate(bands):
-        npts = max(8, int(round(target * b.width / total_width)) + 1)
-        parts_u.append(np.linspace(b.u_lo, b.u_hi, npts))
-        parts_band.append(np.full(npts, i))
-    return np.concatenate(parts_u), np.concatenate(parts_band).astype(int)
+    counts = [max(8, int(round(target * b.width / total_width)) + 1) for b in bands]
+    return np.concatenate([np.linspace(b.u_lo, b.u_hi, n) for b, n in zip(bands, counts)]), counts
 
 
 def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhasePrototype:
@@ -306,10 +276,12 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     if half_order < 0:
         raise ValueError("half_order must be non-negative")
 
-    grid_u, grid_band = _build_grid(bands, half_order)
+    grid_u, counts = _build_grid(bands, half_order)
+    grid_band = np.repeat(np.arange(len(bands)), counts)
     grid_x = np.cos(grid_u)
-    grid_d = np.array([bands[i].desired for i in grid_band], float)
-    grid_w = np.array([bands[i].weight for i in grid_band], float)
+    band_d = np.array([b.desired for b in bands], float)
+    band_w = np.array([b.weight for b in bands], float)
+    grid_d, grid_w = band_d[grid_band], band_w[grid_band]
 
     m = half_order + 2
     if len(grid_u) < m:
@@ -323,19 +295,17 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         k += 1
     ext_u = grid_u[sel]
     ext_band = grid_band[sel]
+    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
 
-    band_ranges: dict[int, tuple[int, int]] = {}
-    for i, bi in enumerate(grid_band):
-        lo, _ = band_ranges.get(bi, (i, i))
-        band_ranges[bi] = (lo, i)
+    def reference():
+        """Level and barycentric interpolant through the current node set."""
+        x_ext = np.cos(ext_u)
+        d_ext, w_ext = band_d[ext_band], band_w[ext_band]
+        delta = _leveled_delta(x_ext, d_ext, w_ext)
+        nodes = x_ext[:-1]
+        values = d_ext[:-1] - signs[:-1] * delta / w_ext[:-1]
+        return delta, nodes, values, _bary_weights(nodes)
 
-    def band_of(u: float) -> int:
-        for i, b in enumerate(bands):
-            if b.u_lo - 1e-12 <= u <= b.u_hi + 1e-12:
-                return i
-        raise ValueError(f"u = {u} outside every band")
-
-    nodes = values = bweights = None
     delta = 0.0
     prev_delta = None
     prev_set = None
@@ -343,15 +313,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     iterations = 0
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        x_ext = np.cos(ext_u)
-        d_ext = np.array([bands[i].desired for i in ext_band])
-        w_ext = np.array([bands[i].weight for i in ext_band])
-        delta = _leveled_delta(x_ext, d_ext, w_ext)
-        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-        nodes = x_ext[:-1]
-        values = d_ext[:-1] - signs[:-1] * delta / w_ext[:-1]
-        bweights = _bary_weights(nodes)
-
+        delta, nodes, values, bweights = reference()
         r_grid = _bary_eval(nodes, values, bweights, grid_x)
         e_grid = grid_w * (r_grid - grid_d)
         if not np.all(np.isfinite(e_grid)):
@@ -363,38 +325,30 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
             quality = 0.0
             break
 
-        def err_at(u: np.ndarray, bi: int) -> np.ndarray:
+        def err_at(u: np.ndarray, bi: np.ndarray) -> np.ndarray:
             r = _bary_eval(nodes, values, bweights, np.cos(u))
-            return bands[bi].weight * (r - bands[bi].desired)
+            return band_w[bi] * (r - band_d[bi])
 
         # rounds=4: the exit test below trusts these peak values, and two
         # parabola rounds undershoot narrow inter-node peaks by ~1e-5
         # relative, stopping the exchange early with excess true ripple.
-        cands: list[tuple[float, float]] = []
-        for bi in sorted(band_ranges):
-            lo, hi = band_ranges[bi]
-            cands.extend(_extrema_candidates(
-                grid_u[lo:hi + 1], e_grid[lo:hi + 1],
-                lambda u, _b=bi: err_at(u, _b), rounds=4))
-
+        cands = _extrema_candidates(grid_u, e_grid, counts, err_at, rounds=4)
         skeleton = _alternating_skeleton(cands)
         if len(skeleton) < m:
             raise RemezConvergenceError(
                 f"only {len(skeleton)} alternating extrema for {m} required",
                 iterations, abs(delta), quality)
-        chosen = _trim_to(skeleton, m)
-        new_u = np.array([u for u, _ in chosen])
-        new_e = np.array([e for _, e in chosen])
+        # Each node keeps the band its error was measured in: at an edge
+        # two bands share, that band's weight is the one that levels it.
+        new_u, new_e, new_band = (np.array(col) for col in zip(*_trim_to(skeleton, m)))
 
         with np.errstate(over="ignore"):  # a vanishing delta reads as inf
             quality = (np.max(np.abs(new_e)) - abs(delta)) / max(abs(delta), 1e-300)
-        same_set = prev_set is not None and len(prev_set) == len(new_u) \
-            and np.allclose(prev_set, new_u, rtol=0.0, atol=1e-14)
+        same_set = prev_set is not None and np.max(np.abs(prev_set - new_u)) <= 1e-14
         stalled = prev_delta is not None and \
             abs(abs(delta) - prev_delta) <= _DELTA_STALL * abs(delta)
 
-        ext_u = new_u
-        ext_band = np.array([band_of(u) for u in new_u])
+        ext_u, ext_band = new_u, new_band
         if quality <= _QUALITY_STOP:
             break
         if same_set or stalled:
@@ -412,15 +366,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
                 _MAX_ITERATIONS, abs(delta), quality)
 
     # Final node set -> amplitude values at Chebyshev abscissae -> taps.
-    x_ext = np.cos(ext_u)
-    d_ext = np.array([bands[i].desired for i in ext_band])
-    w_ext = np.array([bands[i].weight for i in ext_band])
-    delta = _leveled_delta(x_ext, d_ext, w_ext)
-    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-    nodes = x_ext[:-1]
-    values = d_ext[:-1] - signs[:-1] * delta / w_ext[:-1]
-    bweights = _bary_weights(nodes)
-
+    delta, nodes, values, bweights = reference()
     if half_order == 0:
         xc = np.array([1.0])
     else:
@@ -433,58 +379,5 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         taps[half_order + mm] = 0.5 * a[mm]
         taps[half_order - mm] = 0.5 * a[mm]
 
-    achieved = np.array([_band_peak_weighted_error(a, b) for b in bands])
-
-    return LinearPhasePrototype(
-        taps=taps, half_order=half_order, bands=bands,
-        achieved_delta=achieved, delta=abs(delta), iterations=iterations)
-
-
-def _band_peak_weighted_error(a_cheb, band: PrototypeBand, points: int = 2048) -> float:
-    def err(u):
-        return band.weight * (_cheb.chebval(np.cos(u), a_cheb) - band.desired)
-
-    us = np.linspace(band.u_lo, band.u_hi, points)
-    es = err(us)
-    cands = _extrema_candidates(us, es, err, rounds=3)
-    return max(abs(e) for _, e in cands)
-
-
-def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 ** 14) -> ExtremaScan:
-    """Refined local extrema of the weighted error across the bands.
-
-    Evaluates the designed amplitude on a dense grid (about ``points``
-    samples over the bands), locates every band-interior peak of the
-    weighted error, polishes each by parabolic interpolation and returns
-    them together with the band edges, in ascending u.
-    """
-    a = _cosine_coefficients(prototype.taps)
-    total_width = sum(b.width for b in prototype.bands)
-    out: list[tuple[float, float]] = []
-    for b in prototype.bands:
-        def err(u, _b=b):
-            return _b.weight * (_cheb.chebval(np.cos(u), a) - _b.desired)
-
-        npts = max(64, int(round(points * b.width / total_width)))
-        us = np.linspace(b.u_lo, b.u_hi, npts)
-        out.extend(_extrema_candidates(us, err(us), err, rounds=3))
-    out.sort(key=lambda t: t[0])
-    return ExtremaScan(u=np.array([u for u, _ in out]),
-                       error=np.array([e for _, e in out]))
-
-
-def count_alternations(scan: ExtremaScan, level: float, *, rel_tol: float = 1e-6) -> int:
-    """Longest alternating run of extrema whose |error| matches ``level``.
-
-    Extrema more than ``rel_tol`` (relative) below ``level`` are ignored;
-    the survivors are collapsed to an alternating sign sequence and its
-    length returned.  Any survivor exceeding ``level`` by more than
-    ``rel_tol`` makes the count 0, since the claimed level is then wrong.
-    """
-    if level <= 0.0:
-        return 0
-    keep = [(u, e) for u, e in zip(scan.u, scan.error)
-            if abs(e) >= level * (1.0 - rel_tol)]
-    if any(abs(e) > level * (1.0 + rel_tol) for _, e in keep):
-        return 0
-    return len(_alternating_skeleton(keep))
+    return LinearPhasePrototype(taps=taps, half_order=half_order, bands=bands,
+                                delta=abs(delta), iterations=iterations)

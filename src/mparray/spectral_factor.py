@@ -159,13 +159,6 @@ def cholesky_banded(op: ToeplitzOperator) -> np.ndarray:
     return fact
 
 
-def factor_column(fact: np.ndarray, j: int) -> np.ndarray:
-    """Dense column j of a banded upper factor (matrix rows j-N+1 .. j)."""
-    n = fact.shape[0]
-    lo = max(0, n - 1 - j)
-    return fact[lo:, j]
-
-
 def extract_min_phase(fact: np.ndarray, op: ToeplitzOperator) -> MinPhaseWeights:
     """Read the excitation out of the factor's last column.
 
@@ -175,7 +168,7 @@ def extract_min_phase(fact: np.ndarray, op: ToeplitzOperator) -> MinPhaseWeights
     window is the whole stored column.  The sign is normalized so that
     sum(c) > 0.
     """
-    c = factor_column(fact, op.dim - 1)[::-1].copy()
+    c = fact[::-1, op.dim - 1].copy()
     if c.sum() < 0.0:
         c = -c
     return MinPhaseWeights(c=c, gamma_used=op.gamma, q_used=op.expansion)

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from mparray import (allpass_variants, apply_steering, array_factor,
-                     autocorrelation, count_alternations, design1_spec,
-                     design2_spec, design3_spec, design_pencil,
-                     equioscillation_extrema, find_min_order,
+                     autocorrelation, design1_spec, design2_spec,
+                     design3_spec, design_pencil, find_min_order,
                      partial_energy_profile, polynomial_zeros,
                      spectral_factorize, verify_factorization)
 from mparray.designs import DESIGN3_STOP_EDGE
 
 from conftest import ORACLE_SEED, make_min_phase
+from equioscillation import count_alternations, equioscillation_extrema
 
 FULL_GRID = np.linspace(-math.pi, math.pi, 8192)
 PENCIL_EDGE = 0.1 * math.pi

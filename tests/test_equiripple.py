@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from mparray import (PrototypeBand, amplitude_response, count_alternations,
-                     design_prototype, equioscillation_extrema, estimate_order,
+import mparray.equiripple as equiripple_module
+from mparray import (PrototypeBand, design_prototype, estimate_order,
                      remez_design, to_prototype_spec)
 from mparray import design1_spec, design2_spec
-from mparray.equiripple import _bary_eval, _bary_weights, _cosine_coefficients, _extrema_candidates
+from mparray.equiripple import _bary_eval, _bary_weights, _extrema_candidates
+
+from equioscillation import (amplitude_response, cosine_coefficients,
+                             count_alternations, equioscillation_extrema)
 
 
 def test_constant_band_fits_exactly():
@@ -47,8 +50,9 @@ def test_lowpass_seven_taps_equioscillates():
     proto = remez_design(bands, 3)
     assert np.max(np.abs(proto.taps - proto.taps[::-1])) <= 1e-12
     # both bands hit the same weighted deviation
-    assert proto.achieved_delta[0] == pytest.approx(proto.achieved_delta[1], rel=1e-8)
     scan = equioscillation_extrema(proto)
+    peaks = scan.band_peaks()
+    assert peaks[0] == pytest.approx(peaks[1], rel=1e-8)
     assert count_alternations(scan, proto.delta) >= 5
 
 
@@ -77,7 +81,7 @@ def test_chebyshev_solution_is_locally_optimal():
     bands = [PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
              PrototypeBand(0.6 * math.pi, math.pi, 0.0, 1.0)]
     proto = remez_design(bands, 4)
-    a = _cosine_coefficients(proto.taps)
+    a = cosine_coefficients(proto.taps)
     grid = np.concatenate([np.linspace(b.u_lo, b.u_hi, 4096) for b in bands])
     weights = np.concatenate([np.full(4096, b.weight) for b in bands])
     desired = np.concatenate([np.full(4096, b.desired) for b in bands])
@@ -179,35 +183,81 @@ def _hill(u):  # apex at u = 5: the second vertex of every peak leaves the band
     return 100.0 - (u - 5.0) ** 2
 
 
+# Per-band scale of the error, as band weights give it; 1.0 leaves one band as is.
+_BAND_SCALE = np.array([1.0, 2.5, 0.7])
+
+
 @pytest.mark.parametrize("grid_fn, err_fn", [(_wavy, _wavy), (_steps, _steps), (_wavy, _hill)])
 @pytest.mark.parametrize("rounds", [2, 3, 4])
-@pytest.mark.parametrize("lo, hi, points", [(0.0, math.pi, 1500), (0.37, 1.91, 201)])
+@pytest.mark.parametrize("lo, hi, points", [
+    (0.0, math.pi, 1500), (0.37, 1.91, 201),
+    pytest.param((0.37, 1.5), (1.2, math.pi), (300, 500), id="two-bands"),
+    # the last two bands share the edge u = 2.0, as touching stop bands do
+    pytest.param((0.0, 1.2, 2.0), (0.6, 2.0, math.pi), (250, 301, 400), id="three-bands-touching"),
+])
 def test_batched_finder_matches_scalar_loop(grid_fn, err_fn, rounds, lo, hi, points):
-    us = np.linspace(lo, hi, points)
-    es = grid_fn(us)
-    got = _extrema_candidates(us, es, err_fn, rounds=rounds)
-    want = [(us[0], es[0])]
-    for i in range(1, points - 1):
-        if abs(es[i]) >= abs(es[i - 1]) and abs(es[i]) >= abs(es[i + 1]):
-            want.append(_refine_peak_loop(us[i - 1:i + 2], es[i - 1:i + 2], err_fn,
-                                          us[0], us[-1], rounds))
-    want.append((us[-1], es[-1]))
-    assert len(got) == len(want) > 20
+    lo, hi, points = np.atleast_1d(lo), np.atleast_1d(hi), np.atleast_1d(points)
+    grids = [np.linspace(a, b, n) for a, b, n in zip(lo, hi, points)]
+    band = np.repeat(np.arange(len(grids)), points)
+
+    def band_err(u, bi):
+        return _BAND_SCALE[bi] * err_fn(u)
+
+    us = np.concatenate(grids)
+    es = _BAND_SCALE[band] * grid_fn(us)
+    got = _extrema_candidates(us, es, points, band_err, rounds=rounds)
+    want = []
+    for bi, ub in enumerate(grids):
+        eb = _BAND_SCALE[bi] * grid_fn(ub)
+        want.append((ub[0], eb[0], bi))
+        for i in range(1, len(ub) - 1):
+            if abs(eb[i]) >= abs(eb[i - 1]) and abs(eb[i]) >= abs(eb[i + 1]):
+                want.append(_refine_peak_loop(
+                    ub[i - 1:i + 2], eb[i - 1:i + 2],
+                    lambda u, _b=bi: band_err(u, np.full(len(u), _b)),
+                    ub[0], ub[-1], rounds) + (bi,))
+        want.append((ub[-1], eb[-1], bi))
+    assert len(got) == len(want) > 10 * len(grids)
     assert np.array_equal(np.array(got), np.array(want, float))
 
 
-def test_finder_batches_err_fn_calls():
-    calls = []
+def _bary_calls_per_iteration(monkeypatch, bands, half_order):
+    """Run remez_design, counting _bary_eval calls between successive levelings."""
+    segments = []
+    real_level, real_eval = equiripple_module._leveled_delta, equiripple_module._bary_eval
 
-    def counted(u):
-        calls.append(np.size(u))
-        return _wavy(u)
+    def level(*args):
+        segments.append(0)
+        return real_level(*args)
 
-    us = np.linspace(0.0, math.pi, 1500)
-    cands = _extrema_candidates(us, _wavy(us), counted, rounds=4)
-    assert len(cands) - 2 >= 39  # every interior peak was refined ...
-    assert len(calls) <= 2 * 4  # ... in at most two calls per round
-    assert max(calls) >= 39
+    def evaluate(*args):
+        segments[-1] += 1
+        return real_eval(*args)
+
+    monkeypatch.setattr(equiripple_module, "_leveled_delta", level)
+    monkeypatch.setattr(equiripple_module, "_bary_eval", evaluate)
+    proto = remez_design(bands, half_order)
+    monkeypatch.undo()
+    assert len(segments) == proto.iterations + 1  # the last leveling makes the taps
+    return segments[:-1]
+
+
+def test_finder_batches_err_fn_calls(monkeypatch):
+    # Per exchange iteration: one evaluation on the working grid, then per
+    # refinement round one on the vertices and one on the brackets of the
+    # peaks of all bands together, whatever the band count.
+    rounds = 4
+    plans = {2: ([PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
+                  PrototypeBand(0.6 * math.pi, math.pi, 0.0, 2.0)], 9),
+             3: ([PrototypeBand(0.0, 0.25 * math.pi, 0.0, 1.0),
+                  PrototypeBand(0.4 * math.pi, 0.6 * math.pi, 1.0, 1.0),
+                  PrototypeBand(0.75 * math.pi, math.pi, 0.0, 3.0)], 12)}
+    for count, (bands, half_order) in plans.items():
+        per_iteration = _bary_calls_per_iteration(monkeypatch, bands, half_order)
+        assert len(per_iteration) >= 2, count
+        assert max(per_iteration) <= 1 + 2 * rounds, (count, per_iteration)
+        # the refinement ran: the grid evaluation alone would be one call
+        assert max(per_iteration) >= 3, (count, per_iteration)
 
 
 def test_finder_locates_chebyshev_extrema():
@@ -221,7 +271,8 @@ def test_finder_locates_chebyshev_extrema():
     us = np.linspace(0.0, math.pi, 1000)  # no extremum falls on a grid point
     exact = np.arange(1, n) * math.pi / n
     assert np.min(np.abs(us[:, None] - exact[None, :]), axis=0).max() > 1e-4
-    cands = np.array(_extrema_candidates(us, err(us), err, rounds=3))[1:-1]
+    cands = np.array(_extrema_candidates(us, err(us), [len(us)],
+                                         lambda u, _: err(u), rounds=3))[1:-1]
     assert len(cands) == n - 1
     assert np.max(np.abs(cands[:, 0] - exact)) <= 1e-12
     assert np.max(np.abs(np.abs(cands[:, 1]) - 1.0)) <= 1e-15

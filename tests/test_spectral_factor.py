@@ -11,10 +11,14 @@ from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
                                      DEFAULT_GAMMA_MARGIN, MIN_EXPANSION,
                                      PIVOT_FLOOR_FACTOR, _jacobian_of,
                                      _zeros_inside, cholesky_banded,
-                                     extract_min_phase, factor_column,
-                                     reflect_into_disc)
+                                     extract_min_phase, reflect_into_disc)
 
 from conftest import make_min_phase
+
+
+def factor_column(fact: np.ndarray, j: int) -> np.ndarray:
+    """Dense column j of a banded upper factor (matrix rows j-N+1 .. j)."""
+    return fact[max(0, fact.shape[0] - 1 - j):, j]
 
 
 def dense_from_banded(fact: np.ndarray) -> np.ndarray:
