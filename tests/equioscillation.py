@@ -75,7 +75,8 @@ def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 
     es = err(us, np.repeat(np.arange(len(bands)), counts))
     cands = _extrema_candidates(us, es, counts, err, rounds=3)
     u, e, b = (np.array(col) for col in zip(*cands))
-    return ExtremaScan(u=u, error=e, band=b)
+    order = np.argsort(u, kind="stable")
+    return ExtremaScan(u=u[order], error=e[order], band=b[order])
 
 
 def count_alternations(scan: ExtremaScan, level: float, *, rel_tol: float = 1e-6) -> int:
