@@ -13,7 +13,7 @@ of every other excitation with the same pattern magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -49,12 +49,6 @@ class ZeroSet:
     @property
     def radii(self) -> np.ndarray:
         return np.abs(self.zeros)
-
-
-@dataclass(frozen=True)
-class MinPhaseVerdict:
-    is_min_phase: bool
-    offenders: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,41 +107,24 @@ class DesignReport:
     zeros: ZeroSet | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        def db(x):
-            if x is None or not math.isfinite(x):
-                return None
-            return round(float(x), 4)
+        """The ``report.json`` payload: every field but ``zeros``.
 
-        return {
-            "name": self.name,
-            "element_count": self.element_count,
-            "feasible": self.feasible,
-            "bands": [
-                {
-                    "kind": b.kind,
-                    "u_lo": float(b.u_lo),
-                    "u_hi": float(b.u_hi),
-                    "bound_db": db(b.bound_db),
-                    "achieved_db": db(b.achieved_db),
-                    "margin_db": db(b.margin_db),
-                }
-                for b in self.bands
-            ],
-            "flattop_ripple_db": db(self.flattop_ripple_db),
-            "max_sidelobe_db": db(self.max_sidelobe_db),
-            "zero_count": self.zero_count,
-            "zero_max_radius": self.zero_max_radius,
-            "zero_min_radius": self.zero_min_radius,
-            "min_phase": self.min_phase,
-            "steering_angle_rad": self.steering_angle_rad,
-            "gamma": self.gamma,
-            "symbol_min": self.symbol_min,
-            "autocorr_residual": self.autocorr_residual,
-            "expansion": self.expansion,
-            "refined": self.refined,
-            "witness": list(self.witness),
-            "minimality": self.minimality,
-        }
+        Every ``*_db`` value is rounded to 4 decimals (None when not
+        finite), band edges are floats and ``witness`` is a list.
+        """
+        return {f.name: _json_value(f.name, getattr(self, f.name))
+                for f in fields(self) if f.name != "zeros"}
+
+
+def _json_value(key: str, value):
+    if key.endswith("_db"):
+        return None if value is None or not math.isfinite(value) else round(float(value), 4)
+    if key in ("u_lo", "u_hi"):
+        return float(value)
+    if key == "bands":
+        return [{f.name: _json_value(f.name, getattr(b, f.name)) for f in fields(b)}
+                for b in value]
+    return list(value) if key == "witness" else value
 
 
 def array_factor(c, u) -> PatternSamples:
@@ -235,12 +212,6 @@ def polynomial_zeros(c) -> ZeroSet:
     order = np.lexsort((roots.imag, roots.real))
     roots = roots[order]
     return ZeroSet(zeros=roots, max_radius=float(np.max(np.abs(roots))))
-
-
-def min_phase_check(zero_set: ZeroSet, tol: float = ZERO_RADIUS_TOL) -> MinPhaseVerdict:
-    """Are all zeros inside or on the unit circle (radius <= 1 + tol)?"""
-    offenders = zero_set.zeros[np.abs(zero_set.zeros) > 1.0 + tol]
-    return MinPhaseVerdict(is_min_phase=len(offenders) == 0, offenders=offenders)
 
 
 def partial_energy_profile(c) -> np.ndarray:

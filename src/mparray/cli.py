@@ -37,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 # pattern_metrics is not called here; perfbench/spans.py wraps it at this lookup site.
-from .analysis import (apply_steering, array_factor, min_phase_check,
-                       pattern_metrics, polynomial_zeros)
+from .analysis import (apply_steering, array_factor, pattern_metrics,
+                       polynomial_zeros)
 from .designs import (EXPECTED_ELEMENTS, PENCIL_ELEMENT_COUNT, builtin_spec,
                       design_pencil)
 from .prototype import (InfeasibleSpecError, OrderSearchError, SearchLimits,
@@ -100,7 +100,11 @@ def load_design_spec(path: str | Path) -> DesignSpec:
 
 
 def _read_weights(path: str | Path) -> np.ndarray:
-    """Weights CSV whose indices are 0..N-1, each once, with N >= 1."""
+    """Weights CSV whose indices are 0..N-1, each once, with N >= 1.
+
+    Every entry must be finite and at least one nonzero: an all-zero
+    excitation has no pattern to normalize or judge.
+    """
     rows = Path(path).read_text().strip().splitlines()
     if not rows or rows[0].strip().lower() != "index,re,im":
         raise ValueError(f"{path}: expected a CSV with header 'index,re,im'")
@@ -110,6 +114,10 @@ def _read_weights(path: str | Path) -> np.ndarray:
     c = np.zeros(len(entries), complex)
     for k, re, im in entries:
         c[int(k)] = complex(float(re), float(im))
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"{path}: weights must be finite")
+    if not np.any(c):
+        raise ValueError(f"{path}: weights are all zero")
     if np.all(c.imag == 0.0):
         return c.real.copy()
     return c
@@ -281,7 +289,7 @@ def run_analyze(args) -> int:
     zero_set = report.zeros if judged is c else polynomial_zeros(c)
     spacing = 0.5 if spec is None else spec.spacing_wavelengths
     _write_artifacts(out, c, spacing, zero_set, report, args.grid)
-    outside = len(min_phase_check(zero_set, args.zero_tol).offenders)
+    outside = np.count_nonzero(zero_set.radii > 1.0 + args.zero_tol)
     verdict_txt = "minimum phase" if report.min_phase else \
         f"not minimum phase ({outside} zeros outside)"
     print(f"{len(c)} elements, {verdict_txt} -> {out}")

@@ -116,6 +116,11 @@ def estimate_order(bands: Sequence[PrototypeBand], delta_pass: float, delta_stop
     return max(1, int(round((length + 1.0) / 2.0)))
 
 
+def cosine_taps(a) -> np.ndarray:
+    """Symmetric taps of A(u) = a_0 + sum_m a_m cos(m u): a_m/2 at offsets +-m."""
+    return np.concatenate([0.5 * a[:0:-1], a[:1], 0.5 * a[1:]])
+
+
 def _bary_weights(nodes: np.ndarray) -> np.ndarray:
     diff = nodes[:, None] - nodes
     np.fill_diagonal(diff, 1.0)
@@ -372,12 +377,5 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     else:
         xc = np.cos(np.arange(half_order + 1) * math.pi / half_order)
     a = _cheb.chebfit(xc, _bary_eval(nodes, values, bweights, xc), half_order)
-
-    taps = np.zeros(2 * half_order + 1)
-    taps[half_order] = a[0]
-    for mm in range(1, half_order + 1):
-        taps[half_order + mm] = 0.5 * a[mm]
-        taps[half_order - mm] = 0.5 * a[mm]
-
-    return LinearPhasePrototype(taps=taps, half_order=half_order, bands=bands,
+    return LinearPhasePrototype(taps=cosine_taps(a), half_order=half_order, bands=bands,
                                 delta=abs(delta), iterations=iterations)

@@ -18,11 +18,12 @@ synthesized pattern against the original bands, never on the plan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 
 from .analysis import (DEFAULT_GRID_POINTS, DesignReport, PatternMetrics,
                        ZERO_RADIUS_TOL, array_factor, metrics_grid,
-                       min_phase_check, pattern_metrics, polynomial_zeros)
+                       pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
@@ -71,25 +72,22 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class DesignTrial:
-    """One element count attempted against the original bands."""
+    """One element count attempted against the original bands.
+
+    ``find_min_order`` returns its winning trial with ``report`` set.
+    """
 
     order: int
-    feasible: bool
     weights: MinPhaseWeights | None
     diagnostics: FactorizationDiagnostics | None
     prototype: LinearPhasePrototype | None
     metrics: PatternMetrics | None
     violations: tuple[str, ...]
+    report: DesignReport | None = None
 
-
-@dataclass(frozen=True)
-class MinOrderResult:
-    order: int
-    weights: MinPhaseWeights
-    diagnostics: FactorizationDiagnostics
-    prototype: LinearPhasePrototype
-    metrics: PatternMetrics
-    report: DesignReport
+    @property
+    def feasible(self) -> bool:
+        return not self.violations
 
 
 def measure(c, spec: DesignSpec, grid_points: int) -> PatternMetrics:
@@ -130,7 +128,7 @@ def evaluate(c, spec: DesignSpec | None, limits: SearchLimits, *,
         zero_count=len(zero_set.zeros),
         zero_max_radius=zero_set.max_radius,
         zero_min_radius=float(radii.min()) if len(radii) else 0.0,
-        min_phase=min_phase_check(zero_set, limits.zero_radius_tol).is_min_phase,
+        min_phase=zero_set.max_radius <= 1.0 + limits.zero_radius_tol,
         steering_angle_rad=0.0 if spec is None else spec.steering_angle_rad,
         witness=_unmet(metrics) if witness is None else tuple(witness),
         minimality=minimality, zeros=zero_set,
@@ -150,7 +148,8 @@ def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
         If the ripple and sidelobe bounds leave no room for G (delta1'
         <= 0), if there is no stop band, or if the pass band is a single
         point (a pencil beam is designed in closed form by design_pencil,
-        not through the squared-magnitude mapping).
+        not through the squared-magnitude mapping), or if a stop ceiling
+        is so low (about -3080 dB) that its weight 1/delta2' overflows.
     """
     spec = validate_spec(spec)
     pass_band = spec.pass_band
@@ -163,6 +162,10 @@ def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
         raise InfeasibleSpecError("need at least one stop band to bound sidelobes")
     delta2_each = [0.5 * db_to_amplitude(b.max_level_db) ** 2 for b in stops]
     delta2 = min(delta2_each)
+    if not delta2 * sys.float_info.max > 1.0:
+        raise InfeasibleSpecError(
+            f"stop ceiling {min(b.max_level_db for b in stops)} dB has no finite "
+            "squared-pattern weight")
     delta_p = 1.0 - 10.0 ** (-pass_band.ripple_db / 40.0)
     delta1 = 1.0 - (1.0 - delta_p) ** 2 - 2.0 * delta2
     if delta1 <= 0.0:
@@ -217,7 +220,7 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
         try:
             prototype = design_prototype(_tilted(pspec, side, scale), order)
         except RemezConvergenceError as err:
-            return DesignTrial(order, False, None, None, None, None,
+            return DesignTrial(order, None, None, None, None,
                                (f"exchange failed: {err}",))
         try:
             weights, diag = spectral_factorize(
@@ -226,12 +229,10 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
                 gamma_margin=limits.gamma_margin,
                 newton=limits.newton)
         except FactorizationError as err:
-            return DesignTrial(order, False, None, None, prototype, None,
+            return DesignTrial(order, None, None, prototype, None,
                                (f"factorization failed: {err}",))
         metrics = measure(weights.c, spec, limits.grid_points)
-        violations = _unmet(metrics)
-        trial = DesignTrial(order, not violations, weights, diag, prototype,
-                            metrics, violations)
+        trial = DesignTrial(order, weights, diag, prototype, metrics, _unmet(metrics))
         failed = {lv.kind for lv in metrics.violations}
         if len(failed) != 1 or (side is not None and failed != {side}):
             return trial
@@ -240,13 +241,14 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
     return trial
 
 
-def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> MinOrderResult:
+def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> DesignTrial:
     """Smallest element count whose synthesized pattern meets every band.
 
     Starts from the heuristic estimate, then walks down while feasible or
     up while infeasible.  Feasibility of a count is judged on the final
-    minimum-phase pattern against the original bands.  The report carries
-    a minimality witness, the failure observed at one element fewer, and
+    minimum-phase pattern against the original bands.  Returns the trial
+    at that count with its ``report`` set.  The report carries a
+    minimality witness, the failure observed at one element fewer, and
     says what backs the claim: ``"route_only"`` when that trial violated a
     band (this design route cannot meet the bands there), ``"unproven"``
     when its exchange or factorization failed, ``"trivial"`` at one
@@ -296,6 +298,4 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> MinO
     report = evaluate(best.weights.c, spec, limits, metrics=best.metrics,
                       diagnostics=best.diagnostics, witness=witness,
                       minimality=minimality)
-    return MinOrderResult(order=order, weights=best.weights,
-                          diagnostics=best.diagnostics, prototype=best.prototype,
-                          metrics=best.metrics, report=report)
+    return replace(best, report=report)

@@ -26,7 +26,7 @@ Everything here stays in banded storage; the dense matrix is never formed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -44,52 +44,11 @@ class FactorizationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ToeplitzOperator:
-    """Banded symmetric Toeplitz operator G + gamma*I in compact storage.
-
-    ``taps`` is the full symmetric vector (length 2*order-1); ``expansion``
-    is the padding Q ahead of the order-N window, so the operator is the
-    leading (Q+N)-dimensional section the extraction reads.
-    """
-
-    taps: np.ndarray
-    order: int
-    expansion: int
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        taps = np.asarray(self.taps, float)
-        object.__setattr__(self, "taps", taps)
-        if len(taps) != 2 * self.order - 1:
-            raise ValueError(f"taps length {len(taps)} does not match order {self.order}")
-        scale = max(1.0, float(np.max(np.abs(taps))))
-        if np.max(np.abs(taps - taps[::-1])) > 1e-9 * scale:
-            raise ValueError("taps must be symmetric")
-        if self.expansion < 1:
-            raise ValueError("expansion must be at least 1")
-
-    @property
-    def dim(self) -> int:
-        return self.expansion + self.order
-
-    def banded(self) -> np.ndarray:
-        """Upper-diagonal ordered banded storage of G + gamma*I.
-
-        Row r holds diagonal number order-1-r, so row r is the constant
-        taps[r]; the main diagonal (last row) carries the gamma lift.
-        """
-        ab = np.repeat(self.taps[:self.order, None], self.dim, axis=1)
-        ab[-1, :] += self.gamma
-        return ab
-
-
-@dataclass(frozen=True)
 class MinPhaseWeights:
     """Minimum-phase excitation extracted from a factorization."""
 
     c: np.ndarray
     gamma_used: float
-    q_used: int
     refined: bool = False
 
 
@@ -134,44 +93,40 @@ def find_gamma(taps, *, gamma_margin: float = DEFAULT_GAMMA_MARGIN,
     return max((1.0 + gamma_margin) * -m, floor - m, 0.0), m
 
 
-def cholesky_banded(op: ToeplitzOperator) -> np.ndarray:
-    """Upper banded Cholesky factor of op, in the same banded storage.
+def cholesky_banded(taps, expansion: int, gamma: float) -> np.ndarray:
+    """Upper banded Cholesky factor of the lifted Toeplitz section G + gamma*I.
 
-    op is the leading section the extraction reads, so every pivot the
-    extracted column depends on is computed and checked against the pivot
-    floor; the trailing rows of a longer section are never computed.  They
-    need no check either: a Cholesky pivot is at least the smallest
-    eigenvalue of its leading section, which the lift keeps at or above
-    min(G + gamma) >= the floor, on a section of any length.
+    The section is the leading (Q+N)-dimensional one the extraction reads,
+    Q = ``expansion`` and N the order of the symmetric ``taps`` (length
+    2N-1), held in upper-diagonal ordered banded storage: row r holds
+    diagonal number N-1-r, the constant taps[r], and the main diagonal
+    (last row) carries the lift.  The factor comes back in the same
+    storage.
+
+    Every pivot the extracted column depends on is computed and checked
+    against the pivot floor; the trailing rows of a longer section are
+    never computed.  They need no check either: a Cholesky pivot is at
+    least the smallest eigenvalue of its leading section, which the lift
+    keeps at or above min(G + gamma) >= the floor, on a section of any
+    length.
 
     Raises
     ------
     FactorizationError
         If a pivot fails or falls to the pivot floor.
     """
+    taps = np.asarray(taps, float)
+    order = (len(taps) + 1) // 2
+    banded = np.repeat(taps[:order, None], expansion + order, axis=1)
+    banded[-1, :] += gamma
     try:
-        fact = _sla.cholesky_banded(op.banded(), lower=False, check_finite=False)
+        fact = _sla.cholesky_banded(banded, lower=False, check_finite=False)
     except np.linalg.LinAlgError:
         fact = None
-    floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(op.taps)))
+    floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps)))
     if fact is None or np.min(fact[-1, :] ** 2) <= floor:
-        raise FactorizationError(f"banded Cholesky failed at gamma = {op.gamma!r}")
+        raise FactorizationError(f"banded Cholesky failed at gamma = {gamma!r}")
     return fact
-
-
-def extract_min_phase(fact: np.ndarray, op: ToeplitzOperator) -> MinPhaseWeights:
-    """Read the excitation out of the factor's last column.
-
-    Column Q+N-1, the last of the leading section's factor, holds
-    (c_{N-1}, ..., c_1, c_0) in matrix rows Q .. Q+N-1.  The factor of a
-    banded matrix is banded with the same bandwidth, so that order-N
-    window is the whole stored column.  The sign is normalized so that
-    sum(c) > 0.
-    """
-    c = fact[::-1, op.dim - 1].copy()
-    if c.sum() < 0.0:
-        c = -c
-    return MinPhaseWeights(c=c, gamma_used=op.gamma, q_used=op.expansion)
 
 
 def verify_factorization(weights: MinPhaseWeights, taps) -> np.ndarray:
@@ -305,11 +260,12 @@ def spectral_factorize(taps, *,
 
     The lift comes from the exact symbol minimum (:func:`find_gamma`), so
     one banded Cholesky factors the lifted (Q+N)-dimensional leading
-    section, whose last column is the extraction; a failure raises
-    FactorizationError.  ``expansion_factor`` sets Q = expansion_factor * N,
-    floored at MIN_EXPANSION: the extraction error decays like r^(2Q) with
-    r the largest zero radius, so tiny arrays still need Q in the hundreds
-    when a zero sits near 0.95.  The optional Newton polish tightens the
+    section, whose last column is the extraction (sign normalized so that
+    sum(c) > 0); a failure raises FactorizationError, and taps of even
+    length or not symmetric raise ValueError.  ``expansion_factor`` sets
+    Q = expansion_factor * N, floored at MIN_EXPANSION: the extraction
+    error decays like r^(2Q) with r the largest zero radius, so tiny
+    arrays still need Q in the hundreds when a zero sits near 0.95.  The optional Newton polish tightens the
     autocorrelation residual toward machine precision; if it diverges,
     the unrefined extraction is kept and flagged in the diagnostics.
 
@@ -322,19 +278,29 @@ def spectral_factorize(taps, *,
     a Schur-Cohn step-down does not certify every zero inside.
     """
     taps = np.asarray(taps, float)
+    if len(taps) % 2 == 0:
+        raise ValueError(f"taps must have odd length 2N-1, got {len(taps)}")
+    scale = max(1.0, float(np.max(np.abs(taps))))
+    if np.max(np.abs(taps - taps[::-1])) > 1e-9 * scale:
+        raise ValueError("taps must be symmetric")
     order = (len(taps) + 1) // 2
     expansion = max(expansion_factor * order, MIN_EXPANSION)
     gamma, m = find_gamma(taps, gamma_margin=gamma_margin)
-    op = ToeplitzOperator(taps, order, expansion, gamma)
-    weights = extract_min_phase(cholesky_banded(op), op)
+    # Column Q+N-1, the factor's last, holds (c_{N-1}, ..., c_0): the
+    # factor of a banded matrix has the same bandwidth, so the order-N
+    # window is the whole stored column.
+    c = cholesky_banded(taps, expansion, gamma)[::-1, -1].copy()
+    if c.sum() < 0.0:
+        c = -c
+    refined = False
     if newton:
-        c_ref, ok = refine_newton(weights.c, taps, op.gamma)
-        weights = replace(weights, c=c_ref if ok else weights.c, refined=ok)
-    weights = replace(weights, c=reflect_into_disc(weights.c))
+        c, refined = refine_newton(c, taps, gamma)
+    weights = MinPhaseWeights(c=reflect_into_disc(c), gamma_used=gamma,
+                              refined=refined)
 
     residual = verify_factorization(weights, taps)
     diag = FactorizationDiagnostics(
-        gamma=op.gamma, symbol_min=m,
+        gamma=gamma, symbol_min=m,
         autocorr_residual=float(np.max(np.abs(residual))),
-        expansion=op.expansion, refined=weights.refined)
+        expansion=expansion, refined=refined)
     return weights, diag

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
 
-from mparray import LinearPhasePrototype
-from mparray.equiripple import _alternating_skeleton, _extrema_candidates
+from mparray.equiripple import (LinearPhasePrototype, _alternating_skeleton,
+                                _extrema_candidates)
 
 
 @dataclass(frozen=True)

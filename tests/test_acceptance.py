@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mparray import (allpass_variants, apply_steering, array_factor,
-                     autocorrelation, design1_spec, design2_spec,
-                     design3_spec, design_pencil, find_min_order,
-                     partial_energy_profile, polynomial_zeros,
-                     spectral_factorize, verify_factorization)
+from mparray import (allpass_variants, apply_steering, design1_spec,
+                     design2_spec, design3_spec, design_pencil,
+                     find_min_order, partial_energy_profile,
+                     polynomial_zeros, spectral_factorize)
+from mparray.analysis import array_factor
 from mparray.designs import DESIGN3_STOP_EDGE
+from mparray.spectral_factor import autocorrelation, verify_factorization
 
 from conftest import ORACLE_SEED, make_min_phase
 from equioscillation import count_alternations, equioscillation_extrema

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mparray import (BandSpec, DesignSpec, SearchLimits, allpass_variants,
-                     apply_steering, array_factor, design1_spec, evaluate,
-                     metrics_grid, min_phase_check, partial_energy_profile,
-                     pattern_metrics, polynomial_zeros)
+                     apply_steering, design1_spec, evaluate,
+                     partial_energy_profile, polynomial_zeros)
+from mparray.analysis import array_factor, metrics_grid, pattern_metrics
 
 from conftest import make_min_phase
 
@@ -87,12 +87,18 @@ def test_zeros_are_sorted_and_conjugate_closed(oracle_rng):
 
 
 def test_min_phase_verdict():
-    good = min_phase_check(polynomial_zeros([1.0, 0.5]))
-    assert good.is_min_phase and len(good.offenders) == 0
+    good = evaluate([1.0, 0.5], None, SearchLimits(), name="good")
+    assert good.min_phase
+    assert good.zeros.radii == pytest.approx([0.5])
 
-    bad = min_phase_check(polynomial_zeros([0.5, 1.0]))
-    assert not bad.is_min_phase
-    assert bad.offenders == pytest.approx([-2.0])
+    bad = evaluate([0.5, 1.0], None, SearchLimits(), name="bad")
+    assert not bad.min_phase
+    assert bad.zeros.zeros == pytest.approx([-2.0])
+
+    # radius 1 + tol is still on the circle; just past it is outside
+    tol = SearchLimits().zero_radius_tol
+    for radius, inside in ((1.0 + tol, True), (1.0 + 2.0 * tol, False)):
+        assert evaluate([1.0, radius], None, SearchLimits(), name="edge").min_phase is inside
 
 
 def test_partial_energy_profile():
@@ -135,7 +141,8 @@ def test_variants_share_magnitude_and_energy(oracle_rng):
 
 def test_only_base_variant_is_min_phase(oracle_rng):
     c = make_min_phase(oracle_rng, 5)
-    flags = [min_phase_check(polynomial_zeros(v)).is_min_phase
+    limits = SearchLimits()
+    flags = [evaluate(v, None, limits, name="variant").min_phase
              for v in allpass_variants(c)]
     assert flags[0]
     assert flags.count(True) == 1

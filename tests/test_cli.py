@@ -1,13 +1,19 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mparray import (OrderSearchError, SearchLimits, builtin_spec,
                      find_min_order)
 from mparray.cli import (_build_parser, _limits_from, _read_weights,
                          load_design_spec, main)
+from mparray.spec_model import validate_spec
 
 PASS_EDGE = math.pi * math.sin(0.2182)
 STOP_EDGE = math.pi * math.sin(math.pi / 3.0)
@@ -342,7 +348,11 @@ def test_parser_defaults_are_the_search_defaults():
     "0,1.0,0.0\n0,0.5,0.0\n",    # repeated index, 1 missing
     "-1,1.0,0.0\n0,0.5,0.0\n",   # negative index
     "",                          # header only
-], ids=["out_of_range", "repeated", "negative", "header_only"])
+    "0,1.0,0.0\n1,nan,0.0\n",    # not a number
+    "0,1.0,0.0\n1,0.5,inf\n",    # infinite
+    "0,0.0,0.0\n1,0.0,0.0\n",    # no excitation at all
+], ids=["out_of_range", "repeated", "negative", "header_only", "nan", "inf",
+        "all_zero"])
 def test_analyze_rejects_bad_weight_indices(tmp_path, capsys, body):
     weights = tmp_path / "weights.csv"
     weights.write_text("index,re,im\n" + body)
@@ -406,3 +416,96 @@ def test_pattern_marks_invisible_angles(tmp_path):
     assert "nan" in thetas  # u beyond the visible region of 0.25-lambda spacing
     visible = [t for t in thetas if t != "nan"]
     assert visible and all(-90.0 <= float(t) <= 90.0 for t in visible)
+
+
+# Fields of a request the fuzzer may break, and what it breaks them with.
+_FIELDS = (("spacing_wavelengths",), ("steering_angle_rad",), ("angle_unit",),
+           ("bands", 0, "u_hi"), ("bands", 0, "ripple_db"),
+           ("bands", 1, "u_lo"), ("bands", 1, "max_level_db"), ("bands", 1, "kind"))
+_MISSING = object()
+_BAD_VALUES = (math.nan, math.inf, -math.inf, "0.5", True, False, None,
+               1e308, -1e308, _MISSING)
+
+
+@st.composite
+def design_requests(draw):
+    """A low-pass request, well formed or (a third of the time) with one field broken.
+
+    Well-formed draws include theta_deg edges, steering, a zero-width pass
+    band, a stop band touching the pass band and a zero-width stop band.
+    """
+    unit = draw(st.sampled_from(["u_rad", "theta_deg"]))
+    top = math.pi if unit == "u_rad" else 90.0
+    pass_hi = draw(st.floats(0.05 * top, 0.5 * top))
+    stop_lo = draw(st.floats(pass_hi + 0.2 * top, 0.95 * top))
+    shape = draw(st.sampled_from(["gap", "gap", "gap", "touching", "zero_pass",
+                                  "zero_stop"]))
+    if shape == "touching":
+        stop_lo = pass_hi
+    elif shape == "zero_pass":
+        pass_hi = 0.0
+    elif shape == "zero_stop":
+        stop_lo = top
+    request = {
+        "spacing_wavelengths": draw(st.sampled_from([0.5, 0.25])),
+        "angle_unit": unit,
+        "steering_angle_rad": draw(st.sampled_from([0.0, 0.0, 0.3, -1.2])),
+        "bands": [
+            {"u_lo": 0.0, "u_hi": pass_hi, "kind": "pass",
+             "ripple_db": draw(st.floats(0.1, 3.0))},
+            {"u_lo": stop_lo, "u_hi": top, "kind": "stop",
+             "max_level_db": draw(st.floats(-40.0, -10.0))},
+        ],
+    }
+    broken = draw(st.integers(0, 3 * len(_FIELDS) - 1))
+    if broken < len(_FIELDS):
+        *path, key = _FIELDS[broken]
+        target = request
+        for step in path:
+            target = target[step]
+        value = draw(st.sampled_from(_BAD_VALUES))
+        if value is _MISSING:
+            del target[key]
+        else:
+            target[key] = value
+    return request
+
+
+def _lowpass(pass_hi=0.8, stop_lo=1.6, max_level_db=-20.0, ripple_db=0.5):
+    return {"spacing_wavelengths": 0.5, "bands": [
+        {"u_lo": 0.0, "u_hi": pass_hi, "kind": "pass", "ripple_db": ripple_db},
+        {"u_lo": stop_lo, "u_hi": math.pi, "kind": "stop",
+         "max_level_db": max_level_db}]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(design_requests())
+@example(_lowpass(stop_lo=0.8))                 # touching bands
+@example(_lowpass(ripple_db=math.nan))
+@example(_lowpass(max_level_db=-1e308))         # a weight 1/delta2' that overflows
+def test_design_requests_end_in_a_clean_exit(request):
+    # Per-example directories: tmp_path would be shared by every example.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "request.json", Path(tmp) / "out"
+        path.write_text(json.dumps(request))
+        try:
+            spec = load_design_spec(path)
+        except (ValueError, KeyError):  # what main reports as exit 1
+            spec = None
+        else:
+            assert validate_spec(spec) == spec
+            assert all(math.isfinite(b.u_lo) and math.isfinite(b.u_hi)
+                       for b in spec.bands)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["design", "--spec", str(path), "--out", str(out),
+                         "--max-n", "8"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in stdout.getvalue() + stderr.getvalue()
+        if code == 1:
+            assert "error:" in stderr.getvalue()
+            assert not out.exists()
+        else:
+            assert spec is not None
+            for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
+                assert (out / name).stat().st_size > 0

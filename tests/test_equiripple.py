@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 import mparray.equiripple as equiripple_module
-from mparray import (PrototypeBand, design_prototype, estimate_order,
-                     remez_design, to_prototype_spec)
-from mparray import design1_spec, design2_spec
-from mparray.equiripple import _bary_eval, _bary_weights, _extrema_candidates
+from mparray import PrototypeBand, design1_spec, design2_spec, remez_design
+from mparray.equiripple import (_bary_eval, _bary_weights, _extrema_candidates,
+                                estimate_order)
+from mparray.prototype import design_prototype, to_prototype_spec
 
 from equioscillation import (amplitude_response, cosine_coefficients,
                              count_alternations, equioscillation_extrema)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import mparray.prototype as prototype_module
-from mparray import (BandSpec, DesignSpec, InfeasibleSpecError, PrototypeSpec,
-                     SearchLimits, design_prototype,
+from mparray import (BandSpec, DesignSpec, InfeasibleSpecError,
+                     OrderSearchError, PrototypeBand, SearchLimits,
                      design1_spec, design2_spec, design3_spec, find_min_order,
-                     pencil_spec, to_prototype_spec)
-from mparray import PrototypeBand
-from mparray.prototype import OrderSearchError, _attempt
+                     pencil_spec)
+from mparray.prototype import (PrototypeSpec, _attempt, design_prototype,
+                               to_prototype_spec)
 
 from equioscillation import amplitude_response, equioscillation_extrema
 

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mparray import (BandSpec, DesignSpec, SpecValidationError,
-                     VisibleRegionError, amplitude_to_db, db_to_amplitude,
-                     design1_spec, theta_to_u, u_to_theta, validate_spec)
+                     VisibleRegionError, design1_spec)
+from mparray.spec_model import (amplitude_to_db, db_to_amplitude, theta_to_u,
+                                u_to_theta, validate_spec)
 
 
 def test_theta_to_u_known_points():

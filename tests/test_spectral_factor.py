@@ -3,15 +3,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from mparray import (FactorizationError, ToeplitzOperator, autocorrelation,
-                     design1_spec, find_gamma, refine_newton,
-                     spectral_factorize, to_prototype_spec,
-                     verify_factorization)
+from mparray import FactorizationError, design1_spec, spectral_factorize
+from mparray.prototype import to_prototype_spec
 from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
                                      DEFAULT_GAMMA_MARGIN, MIN_EXPANSION,
                                      PIVOT_FLOOR_FACTOR, _jacobian_of,
-                                     _zeros_inside, cholesky_banded,
-                                     extract_min_phase, reflect_into_disc)
+                                     _zeros_inside, autocorrelation,
+                                     cholesky_banded, find_gamma,
+                                     reflect_into_disc, refine_newton,
+                                     verify_factorization)
 
 from conftest import make_min_phase
 
@@ -30,10 +30,12 @@ def dense_from_banded(fact: np.ndarray) -> np.ndarray:
     return full
 
 
-def dense_operator(op: ToeplitzOperator) -> np.ndarray:
-    first = np.zeros(op.dim)
-    first[:op.order] = op.taps[op.order - 1:]
-    first[0] += op.gamma
+def dense_operator(g, expansion: int, gamma: float = 0.0) -> np.ndarray:
+    """Dense (Q+N)-dimensional section of G + gamma*I for taps g of length 2N-1."""
+    order = (len(g) + 1) // 2
+    first = np.zeros(expansion + order)
+    first[:order] = g[order - 1:]
+    first[0] += gamma
     return scipy.linalg.toeplitz(first)
 
 
@@ -60,22 +62,23 @@ def test_autocorrelation_is_polynomial_product(vals):
 
 def test_operator_entries_and_dimension():
     g = np.array([0.5, 1.25, 0.5])
-    op = ToeplitzOperator(g, 2, 3, gamma=0.125)
-    assert op.dim == 5  # Q + N: the leading section the extraction reads
-    dense = dense_operator(op)
-    assert np.allclose(dense, dense.T)
-    assert dense[0, 0] == pytest.approx(1.375)
-    assert dense[0, 1] == pytest.approx(0.5)
-    assert dense[0, 2] == 0.0
+    fact = cholesky_banded(g, 3, 0.125)
+    assert fact.shape == (2, 5)  # bandwidth N-1; Q + N: the section the extraction reads
+    full = dense_from_banded(fact)
+    product = full.T @ full
+    assert product[0, 0] == pytest.approx(1.375)
+    assert product[0, 1] == pytest.approx(0.5)
+    assert product[0, 2] == 0.0
+    assert np.max(np.abs(product - dense_operator(g, 3, 0.125))) <= 1e-15
 
 
 def test_operator_rejects_malformed_taps():
     with pytest.raises(ValueError, match="symmetric"):
-        ToeplitzOperator(np.array([1.0, 2.0, 3.0]), 2, 4)
+        spectral_factorize(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="length"):
-        ToeplitzOperator(np.array([1.0, 2.0]), 2, 4)
-    with pytest.raises(ValueError, match="expansion"):
-        ToeplitzOperator(np.array([0.5, 1.25, 0.5]), 2, 0)
+        spectral_factorize(np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="length"):
+        spectral_factorize(np.array([]))
 
 
 def symbol_on_grid(g, points: int = 2_000_001) -> np.ndarray:
@@ -115,11 +118,10 @@ def test_section_eigenvalues_lie_above_symbol_min(design1):
     # lowest eigenvalue is lower, approaching m from above.
     pspec = to_prototype_spec(design1_spec())
     g = design1.prototype.taps
-    order = (len(g) + 1) // 2
     gamma, m = find_gamma(g)
     lams = []
     for q in (24, 100):
-        lam = float(np.linalg.eigvalsh(dense_operator(ToeplitzOperator(g, order, q))).min())
+        lam = float(np.linalg.eigvalsh(dense_operator(g, q)).min())
         assert m <= lam < 0.0
         assert gamma > -lam
         lams.append(lam)
@@ -135,8 +137,8 @@ def test_cholesky_fails_below_lift_and_succeeds_at_gamma(design1):
     gamma, m = find_gamma(g)
     assert m < 0.0
     with pytest.raises(FactorizationError):
-        cholesky_banded(ToeplitzOperator(g, order, expansion, gamma=0.5 * -m))
-    cholesky_banded(ToeplitzOperator(g, order, expansion, gamma=gamma))
+        cholesky_banded(g, expansion, 0.5 * -m)
+    cholesky_banded(g, expansion, gamma)
 
 
 def test_factorize_runs_one_cholesky(monkeypatch, design2):
@@ -198,13 +200,12 @@ def test_leading_section_column_equals_full_factor_column():
         g = lifted_taps(rng, n) if n > 1 else np.array([rng.uniform(0.5, 2.0)])
         gamma, _ = find_gamma(g)
         q = max(DEFAULT_EXPANSION_FACTOR * n, MIN_EXPANSION)
-        op = ToeplitzOperator(g, n, q, gamma)
         full = np.repeat(g[:n, None], 2 * q + n, axis=1)
         full[-1, :] += gamma
         reference = factor_column(
             scipy.linalg.cholesky_banded(full, lower=False, check_finite=False),
             q + n - 1)
-        column = factor_column(cholesky_banded(op), op.dim - 1)
+        column = factor_column(cholesky_banded(g, q, gamma), q + n - 1)
         assert column.tobytes() == reference.tobytes(), n
 
 
@@ -280,36 +281,38 @@ def test_newton_jacobian_matches_double_loop(n, seed):
 
 
 def test_scalar_cholesky():
-    op = ToeplitzOperator(np.array([4.0]), 1, 4)
-    fact = cholesky_banded(op)
-    assert fact[-1, :] == pytest.approx(np.full(op.dim, 2.0))
+    fact = cholesky_banded(np.array([4.0]), 4, 0.0)
+    assert fact[-1, :] == pytest.approx(np.full(5, 2.0))
 
 
 def test_factor_reconstructs_operator():
-    op = ToeplitzOperator(np.array([0.5, 1.25, 0.5]), 2, 60)
-    full = dense_from_banded(cholesky_banded(op))
-    assert np.max(np.abs(full.T @ full - dense_operator(op))) <= 1e-12
+    g = np.array([0.5, 1.25, 0.5])
+    full = dense_from_banded(cholesky_banded(g, 60, 0.0))
+    assert np.max(np.abs(full.T @ full - dense_operator(g, 60))) <= 1e-12
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(2, 8), st.integers(0, 2 ** 31 - 1))
 def test_factor_reconstructs_random_autocorrelations(n, seed):
     c = make_min_phase(np.random.default_rng(seed), n)
-    op = ToeplitzOperator(autocorrelation(c), n, 10)
-    full = dense_from_banded(cholesky_banded(op))
-    assert np.max(np.abs(full.T @ full - dense_operator(op))) <= 1e-10
+    g = autocorrelation(c)
+    full = dense_from_banded(cholesky_banded(g, 10, 0.0))
+    assert np.max(np.abs(full.T @ full - dense_operator(g, 10))) <= 1e-10
 
 
 def test_extraction_recovers_two_element_oracle():
     g = np.array([0.5, 1.25, 0.5])
-    op = ToeplitzOperator(g, 2, 60)
-    weights = extract_min_phase(cholesky_banded(op), op)
-    assert weights.c == pytest.approx([1.0, 0.5], abs=1e-6)
+    # The last column of the factor holds (c_1, c_0) ...
+    assert cholesky_banded(g, 60, 0.0)[::-1, -1] == pytest.approx([1.0, 0.5], abs=1e-6)
+    # ... which spectral_factorize reads at its own expansion.
+    weights, diag = spectral_factorize(g)
+    assert weights.c == pytest.approx([1.0, 0.5], abs=1e-12)
+    assert diag.expansion == MIN_EXPANSION and weights.gamma_used == 0.0
 
 
 def test_extraction_trivial_single_tap():
-    op = ToeplitzOperator(np.array([1.0]), 1, 30)
-    weights = extract_min_phase(cholesky_banded(op), op)
+    assert cholesky_banded(np.array([1.0]), 30, 0.0)[::-1, -1] == pytest.approx([1.0])
+    weights, _ = spectral_factorize(np.array([1.0]))
     assert weights.c == pytest.approx([1.0], abs=1e-12)
 
 
