@@ -47,6 +47,9 @@ from .spec_model import (BandSpec, DesignSpec, SpecValidationError,
                          VisibleRegionError, theta_to_u, validate_spec)
 
 
+PATTERN_POINTS = 8192  # pattern.csv samples over [0, pi]
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; keep 2 reserved for unmet bands
     def error(self, message):
@@ -61,13 +64,21 @@ def _number(value, field: str) -> float:
     return float(value)
 
 
+def _required(entry: dict, key: str, owner: str):
+    """``entry[key]``; a missing key is an input error naming it and its owner."""
+    if key not in entry:
+        raise ValueError(f"{owner} is missing required key {key!r}")
+    return entry[key]
+
+
 def load_design_spec(path: str | Path) -> DesignSpec:
     """Read and validate a JSON design request."""
     path = Path(path)
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
         raise ValueError(f"{path}: a design request is a JSON object")
-    spacing = _number(data["spacing_wavelengths"], "spacing_wavelengths")
+    spacing = _number(_required(data, "spacing_wavelengths", "the request"),
+                      "spacing_wavelengths")
     angle_unit = data.get("angle_unit", "u_rad")
     if angle_unit not in ("u_rad", "theta_deg"):
         raise ValueError(f"angle_unit must be 'u_rad' or 'theta_deg', got {angle_unit!r}")
@@ -77,7 +88,7 @@ def load_design_spec(path: str | Path) -> DesignSpec:
             return value
         return theta_to_u(math.radians(value), spacing)
 
-    entries = data["bands"]
+    entries = _required(data, "bands", "the request")
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise ValueError("bands must be a list of JSON objects")
     bands = []
@@ -85,10 +96,11 @@ def load_design_spec(path: str | Path) -> DesignSpec:
         level = {key: None if entry.get(key) is None
                  else _number(entry[key], f"bands[{i}].{key}")
                  for key in ("ripple_db", "max_level_db")}
+        owner = f"bands[{i}]"
         bands.append(BandSpec(
-            u_lo=to_u(_number(entry["u_lo"], f"bands[{i}].u_lo")),
-            u_hi=to_u(_number(entry["u_hi"], f"bands[{i}].u_hi")),
-            kind=entry["kind"],
+            u_lo=to_u(_number(_required(entry, "u_lo", owner), f"{owner}.u_lo")),
+            u_hi=to_u(_number(_required(entry, "u_hi", owner), f"{owner}.u_hi")),
+            kind=_required(entry, "kind", owner),
             **level))
     spec = DesignSpec(
         spacing_wavelengths=spacing,
@@ -171,7 +183,6 @@ def _limits_from(args) -> SearchLimits:
     return SearchLimits(
         max_order=args.max_n,
         expansion_factor=args.q_factor,
-        grid_points=args.grid,
         newton=args.newton,
         gamma_margin=args.gamma_margin,
         zero_radius_tol=args.zero_tol)
@@ -195,7 +206,6 @@ def _search(spec: DesignSpec, limits: SearchLimits):
         print(f"bands unmet up to {limits.max_order} elements; "
               f"writing the best attempt ({best.order} elements)", file=sys.stderr)
         return best.weights.c, evaluate(best.weights.c, spec, limits,
-                                        metrics=best.metrics,
                                         diagnostics=best.diagnostics)
 
 
@@ -280,7 +290,7 @@ def run_analyze(args) -> int:
     c = _read_weights(args.weights)
     out = Path(args.out)
     spec = load_design_spec(args.spec) if args.spec else None
-    limits = SearchLimits(grid_points=args.grid, zero_radius_tol=args.zero_tol)
+    limits = SearchLimits(zero_radius_tol=args.zero_tol)
     # The bands are stated for the unsteered pattern, as design judges them;
     # the artifacts keep the file's own weights and zeros.
     judged = _steered(c, spec, -1.0)
@@ -296,10 +306,19 @@ def run_analyze(args) -> int:
     return 0 if report.feasible else 2
 
 
+def _pattern_points(text: str) -> int:
+    """The ``--grid`` value: pattern.csv holds at least u = 0 and u = pi."""
+    points = int(text)
+    if points < 2:
+        raise argparse.ArgumentTypeError(f"needs at least 2 points, got {points}")
+    return points
+
+
 def _add_common(p) -> None:
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=int, default=SearchLimits.grid_points,
-                   help="pattern grid points over [0, pi] (default %(default)s)")
+    p.add_argument("--grid", type=_pattern_points, default=PATTERN_POINTS,
+                   help="pattern.csv points over [0, pi] (default %(default)s); "
+                        "the bands are judged exactly, not on this grid")
     p.add_argument("--zero-tol", type=float, default=SearchLimits.zero_radius_tol,
                    help="zero-radius tolerance for the min-phase verdict "
                         "(default %(default)s)")

@@ -21,15 +21,17 @@ import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
-from .analysis import (DEFAULT_GRID_POINTS, DesignReport, PatternMetrics,
-                       ZERO_RADIUS_TOL, array_factor, metrics_grid,
-                       pattern_metrics, polynomial_zeros)
+import numpy as np
+
+from .analysis import (DesignReport, PatternMetrics, ZERO_RADIUS_TOL,
+                       array_factor, pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
 from .spectral_factor import (DEFAULT_EXPANSION_FACTOR, DEFAULT_GAMMA_MARGIN,
                               FactorizationError, FactorizationDiagnostics,
-                              MinPhaseWeights, spectral_factorize)
+                              MinPhaseWeights, autocorrelation,
+                              critical_cosines, spectral_factorize)
 
 
 class InfeasibleSpecError(ValueError):
@@ -64,7 +66,6 @@ class SearchLimits:
 
     max_order: int = 64
     expansion_factor: int = DEFAULT_EXPANSION_FACTOR
-    grid_points: int = DEFAULT_GRID_POINTS
     newton: bool = True
     gamma_margin: float = DEFAULT_GAMMA_MARGIN
     zero_radius_tol: float = ZERO_RADIUS_TOL
@@ -90,9 +91,20 @@ class DesignTrial:
         return not self.violations
 
 
-def measure(c, spec: DesignSpec, grid_points: int) -> PatternMetrics:
-    """Band levels of the pattern of ``c`` on the metrics grid of ``spec``."""
-    return pattern_metrics(array_factor(c, metrics_grid(spec, grid_points)), spec)
+def measure(c, spec: DesignSpec) -> PatternMetrics:
+    """Exact band levels of the pattern of ``c`` against ``spec``.
+
+    The pattern is sampled where |C|^2 can take its extremes: at every band
+    edge and at u = arccos x for every x of :func:`critical_cosines` of the
+    autocorrelation of c (0, pi and the critical points of |C|^2).  A
+    spurious point only adds a value |C| does take, so it cannot hide a
+    violation.  C is evaluated straight from c, so deep stop-band levels
+    keep their relative accuracy.
+    """
+    r = autocorrelation(c)[len(c) - 1:]
+    edges = [u for band in spec.bands for u in (band.u_lo, band.u_hi)]
+    u = np.concatenate([np.arccos(critical_cosines(r)), edges])
+    return pattern_metrics(array_factor(c, u), spec)
 
 
 def _unmet(metrics: PatternMetrics) -> tuple[str, ...]:
@@ -104,18 +116,15 @@ def _unmet(metrics: PatternMetrics) -> tuple[str, ...]:
 
 
 def evaluate(c, spec: DesignSpec | None, limits: SearchLimits, *,
-             metrics: PatternMetrics | None = None, diagnostics=None,
-             witness: tuple[str, ...] | None = None, minimality: str | None = None,
-             name: str | None = None) -> DesignReport:
+             diagnostics=None, witness: tuple[str, ...] | None = None,
+             minimality: str | None = None, name: str | None = None) -> DesignReport:
     """Judge excitation ``c`` against ``spec`` and report it: the one report path.
 
-    ``metrics``, if given, must be measured on the ``limits.grid_points``
-    grid.  The report is feasible when no band is violated, and ``witness``
-    defaults to the violated bands.  ``spec`` None judges the zeros only.
+    The bands are measured by :func:`measure`.  The report is feasible
+    when no band is violated, and ``witness`` defaults to the violated
+    bands.  ``spec`` None judges the zeros only.
     """
-    if metrics is None:
-        metrics = (PatternMetrics((), None, None) if spec is None
-                   else measure(c, spec, limits.grid_points))
+    metrics = PatternMetrics((), None, None) if spec is None else measure(c, spec)
     zero_set = polynomial_zeros(c)
     radii = zero_set.radii
     return DesignReport(
@@ -231,7 +240,7 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
         except FactorizationError as err:
             return DesignTrial(order, None, None, prototype, None,
                                (f"factorization failed: {err}",))
-        metrics = measure(weights.c, spec, limits.grid_points)
+        metrics = measure(weights.c, spec)
         trial = DesignTrial(order, weights, diag, prototype, metrics, _unmet(metrics))
         failed = {lv.kind for lv in metrics.violations}
         if len(failed) != 1 or (side is not None and failed != {side}):
@@ -295,7 +304,6 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         minimality = "route_only" if below.metrics is not None else "unproven"
     else:
         witness, minimality = (), "trivial"
-    report = evaluate(best.weights.c, spec, limits, metrics=best.metrics,
-                      diagnostics=best.diagnostics, witness=witness,
-                      minimality=minimality)
+    report = evaluate(best.weights.c, spec, limits, diagnostics=best.diagnostics,
+                      witness=witness, minimality=minimality)
     return replace(best, report=report)

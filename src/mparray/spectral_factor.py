@@ -16,8 +16,9 @@ so that column is the last column of the factor of the (Q+N)-dimensional
 leading section; only that section is formed and factored.
 
 G is a Chebyshev series in x = cos u, so its minimum m is exact: the
-smallest value at x = +-1 and at the real roots of G' in [-1, 1].  Every
-finite Toeplitz section has its eigenvalues in [min G, max G]
+smallest value at x = +-1 and at the real roots of G' in [-1, 1] (the
+points of :func:`critical_cosines`, at which the band judge reads |C|
+too).  Every finite Toeplitz section has its eigenvalues in [min G, max G]
 (Grenander-Szego), so the lift gamma = -m, enlarged by a small safety
 margin and kept above a tiny pivot floor, makes every section positive
 definite; one banded Cholesky per factorization suffices.
@@ -62,11 +63,32 @@ class FactorizationDiagnostics:
 
 
 def autocorrelation(c) -> np.ndarray:
-    """Full autocorrelation of a real excitation: out[N-1+m] = sum_k c_k c_{k+m}."""
-    c = np.asarray(c, float)
+    """Full autocorrelation of an excitation: out[N-1+m] = sum_k conj(c_k) c_{k+m}."""
+    c = np.asarray(c, complex if np.iscomplexobj(c) else float)
     if c.ndim != 1 or len(c) == 0:
-        raise ValueError("expected a non-empty 1-d real vector")
+        raise ValueError("expected a non-empty 1-d vector")
     return np.correlate(c, c, mode="full")
+
+
+def critical_cosines(r) -> np.ndarray:
+    """x = cos u at every u in [0, pi] where G(u) = sum_|k|<N r_k exp(jku) may peak.
+
+    ``r`` is the one-sided autocorrelation r_0..r_{N-1} (r_{-k} = conj(r_k)).
+    Real r: G is the Chebyshev series a_0 = r_0, a_k = 2 r_k in x, and the
+    points are +-1 and the real parts of the roots of G', clipped to [-1, 1].
+    Complex r: the points are +-1 and the cosines of the angles of all roots
+    of sum_|k|<N k r_k z^(k+N-1), which vanishes where dG/du does, z = exp(ju).
+    A spurious point only adds a value G does take, so no root tolerance is
+    needed.
+    """
+    r = np.asarray(r)
+    if np.iscomplexobj(r):
+        k = np.arange(1, len(r))
+        dz = np.concatenate([(k * r[1:])[::-1], [0.0], -k * np.conj(r[1:])])
+        return np.concatenate([[-1.0, 1.0], np.cos(np.angle(np.roots(dz)))])
+    a = np.concatenate([r[:1], 2.0 * r[1:]])
+    roots = np.real(_cheb.chebroots(_cheb.chebder(a)))
+    return np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
 
 
 def find_gamma(taps, *, gamma_margin: float = DEFAULT_GAMMA_MARGIN,
@@ -74,21 +96,17 @@ def find_gamma(taps, *, gamma_margin: float = DEFAULT_GAMMA_MARGIN,
     """Diagonal lift for the Toeplitz operator, from the exact symbol minimum.
 
     Returns ``(gamma, m)`` with m = min over u of
-    G(u) = g_0 + 2 sum_k g_k cos(k u).  With x = cos u, G is the Chebyshev
-    series a_0 = g_0, a_k = 2 g_k, so m is its least value at x = +-1 and
-    at the roots of G'; roots are taken by their real part, clipped to
-    [-1, 1], since a spurious point only adds a value G does take.
+    G(u) = g_0 + 2 sum_k g_k cos(k u), the least value of G's Chebyshev
+    series at the points of :func:`critical_cosines`.
 
     gamma = -m * (1 + gamma_margin), raised so that min(G + gamma) reaches
     the pivot floor ``pivot_floor_factor * max|g|``; a symbol above that
     floor gets exactly 0.
     """
     taps = np.asarray(taps, float)
-    a = taps[(len(taps) - 1) // 2:].copy()
-    a[1:] *= 2.0
-    roots = np.real(_cheb.chebroots(_cheb.chebder(a)))
-    x = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
-    m = float(np.min(_cheb.chebval(x, a)))
+    r = taps[(len(taps) - 1) // 2:]
+    a = np.concatenate([r[:1], 2.0 * r[1:]])
+    m = float(np.min(_cheb.chebval(critical_cosines(r), a)))
     floor = pivot_floor_factor * float(np.max(np.abs(taps)))
     return max((1.0 + gamma_margin) * -m, floor - m, 0.0), m
 

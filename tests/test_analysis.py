@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mparray import (BandSpec, DesignSpec, SearchLimits, allpass_variants,
-                     apply_steering, design1_spec, evaluate,
-                     partial_energy_profile, polynomial_zeros)
-from mparray.analysis import array_factor, metrics_grid, pattern_metrics
+                     apply_steering, design1_spec, design2_spec, design3_spec,
+                     design_pencil, evaluate, partial_energy_profile,
+                     pencil_spec, polynomial_zeros)
+from mparray.analysis import array_factor, pattern_metrics
+from mparray.prototype import measure
 
 from conftest import make_min_phase
 
@@ -176,44 +178,31 @@ def test_pattern_nulls_at_on_circle_zeros(pencil):
     assert np.all(samples.magnitude_db[1:] <= -100.0)
 
 
-def test_metrics_grid_covers_band_edges():
-    spec = design1_spec()
-    grid = metrics_grid(spec)
-    assert grid[0] == 0.0 and grid[-1] == pytest.approx(math.pi)
-    for band in spec.bands:
-        assert band.u_lo in grid and band.u_hi in grid
-    assert np.all(np.diff(grid) > 0.0)
-
-
 def test_metrics_flag_an_isotropic_violator():
     spec = DesignSpec(0.5, (
         BandSpec(0.0, 0.5, "pass", ripple_db=1.0),
         BandSpec(1.0, math.pi, "stop", max_level_db=-30.0)))
-    metrics = pattern_metrics(array_factor([1.0], metrics_grid(spec)), spec)
+    metrics = measure([1.0], spec)
     assert metrics.max_sidelobe_db == 0.0
     stop = metrics.bands[1]
     assert stop.margin_db == pytest.approx(-30.0)
     assert metrics.violations == (stop,)
 
 
-def test_metrics_reject_sparse_sampling():
-    spec = design1_spec()
-    with pytest.raises(ValueError, match="samples"):
-        pattern_metrics(array_factor([1.0], GRID[:64]), spec)
-
-
 def test_metrics_require_coverage_of_every_band():
+    # A band holds its own edges, so even a single-point band is judged.
     spec = DesignSpec(0.5, (
         BandSpec(0.0, 1.0, "pass", ripple_db=1.0),
         BandSpec(2.0, 2.0, "stop", max_level_db=-30.0)))
-    with pytest.raises(ValueError, match="band"):
-        pattern_metrics(array_factor([1.0], GRID), spec)
+    metrics = measure([1.0, 0.5], spec)
+    assert [lv.kind for lv in metrics.bands] == ["pass", "stop"]
+    assert metrics.bands[1].achieved_db == pytest.approx(
+        20.0 * math.log10(abs(1.0 + 0.5 * np.exp(2j)) / 1.5), abs=1e-12)
 
 
 def test_design_metrics_round_trip(design1):
     spec = design1_spec()
-    redone = pattern_metrics(
-        array_factor(design1.weights.c, metrics_grid(spec)), spec)
+    redone = measure(design1.weights.c, spec)
     assert redone.max_sidelobe_db == pytest.approx(
         design1.metrics.max_sidelobe_db, abs=1e-12)
     assert redone.flattop_ripple_db == pytest.approx(
@@ -221,10 +210,56 @@ def test_design_metrics_round_trip(design1):
     assert redone.violations == ()
 
 
+def _excitation(case, request):
+    """(c, spec) of one judge case; steering is by u0 = 0.7 rad."""
+    if case == "pencil":
+        return design_pencil().taps, pencil_spec()
+    if case == "complex":
+        rng = np.random.default_rng(5)
+        return rng.standard_normal(12) + 1j * rng.standard_normal(12), design2_spec()
+    if case.startswith("design"):
+        spec = {"design1": design1_spec, "design2": design2_spec,
+                "design3": design3_spec}[case]()
+        return request.getfixturevalue(case).weights.c, spec
+    steered = apply_steering(request.getfixturevalue("design1").weights.c, 0.7)
+    return (steered if case == "steered" else apply_steering(steered, -0.7)), design1_spec()
+
+
+@pytest.mark.parametrize("case", ["design1", "design2", "design3", "pencil",
+                                  "complex", "steered", "unsteered"])
+def test_measure_is_exact_against_a_dense_scan(case, request):
+    c, spec = _excitation(case, request)
+    edges = [u for band in spec.bands for u in (band.u_lo, band.u_hi)]
+    scan = np.concatenate([np.linspace(0.0, math.pi, 1 << 16), edges])
+    dense = pattern_metrics(array_factor(c, scan), spec)
+    exact = measure(c, spec)
+    # Levels are relative to the peak, which the scan may read low by a
+    # second-order amount (up to 3e-11 dB here); no band reads lower than that.
+    for lv, ref in zip(exact.bands, dense.bands):
+        assert ref.achieved_db - 1e-9 <= lv.achieved_db <= ref.achieved_db + 1e-4
+    if case == "pencil":
+        assert exact.max_sidelobe_db == pytest.approx(
+            20.0 * math.log10(design_pencil().delta), abs=1e-9)
+
+
+def test_measure_catches_a_peak_between_grid_points():
+    # The stop bound lies between this excitation's stop level read on an
+    # 8,192-point grid, which passes it, and its exact level, which does not.
+    c = np.random.default_rng(122).standard_normal(64)
+    spec = DesignSpec(0.5, (BandSpec(0.0, 0.5, "pass", ripple_db=200.0),
+                            BandSpec(1.0, math.pi, "stop", max_level_db=-0.27182)))
+    grid = np.concatenate([np.linspace(0.0, math.pi, 8192), [0.5, 1.0]])
+    assert pattern_metrics(array_factor(c, grid), spec).violations == ()
+    report = evaluate(c, spec, SearchLimits())
+    assert not report.feasible
+    assert [lv.kind for lv in report.bands if lv.margin_db < 0.0] == ["stop"]
+    assert report.witness[0].startswith("stop band [1, 3.14159]")
+
+
 def test_report_serializes_to_json(design1):
     spec = design1_spec()
     report = evaluate(design1.weights.c, spec, SearchLimits(),
-                      metrics=design1.metrics, diagnostics=design1.diagnostics)
+                      diagnostics=design1.diagnostics)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["name"] == spec.name
     assert payload["element_count"] == 6
@@ -238,9 +273,8 @@ def test_report_serializes_to_json(design1):
 def test_report_maps_unbounded_levels_to_null():
     spec = DesignSpec(0.5, (BandSpec(0.0, 1.0, "pass", ripple_db=1.0),),
                       name="pass-only")
-    metrics = pattern_metrics(array_factor([1.0, 0.5], metrics_grid(spec)), spec)
-    assert metrics.max_sidelobe_db == -math.inf
-    report = evaluate([1.0, 0.5], spec, SearchLimits(), metrics=metrics)
+    assert measure([1.0, 0.5], spec).max_sidelobe_db == -math.inf
+    report = evaluate([1.0, 0.5], spec, SearchLimits())
     payload = report.to_dict()
     assert payload["max_sidelobe_db"] is None
     assert payload["gamma"] is None

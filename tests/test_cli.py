@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mparray import (OrderSearchError, SearchLimits, builtin_spec,
                      find_min_order)
-from mparray.cli import (_build_parser, _limits_from, _read_weights,
-                         load_design_spec, main)
+from mparray.cli import (PATTERN_POINTS, _build_parser, _limits_from,
+                         _read_weights, load_design_spec, main)
 from mparray.spec_model import validate_spec
 
 PASS_EDGE = math.pi * math.sin(0.2182)
@@ -172,6 +172,23 @@ def test_malformed_request_shapes_exit_one(tmp_path, capsys, request_json):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("band, key", [
+    (None, "spacing_wavelengths"), (None, "bands"),
+    (0, "u_lo"), (1, "u_hi"), (1, "kind")])
+def test_missing_request_keys_exit_one(tmp_path, capsys, band, key):
+    request = {"spacing_wavelengths": 0.5, "bands": [
+        {"u_lo": 0.0, "u_hi": 1.0, "kind": "pass", "ripple_db": 0.25},
+        {"u_lo": 2.0, "u_hi": math.pi, "kind": "stop", "max_level_db": -40.0}]}
+    del (request if band is None else request["bands"][band])[key]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(request))
+    assert main(["design", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 1
+    owner = "the request" if band is None else f"bands[{band}]"
+    err = capsys.readouterr().err
+    assert f"error: {owner} is missing required key '{key}'" in err
+    assert "Traceback" not in err
+
+
 def test_zero_width_stop_band_exits_one(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, bands=[
@@ -190,6 +207,9 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
     with pytest.raises(SystemExit) as exc:
         main([])
+    assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # pattern.csv needs u = 0 and pi
+        main(["reproduce", "design1", "--out", "o", "--grid", "1"])
     assert exc.value.code == 1
 
 
@@ -338,9 +358,9 @@ def test_parser_defaults_are_the_search_defaults():
     for command in ("design --spec s.json", "reproduce design1"):
         args = parser.parse_args(command.split() + ["--out", "o"])
         assert _limits_from(args) == SearchLimits()
+        assert args.grid == PATTERN_POINTS
     args = parser.parse_args(["analyze", "--weights", "w.csv", "--out", "o"])
-    limits = SearchLimits()
-    assert (args.grid, args.zero_tol) == (limits.grid_points, limits.zero_radius_tol)
+    assert (args.grid, args.zero_tol) == (PATTERN_POINTS, SearchLimits.zero_radius_tol)
 
 
 @pytest.mark.parametrize("body", [
