@@ -7,10 +7,12 @@ A prototype of 2N-1 symmetric taps has the zero-phase amplitude
 which under x = cos(u) is an algebraic polynomial of degree N-1.  The
 weighted Chebyshev problem min max W(u) |A(u) - D(u)| over a union of
 closed bands is solved here with a Remez multiple exchange carried out in
-x.  Each exchange iteration makes one extremum pass over all bands: the
-peaks of every band are refined off the working grid together by parabolic
-interpolation, so the returned solution equioscillates to well below the
-verification tolerances used downstream.
+x.  W and D are constant on each band, so the weighted error there peaks
+only at the band's edges and at the real roots of A'.  Each exchange
+iteration takes exactly those points: it expands the current interpolant
+as a Chebyshev series on every band's own x-interval and takes the roots
+of its derivative.  No working grid is sampled, and the stop rule reads
+the true peak error.
 """
 from __future__ import annotations
 
@@ -26,7 +28,6 @@ from .spec_model import DEGENERATE_WIDTH
 _QUALITY_STOP = 1e-9
 _QUALITY_ACCEPT = 1e-6
 _DELTA_STALL = 1e-10
-_GRID_DENSITY = 16  # working grid points per expected error extremum
 _MAX_ITERATIONS = 250
 
 
@@ -154,60 +155,6 @@ def _leveled_delta(x_ext, d_ext, w_ext) -> float:
     return float(np.sum(g * d_ext) / den)
 
 
-def _extrema_candidates(us, es, counts, err_fn, rounds=2):
-    """Local extrema of |e| on every band's grid, with each band's edges included.
-
-    ``us`` and ``es`` are the bands' grids concatenated in band order, band
-    b taking the next ``counts[b]`` points.  A peak is interior to its band,
-    so no comparison crosses a band boundary.  One pass refines the peaks of all bands
-    together by parabolic interpolation: each round makes one
-    ``err_fn(u, band)`` call on the vertices of the live peaks and one on
-    their new brackets, ``band`` giving each point's band index.  A peak
-    stops refining when its parabola is flat or non-finite, its vertex
-    leaves its band, or its bracket collapses.  Band edges are kept where
-    they fall.  Returns (u, e, band) triples in grid order.
-    """
-    counts = np.asarray(counts)
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    band = np.repeat(np.arange(len(counts)), counts)
-    mag = np.abs(es)
-    inner = np.ones(len(us), bool)
-    inner[first] = inner[last] = False
-    i = 1 + np.flatnonzero(inner[1:-1] & (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))
-    bi = band[i]
-    lo, hi = us[first[bi]], us[last[bi]]
-    u0, u1, u2 = us[i - 1], us[i], us[i + 1]
-    e0, e1, e2 = es[i - 1], es[i], es[i + 1]
-    best_u, best_e = u1.copy(), e1.copy()
-    live = np.ones(len(i), bool)
-    with np.errstate(all="ignore"):
-        for _ in range(rounds):
-            d1 = (e1 - e0) / (u1 - u0)
-            c2 = ((e2 - e1) / (u2 - u1) - d1) / (u2 - u0)
-            v = 0.5 * (u0 + u1) - d1 / (2.0 * c2)
-            live &= (c2 != 0.0) & np.isfinite(c2) & (lo <= v) & (v <= hi)
-            k = np.flatnonzero(live)
-            if not len(k):
-                break
-            ev = err_fn(v[k], bi[k])
-            better = np.abs(ev) > np.abs(best_e[k])
-            best_u[k[better]], best_e[k[better]] = v[k[better]], ev[better]
-            h = 0.25 * (u2 - u0)
-            ul, ur = np.maximum(lo, best_u - h), np.minimum(hi, best_u + h)
-            live &= (h > 0.0) & (ul < best_u) & (best_u < ur)
-            k = np.flatnonzero(live)
-            if not len(k):
-                break
-            e_lr = err_fn(np.concatenate([ul[k], ur[k]]), np.tile(bi[k], 2))
-            u0[k], u1[k], u2[k] = ul[k], best_u[k], ur[k]
-            e0[k], e1[k], e2[k] = e_lr[:len(k)], best_e[k], e_lr[len(k):]
-    out_u, out_e = us.copy(), es.copy()
-    out_u[i], out_e[i] = best_u, best_e
-    keep = np.union1d(np.union1d(first, last), i)
-    return list(zip(out_u[keep].tolist(), out_e[keep].tolist(), band[keep].tolist()))
-
-
 def _alternating_skeleton(cands):
     """Collapse same-signed runs of (u, e, ...) candidates, keeping the largest of each."""
     out = []
@@ -239,14 +186,6 @@ def _trim_to(cands, m):
     return cands
 
 
-def _build_grid(bands, degree):
-    """Concatenated band grids and the number of points of each band."""
-    total_width = sum(b.width for b in bands)
-    target = max(_GRID_DENSITY * (degree + 2), 48)
-    counts = [max(8, int(round(target * b.width / total_width)) + 1) for b in bands]
-    return np.concatenate([np.linspace(b.u_lo, b.u_hi, n) for b, n in zip(bands, counts)]), counts
-
-
 def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhasePrototype:
     """Weighted-Chebyshev design of a 2*half_order+1 tap symmetric prototype.
 
@@ -264,10 +203,11 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     Raises
     ------
     ValueError
-        On malformed bands, or a working grid too coarse for the requested
-        order.
+        On malformed bands or a negative order.
     RemezConvergenceError
-        If the exchange stalls away from an equiripple solution.
+        If the interpolant through the reference turns non-finite, fewer
+        than half_order+2 extrema alternate, or the exchange stalls away
+        from an equiripple solution.
     """
     bands = tuple(bands)
     if not bands:
@@ -281,25 +221,28 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     if half_order < 0:
         raise ValueError("half_order must be non-negative")
 
-    grid_u, counts = _build_grid(bands, half_order)
-    grid_band = np.repeat(np.arange(len(bands)), counts)
-    grid_x = np.cos(grid_u)
+    band_lo = np.array([b.u_lo for b in bands])
+    band_hi = np.array([b.u_hi for b in bands])
     band_d = np.array([b.desired for b in bands], float)
     band_w = np.array([b.weight for b in bands], float)
-    grid_d, grid_w = band_d[grid_band], band_w[grid_band]
+    err_scale = max(np.max(np.abs(band_d * band_w)), 1.0)
 
+    # A degree-n polynomial is fixed by its values at n+1 Chebyshev points,
+    # and one inverse Chebyshev-Vandermonde matrix turns those values into
+    # its Chebyshev series on whatever x-interval the points were spread over.
+    n = half_order
+    cheb_t = np.cos(np.arange(n + 1) * math.pi / max(n, 1))
+    to_series = np.linalg.inv(_cheb.chebvander(cheb_t, n))
+    x_lo, x_hi = np.cos(band_hi), np.cos(band_lo)
+    x_mid, x_half = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
+    band_x = x_mid[:, None] + x_half[:, None] * cheb_t
+
+    # The first reference spreads m points evenly over the bands' total width.
     m = half_order + 2
-    if len(grid_u) < m:
-        raise ValueError(f"grid has {len(grid_u)} points, need at least {m}")
-
-    sel = np.unique(np.round(np.linspace(0, len(grid_u) - 1, m)).astype(int))
-    k = 0
-    while len(sel) < m:  # collisions only on very coarse grids
-        if k not in sel:
-            sel = np.sort(np.append(sel, k))
-        k += 1
-    ext_u = grid_u[sel]
-    ext_band = grid_band[sel]
+    offset = np.concatenate([[0.0], np.cumsum(band_hi - band_lo)])
+    s = np.linspace(0.0, offset[-1], m)
+    ext_band = np.searchsorted(offset[:-1], s, side="right") - 1
+    ext_u = np.minimum(band_lo[ext_band] + (s - offset[ext_band]), band_hi[ext_band])
     signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
 
     def reference():
@@ -319,25 +262,29 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         delta, nodes, values, bweights = reference()
-        r_grid = _bary_eval(nodes, values, bweights, grid_x)
-        e_grid = grid_w * (r_grid - grid_d)
-        if not np.all(np.isfinite(e_grid)):
+        series = _bary_eval(nodes, values, bweights, band_x.ravel()).reshape(band_x.shape)
+        series = series @ to_series.T
+        if not np.all(np.isfinite(series)):
             raise RemezConvergenceError(
-                "non-finite error on the working grid", iterations, abs(delta), quality)
+                "non-finite interpolant", iterations, abs(delta), quality)
 
-        err_scale = max(np.max(np.abs(grid_d * grid_w)), 1.0)
-        if np.max(np.abs(e_grid)) <= 1e-13 * err_scale:
+        # On band b the weighted error W_b (A - D_b) peaks at the band's
+        # edges and at the real roots of A' inside it.
+        cand_u, cand_band = [], []
+        for b, coef in enumerate(series):
+            t = _cheb.chebroots(_cheb.chebder(coef)).real
+            u = np.arccos(np.clip(x_mid[b] + x_half[b] * t, -1.0, 1.0))
+            u = np.sort(u[(band_lo[b] < u) & (u < band_hi[b])])
+            cand_u += [band_lo[b], *u, band_hi[b]]
+            cand_band += [b] * (len(u) + 2)
+        cand_u, cand_band = np.array(cand_u), np.array(cand_band)
+        cand_e = band_w[cand_band] * (_bary_eval(nodes, values, bweights, np.cos(cand_u))
+                                      - band_d[cand_band])
+        if np.max(np.abs(cand_e)) <= 1e-13 * err_scale:
             quality = 0.0
             break
 
-        def err_at(u: np.ndarray, bi: np.ndarray) -> np.ndarray:
-            r = _bary_eval(nodes, values, bweights, np.cos(u))
-            return band_w[bi] * (r - band_d[bi])
-
-        # rounds=4: the exit test below trusts these peak values, and two
-        # parabola rounds undershoot narrow inter-node peaks by ~1e-5
-        # relative, stopping the exchange early with excess true ripple.
-        cands = _extrema_candidates(grid_u, e_grid, counts, err_at, rounds=4)
+        cands = zip(cand_u.tolist(), cand_e.tolist(), cand_band.tolist())
         skeleton = _alternating_skeleton(cands)
         if len(skeleton) < m:
             raise RemezConvergenceError(
@@ -365,17 +312,13 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         prev_delta = abs(delta)
         prev_set = new_u
     else:
-        if quality > _QUALITY_ACCEPT:
+        if not quality <= _QUALITY_ACCEPT:  # a nan error reads as unconverged
             raise RemezConvergenceError(
                 f"no convergence in {_MAX_ITERATIONS} iterations",
                 _MAX_ITERATIONS, abs(delta), quality)
 
-    # Final node set -> amplitude values at Chebyshev abscissae -> taps.
+    # Final node set -> amplitude values at the Chebyshev points of [-1, 1] -> taps.
     delta, nodes, values, bweights = reference()
-    if half_order == 0:
-        xc = np.array([1.0])
-    else:
-        xc = np.cos(np.arange(half_order + 1) * math.pi / half_order)
-    a = _cheb.chebfit(xc, _bary_eval(nodes, values, bweights, xc), half_order)
+    a = to_series @ _bary_eval(nodes, values, bweights, cheb_t)
     return LinearPhasePrototype(taps=cosine_taps(a), half_order=half_order, bands=bands,
                                 delta=abs(delta), iterations=iterations)

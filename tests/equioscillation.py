@@ -2,9 +2,9 @@
 
 These evaluate a designed prototype independently of the exchange that
 made it: the amplitude is summed from the taps' cosine coefficients, and
-its weighted error is scanned on a grid far denser than the exchange's,
-with every band-interior peak polished by the exchange's own extremum
-finder.
+its weighted error is scanned on a dense grid, and every band-interior
+peak of the scan is polished by a bounded scalar maximization of its own.
+Nothing here reuses the exchange's extremum step.
 """
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
+from scipy.optimize import minimize_scalar
 
-from mparray.equiripple import (LinearPhasePrototype, _alternating_skeleton,
-                                _extrema_candidates)
+from mparray.equiripple import LinearPhasePrototype, _alternating_skeleton
 
 
 @dataclass(frozen=True)
@@ -55,28 +55,34 @@ def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 
     """Refined local extrema of the weighted error across the bands.
 
     Evaluates the designed amplitude on a dense grid (about ``points``
-    samples over the bands), locates every band-interior peak of the
-    weighted error, polishes all of them in one pass of the exchange's
-    finder and returns them together with the band edges, in ascending u.
+    samples over the bands), locates every band-interior peak of |weighted
+    error|, maximizes |error| between each peak's grid neighbours with a
+    bounded Brent search and returns the peaks together with the band
+    edges, in ascending u.
     """
     a = cosine_coefficients(prototype.taps)
     bands = prototype.bands
     total_width = sum(b.width for b in bands)
-    grids = [np.linspace(b.u_lo, b.u_hi, max(64, int(round(points * b.width / total_width))))
-             for b in bands]
-    counts = [len(g) for g in grids]
-    weight = np.array([b.weight for b in bands])
-    desired = np.array([b.desired for b in bands])
+    u, e, band = [], [], []
+    for bi, b in enumerate(bands):
+        def err(x, b=b):
+            return b.weight * (cheb.chebval(np.cos(x), a) - b.desired)
 
-    def err(u, bi):
-        return weight[bi] * (cheb.chebval(np.cos(u), a) - desired[bi])
-
-    us = np.concatenate(grids)
-    es = err(us, np.repeat(np.arange(len(bands)), counts))
-    cands = _extrema_candidates(us, es, counts, err, rounds=3)
-    u, e, b = (np.array(col) for col in zip(*cands))
+        grid = np.linspace(b.u_lo, b.u_hi, max(64, int(round(points * b.width / total_width))))
+        mag = np.abs(err(grid))
+        peaks = 1 + np.flatnonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))
+        band_u = [grid[0], grid[-1]]
+        for i in peaks:
+            best = minimize_scalar(lambda x: -abs(err(x)), bounds=(grid[i - 1], grid[i + 1]),
+                                   method="bounded", options={"xatol": 1e-12})
+            band_u.append(best.x if -best.fun > mag[i] else grid[i])
+        band_u = np.sort(band_u)
+        u.append(band_u)
+        e.append(err(band_u))
+        band.append(np.full(len(band_u), bi))
+    u, e, band = (np.concatenate(col) for col in (u, e, band))
     order = np.argsort(u, kind="stable")
-    return ExtremaScan(u=u[order], error=e[order], band=b[order])
+    return ExtremaScan(u=u[order], error=e[order], band=band[order])
 
 
 def count_alternations(scan: ExtremaScan, level: float, *, rel_tol: float = 1e-6) -> int:

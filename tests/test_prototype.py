@@ -111,29 +111,69 @@ def test_feasibility_is_judged_on_original_bands(design2):
 
 
 
+# A band-pass request whose exchange does not converge at 13 elements.
+_EXCHANGE_FAILS_AT_13 = DesignSpec(0.5, (
+    BandSpec(0.0, 1.025411625891609, "stop", max_level_db=-26.41145634128804),
+    BandSpec(1.5191336435981924, 1.8340307980888764, "pass", ripple_db=1.842046690529218),
+    BandSpec(2.32775281579546, math.pi, "stop", max_level_db=-27.22315537626411)))
+
+
 def test_exchange_failure_does_not_end_the_search():
-    # At 16 elements the exchange finds only 15 alternating extrema of the
-    # 17 it needs; that count is recorded as failed and the search goes on.
-    spec = DesignSpec(0.5, (BandSpec(0.0, 1.1147, "pass", ripple_db=2.0),
-                            BandSpec(1.7247, math.pi, "stop", max_level_db=-47.54)))
-    failed = _attempt(spec, to_prototype_spec(spec), 16, SearchLimits())
+    # At 13 elements the exchange does not converge; that count is recorded
+    # as failed and the search goes on.
+    spec = _EXCHANGE_FAILS_AT_13
+    failed = _attempt(spec, to_prototype_spec(spec), 13, SearchLimits())
     assert not failed.feasible and failed.prototype is None
-    assert failed.violations[0].startswith("exchange failed: only 15")
+    assert failed.violations[0].startswith("exchange failed: no convergence")
     result = find_min_order(spec)
-    assert result.order == 17
+    assert result.order == 14
     assert not result.metrics.violations
 
 
 def test_minimality_rests_on_an_exchange_failure_is_unproven():
-    # 16 elements failed in the exchange, not against the bands, so nothing
-    # shows that 16 elements cannot meet them.
-    spec = DesignSpec(0.5, (BandSpec(0.0, 1.1147, "pass", ripple_db=2.0),
-                            BandSpec(1.7247, math.pi, "stop", max_level_db=-47.54)))
-    result = find_min_order(spec)
-    assert result.order == 17
+    # 13 elements failed in the exchange, not against the bands, so nothing
+    # shows that 13 elements cannot meet them.
+    result = find_min_order(_EXCHANGE_FAILS_AT_13)
+    assert result.order == 14
     assert result.report.minimality == "unproven"
     assert result.report.to_dict()["minimality"] == "unproven"
     assert result.report.witness[0].startswith("exchange failed:")
+
+
+@pytest.mark.parametrize("bands", [
+    # sweep seed 1, requests 13 and 67 (perfbench.inputs.lowpass_specs): with
+    # the exchange's extrema read off a working grid, no count up to 32 met either
+    pytest.param((BandSpec(0.0, 1.0531917792770902, "pass", ripple_db=1.907349928159102),
+                  BandSpec(2.72979774873138, math.pi, "stop", max_level_db=-63.94375879383062)),
+                 id="sweep-1-13"),
+    pytest.param((BandSpec(0.0, 0.9275395420624204, "pass", ripple_db=1.478531449202016),
+                  BandSpec(2.8065256318410436, math.pi, "stop", max_level_db=-68.29500359846183)),
+                 id="sweep-1-67"),
+])
+def test_exact_extrema_verify_what_the_grid_left_unmet(bands):
+    result = find_min_order(DesignSpec(0.5, bands), SearchLimits(max_order=32))
+    assert result.order == 6
+    assert not result.metrics.violations
+
+
+@pytest.mark.parametrize("bands, order", [
+    pytest.param((BandSpec(0.0, 0.11546423883581103, "stop", max_level_db=-25.734854091905834),
+                  BandSpec(0.6493955068832813, 1.210281840288849, "pass",
+                           ripple_db=1.8164152273389282),
+                  BandSpec(1.7442131083363193, math.pi, "stop", max_level_db=-45.42022318964646)),
+                 29, id="bandpass-29"),
+    pytest.param((BandSpec(0.0, 0.05, "stop", max_level_db=-40.360831665785376),
+                  BandSpec(0.6401192529517337, 1.0158045816792698, "pass",
+                           ripple_db=1.1058457329127553),
+                  BandSpec(1.7673336503456718, math.pi, "stop", max_level_db=-21.95611468368913)),
+                 20, id="bandpass-20"),
+])
+def test_bandpass_counts_hold(bands, order):
+    # The exchange expands its interpolant on each band's own x-interval;
+    # one series over the hull of all bands missed both of these counts.
+    result = find_min_order(DesignSpec(0.5, bands))
+    assert result.order == order
+    assert not result.metrics.violations
 
 
 def test_zeros_near_the_circle_end_minimum_phase():
