@@ -186,6 +186,41 @@ def _trim_to(cands, m):
     return cands
 
 
+def _chebyshev_points(n: int) -> np.ndarray:
+    """The n+1 Chebyshev points cos(k pi / n) of [-1, 1]."""
+    return np.cos(np.arange(n + 1) * math.pi / max(n, 1))
+
+
+def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
+    """Candidate extrema (u, e, band) of the weighted error, in ascending u.
+
+    On band b the weighted error W_b (A - D_b) peaks at the band's edges and
+    at the real roots of A' inside it.  ``amp`` evaluates the degree-n
+    polynomial A at an array of x = cos(u) and is called once, at the n+1
+    Chebyshev points of every band's own x-interval; ``to_series`` turns
+    the values there into A's Chebyshev series on each interval.
+    ``band_err(u, band)`` is called once, at all candidates.  Returns None
+    when a series is not finite, before any root is taken.
+    """
+    t = _chebyshev_points(len(to_series) - 1)
+    x_lo, x_hi = np.cos(band_hi), np.cos(band_lo)
+    x_mid, x_half = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
+    band_x = x_mid[:, None] + x_half[:, None] * t
+    series = amp(band_x.ravel()).reshape(band_x.shape) @ to_series.T
+    if not np.all(np.isfinite(series)):
+        return None
+    cand_u, cand_band = [], []
+    for b, coef in enumerate(series):
+        r = _cheb.chebroots(_cheb.chebder(coef))
+        r = r.real[r.imag == 0.0]
+        u = np.arccos(np.clip(x_mid[b] + x_half[b] * r, -1.0, 1.0))
+        u = np.sort(u[(band_lo[b] < u) & (u < band_hi[b])])
+        cand_u += [band_lo[b], *u, band_hi[b]]
+        cand_band += [b] * (len(u) + 2)
+    cand_u, cand_band = np.array(cand_u), np.array(cand_band)
+    return cand_u, band_err(cand_u, cand_band), cand_band
+
+
 def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhasePrototype:
     """Weighted-Chebyshev design of a 2*half_order+1 tap symmetric prototype.
 
@@ -230,12 +265,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     # A degree-n polynomial is fixed by its values at n+1 Chebyshev points,
     # and one inverse Chebyshev-Vandermonde matrix turns those values into
     # its Chebyshev series on whatever x-interval the points were spread over.
-    n = half_order
-    cheb_t = np.cos(np.arange(n + 1) * math.pi / max(n, 1))
-    to_series = np.linalg.inv(_cheb.chebvander(cheb_t, n))
-    x_lo, x_hi = np.cos(band_hi), np.cos(band_lo)
-    x_mid, x_half = 0.5 * (x_hi + x_lo), 0.5 * (x_hi - x_lo)
-    band_x = x_mid[:, None] + x_half[:, None] * cheb_t
+    cheb_t = _chebyshev_points(half_order)
+    to_series = np.linalg.inv(_cheb.chebvander(cheb_t, half_order))
 
     # The first reference spreads m points evenly over the bands' total width.
     m = half_order + 2
@@ -262,24 +293,18 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         delta, nodes, values, bweights = reference()
-        series = _bary_eval(nodes, values, bweights, band_x.ravel()).reshape(band_x.shape)
-        series = series @ to_series.T
-        if not np.all(np.isfinite(series)):
+
+        def amp(x):
+            return _bary_eval(nodes, values, bweights, x)
+
+        def band_err(u, band):
+            return band_w[band] * (amp(np.cos(u)) - band_d[band])
+
+        found = _band_extrema(amp, band_err, band_lo, band_hi, to_series)
+        if found is None:
             raise RemezConvergenceError(
                 "non-finite interpolant", iterations, abs(delta), quality)
-
-        # On band b the weighted error W_b (A - D_b) peaks at the band's
-        # edges and at the real roots of A' inside it.
-        cand_u, cand_band = [], []
-        for b, coef in enumerate(series):
-            t = _cheb.chebroots(_cheb.chebder(coef)).real
-            u = np.arccos(np.clip(x_mid[b] + x_half[b] * t, -1.0, 1.0))
-            u = np.sort(u[(band_lo[b] < u) & (u < band_hi[b])])
-            cand_u += [band_lo[b], *u, band_hi[b]]
-            cand_band += [b] * (len(u) + 2)
-        cand_u, cand_band = np.array(cand_u), np.array(cand_band)
-        cand_e = band_w[cand_band] * (_bary_eval(nodes, values, bweights, np.cos(cand_u))
-                                      - band_d[cand_band])
+        cand_u, cand_e, cand_band = found
         if np.max(np.abs(cand_e)) <= 1e-13 * err_scale:
             quality = 0.0
             break

@@ -7,8 +7,8 @@ from numpy.polynomial import chebyshev as cheb
 
 import mparray.equiripple as equiripple_module
 from mparray import PrototypeBand, design1_spec, design2_spec, remez_design
-from mparray.equiripple import (RemezConvergenceError, _bary_eval, _bary_weights,
-                                estimate_order)
+from mparray.equiripple import (RemezConvergenceError, _band_extrema, _bary_eval,
+                                _bary_weights, _chebyshev_points, estimate_order)
 from mparray.prototype import design_prototype, to_prototype_spec
 
 from equioscillation import (amplitude_response, cosine_coefficients,
@@ -141,6 +141,97 @@ def test_lowpass_family_meets_alternation_bound(half_order):
     proto = remez_design(bands, half_order)
     scan = equioscillation_extrema(proto)
     assert count_alternations(scan, proto.delta) >= half_order + 2
+
+
+def _wavy(u):
+    return np.cos(17.0 * u) * (1.0 + 0.3 * np.cos(3.0 * u)) + 0.01 * u
+
+
+def _steps(u):  # plateaus: the polynomial through them swings between its data
+    return np.round(8.0 * np.sin(997.0 * u)) / 8.0
+
+
+def _hill(u):  # apex at u = 5: no peak of its own in any band
+    return 100.0 - (u - 5.0) ** 2
+
+
+# Per-band scale of the error, as band weights give it; 1.0 leaves one band as is.
+_BAND_SCALE = np.array([1.0, 2.5, 0.7])
+
+
+def _series_matrix(n):
+    return np.linalg.inv(cheb.chebvander(_chebyshev_points(n), n))
+
+
+# With err_fn unlike amp_fn the finder must place its candidates by A alone
+# and read their errors from band_err alone.
+@pytest.mark.parametrize("amp_fn, err_fn", [(_wavy, _wavy), (_steps, _steps), (_wavy, _hill)])
+@pytest.mark.parametrize("tens", [2, 3, 4])  # half orders 20, 30 and 40
+@pytest.mark.parametrize("lo, hi, points", [
+    (0.0, math.pi, 1500), (0.37, 1.91, 201),
+    pytest.param((0.37, 1.5), (1.2, math.pi), (300, 500), id="two-bands"),
+    # the last two bands share the edge u = 2.0, as touching stop bands do
+    pytest.param((0.0, 1.2, 2.0), (0.6, 2.0, math.pi), (250, 301, 400), id="three-bands-touching"),
+])
+def test_batched_finder_matches_scalar_loop(amp_fn, err_fn, tens, lo, hi, points):
+    # A is the degree-n polynomial through amp_fn at the Chebyshev points of
+    # [-1, 1], evaluated as the exchange evaluates it.  The reference takes
+    # one band and one point at a time: it fits A's series on the band's
+    # x-interval to ``points`` samples and reads the errors one by one.
+    n = 10 * tens
+    lo, hi, points = np.atleast_1d(lo), np.atleast_1d(hi), np.atleast_1d(points)
+    nodes = _chebyshev_points(n)
+    values = amp_fn(np.arccos(nodes))
+
+    def amp(x):
+        return _bary_eval(nodes, values, _bary_weights(nodes), x)
+
+    def band_err(u, bi):
+        return _BAND_SCALE[bi] * err_fn(u)
+
+    got = _band_extrema(amp, band_err, lo, hi, _series_matrix(n))
+    want = []
+    for bi, (a, b, k) in enumerate(zip(lo, hi, points)):
+        x = np.cos(np.linspace(a, b, k))
+        fit = cheb.Chebyshev.fit(x, [amp(np.array([v]))[0] for v in x], n,
+                                 domain=[math.cos(b), math.cos(a)])
+        r = fit.deriv().roots()
+        u = np.arccos(np.clip(r.real[r.imag == 0.0], -1.0, 1.0))
+        for v in [a, *np.sort(u[(a < u) & (u < b)]), b]:
+            want.append((v, band_err(np.array([v]), bi)[0], bi))
+    want = np.array(want)
+    interior = [int(np.sum(want[:, 2] == bi)) - 2 for bi in range(len(lo))]
+    assert len(got[0]) == len(want) and min(interior) >= 1, interior
+    assert np.array_equal(got[2], want[:, 2])
+    assert np.max(np.abs(got[0] - want[:, 0])) <= 1e-11
+    assert np.max(np.abs(got[1] - want[:, 1]) / np.maximum(1.0, np.abs(want[:, 1]))) <= 1e-11
+
+
+def test_finder_locates_chebyshev_extrema():
+    n = 7
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+
+    def amp(x):  # T_n(cos u) = cos(n u): interior extrema at k pi / n, |e| = 1
+        return cheb.chebval(x, coeffs)
+
+    def band_err(u, _):
+        return amp(np.cos(u))
+
+    exact = np.arange(1, n) * math.pi / n
+    u, e, band = _band_extrema(amp, band_err, np.array([0.0]), np.array([math.pi]),
+                               _series_matrix(n))
+    assert np.array_equal(band, np.zeros(n + 1))
+    assert u[0] == 0.0 and u[-1] == math.pi
+    assert np.max(np.abs(u[1:-1] - exact)) <= 1e-12
+    assert np.max(np.abs(np.abs(e[1:-1]) - 1.0)) <= 1e-15
+    # Split into two bands, each keeps the extrema inside its own edges.
+    lo, hi = np.array([0.1, 1.5]), np.array([1.2, math.pi])
+    u, e, band = _band_extrema(amp, band_err, lo, hi, _series_matrix(n))
+    for bi in range(2):
+        inside = exact[(lo[bi] < exact) & (exact < hi[bi])]
+        assert np.sum(band == bi) == len(inside) + 2
+        assert np.max(np.abs(u[band == bi][1:-1] - inside)) <= 1e-12
 
 
 def _bary_calls_per_iteration(monkeypatch, bands, half_order):
