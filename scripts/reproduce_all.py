@@ -16,8 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mparray import (SearchLimits, builtin_spec, design_pencil, evaluate,
-                     find_min_order)
+from mparray import builtin_spec, design_pencil, evaluate, find_min_order
 from mparray.designs import PENCIL_STOP_EDGE
 
 PENCIL_TOL_DB = 1e-4
@@ -61,7 +60,7 @@ def chebyshev_pencil_db(element_count: int, edge: float) -> float:
 
 def pencil_design() -> int:
     proto = design_pencil()
-    report = evaluate(proto.taps, builtin_spec("pencil"), SearchLimits())
+    report = evaluate(proto.taps, builtin_spec("pencil"))
     circle = float(np.max(np.abs(report.zeros.radii - 1.0)))
     sll = report.max_sidelobe_db
     optimum_db = chebyshev_pencil_db(len(proto.taps), PENCIL_STOP_EDGE)

@@ -8,8 +8,7 @@ smallest element count that meets the bands.
 The names below are the documented surface (see README.md); the internals
 are importable from their submodules.
 """
-from .spec_model import (BandSpec, DesignSpec, SpecValidationError,
-                         VisibleRegionError)
+from .spec_model import BandSpec, DesignSpec, SpecValidationError
 from .equiripple import PrototypeBand, RemezConvergenceError, remez_design
 from .spectral_factor import FactorizationError, spectral_factorize
 from .analysis import (DesignReport, allpass_variants, apply_steering,
@@ -22,7 +21,7 @@ from .designs import (builtin_spec, design_pencil, design1_spec, design2_spec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BandSpec", "DesignSpec", "SpecValidationError", "VisibleRegionError",
+    "BandSpec", "DesignSpec", "SpecValidationError",
     "InfeasibleSpecError", "OrderSearchError", "RemezConvergenceError",
     "FactorizationError",
     "find_min_order", "evaluate", "SearchLimits", "DesignReport",

@@ -206,14 +206,15 @@ def partial_energy_profile(c) -> np.ndarray:
     return np.cumsum(np.abs(c) ** 2)
 
 
-def allpass_variants(c, *, on_circle_tol: float = ZERO_RADIUS_TOL) -> list[np.ndarray]:
+def allpass_variants(c) -> list[np.ndarray]:
     """Every excitation sharing |C(u)| with c, by reflecting interior zeros.
 
     Each strictly interior zero may be replaced by its conjugate
     reciprocal without changing the pattern magnitude (after an energy
-    rescale); zeros on the unit circle are never reflected.  Returns one
-    vector per subset of the interior zeros, the empty subset first, each
-    scaled to the energy of c and with a positive real leading entry.
+    rescale); zeros on the unit circle (within ZERO_RADIUS_TOL) are never
+    reflected.  Returns one vector per subset of the interior zeros, the
+    empty subset first, each scaled to the energy of c and with a positive
+    real leading entry.
     """
     c = np.asarray(c)
     if len(c) > ALLPASS_MAX_ORDER:
@@ -221,7 +222,7 @@ def allpass_variants(c, *, on_circle_tol: float = ZERO_RADIUS_TOL) -> list[np.nd
                          f"got {len(c)}")
     zero_set = polynomial_zeros(c)
     zeros = zero_set.zeros
-    interior = [i for i, z in enumerate(zeros) if abs(z) < 1.0 - on_circle_tol]
+    interior = [i for i, z in enumerate(zeros) if abs(z) < 1.0 - ZERO_RADIUS_TOL]
     energy = float(np.sum(np.abs(c) ** 2))
     out = []
     for r in range(len(interior) + 1):

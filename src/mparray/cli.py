@@ -10,6 +10,12 @@ Artifacts written to the output directory:
 Exit codes: 0 success, 1 usage or input errors, 2 bands unmet (the best
 attempt is still written).
 
+Options beyond the inputs and --out: --max-n caps the element search
+(design, reproduce) and --grid sets the resolution of pattern.csv.  Every
+tolerance is fixed: the factorization is Newton-polished with the lift
+margin spectral_factor.GAMMA_MARGIN, and a design is minimum phase when no
+zero lies more than analysis.ZERO_RADIUS_TOL outside the unit circle.
+
 Design requests are JSON objects:
 
     {
@@ -37,14 +43,12 @@ from pathlib import Path
 import numpy as np
 
 # pattern_metrics is not called here; perfbench/spans.py wraps it at this lookup site.
-from .analysis import (apply_steering, array_factor, pattern_metrics,
-                       polynomial_zeros)
+from .analysis import (ZERO_RADIUS_TOL, apply_steering, array_factor,
+                       pattern_metrics, polynomial_zeros)
 from .designs import (EXPECTED_ELEMENTS, PENCIL_ELEMENT_COUNT, builtin_spec,
                       design_pencil)
-from .prototype import (InfeasibleSpecError, OrderSearchError, SearchLimits,
-                        evaluate, find_min_order)
-from .spec_model import (BandSpec, DesignSpec, SpecValidationError,
-                         VisibleRegionError, theta_to_u, validate_spec)
+from .prototype import OrderSearchError, SearchLimits, evaluate, find_min_order
+from .spec_model import BandSpec, DesignSpec, theta_to_u, validate_spec
 
 
 PATTERN_POINTS = 8192  # pattern.csv samples over [0, pi]
@@ -179,15 +183,6 @@ def _write_artifacts(out: Path, c, spacing: float, zero_set, report,
     _write_report(out / "report.json", report.to_dict())
 
 
-def _limits_from(args) -> SearchLimits:
-    return SearchLimits(
-        max_order=args.max_n,
-        expansion_factor=args.q_factor,
-        newton=args.newton,
-        gamma_margin=args.gamma_margin,
-        zero_radius_tol=args.zero_tol)
-
-
 def _search(spec: DesignSpec, limits: SearchLimits):
     """The least-count design of ``spec`` and its report.
 
@@ -205,7 +200,7 @@ def _search(spec: DesignSpec, limits: SearchLimits):
             raise
         print(f"bands unmet up to {limits.max_order} elements; "
               f"writing the best attempt ({best.order} elements)", file=sys.stderr)
-        return best.weights.c, evaluate(best.weights.c, spec, limits,
+        return best.weights.c, evaluate(best.weights.c, spec,
                                         diagnostics=best.diagnostics)
 
 
@@ -218,9 +213,10 @@ def _steered(c, spec: DesignSpec | None, sign: float):
 
 
 def run_design(args) -> int:
+    limits = SearchLimits(args.max_n)
     spec = load_design_spec(args.spec)
     out = Path(args.out)
-    c, report = _search(spec, _limits_from(args))
+    c, report = _search(spec, limits)
     c_out = _steered(c, spec, 1.0)
     # steering rotates the zeros
     zero_set = report.zeros if c_out is c else polynomial_zeros(c_out)
@@ -238,14 +234,14 @@ def _check(label: str, ok: bool, detail: str) -> tuple[bool, str]:
 
 def run_reproduce(args) -> int:
     key = args.design
-    limits = _limits_from(args)
+    limits = SearchLimits(args.max_n)
     out = Path(args.out)
     spec = builtin_spec(key)
     checks: list[tuple[bool, str]] = []
 
     if key == "pencil":
         c = design_pencil().taps
-        report = evaluate(c, spec, limits)
+        report = evaluate(c, spec)
         circle_err = float(np.max(np.abs(report.zeros.radii - 1.0)))
         checks.append(_check(
             "element count", len(c) == PENCIL_ELEMENT_COUNT,
@@ -290,16 +286,15 @@ def run_analyze(args) -> int:
     c = _read_weights(args.weights)
     out = Path(args.out)
     spec = load_design_spec(args.spec) if args.spec else None
-    limits = SearchLimits(zero_radius_tol=args.zero_tol)
     # The bands are stated for the unsteered pattern, as design judges them;
     # the artifacts keep the file's own weights and zeros.
     judged = _steered(c, spec, -1.0)
-    report = evaluate(judged, spec, limits,
+    report = evaluate(judged, spec,
                       name=Path(args.weights).stem if spec is None else None)
     zero_set = report.zeros if judged is c else polynomial_zeros(c)
     spacing = 0.5 if spec is None else spec.spacing_wavelengths
     _write_artifacts(out, c, spacing, zero_set, report, args.grid)
-    outside = np.count_nonzero(zero_set.radii > 1.0 + args.zero_tol)
+    outside = np.count_nonzero(zero_set.radii > 1.0 + ZERO_RADIUS_TOL)
     verdict_txt = "minimum phase" if report.min_phase else \
         f"not minimum phase ({outside} zeros outside)"
     print(f"{len(c)} elements, {verdict_txt} -> {out}")
@@ -319,21 +314,11 @@ def _add_common(p) -> None:
     p.add_argument("--grid", type=_pattern_points, default=PATTERN_POINTS,
                    help="pattern.csv points over [0, pi] (default %(default)s); "
                         "the bands are judged exactly, not on this grid")
-    p.add_argument("--zero-tol", type=float, default=SearchLimits.zero_radius_tol,
-                   help="zero-radius tolerance for the min-phase verdict "
-                        "(default %(default)s)")
 
 
 def _add_search(p) -> None:
-    p.add_argument("--q-factor", type=int, default=SearchLimits.expansion_factor,
-                   help="Toeplitz expansion Q as a multiple of N (default %(default)s)")
     p.add_argument("--max-n", type=int, default=SearchLimits.max_order,
                    help="largest element count the search may try (default %(default)s)")
-    p.add_argument("--newton", action=argparse.BooleanOptionalAction,
-                   default=SearchLimits.newton,
-                   help="polish the factorization with Newton iterations")
-    p.add_argument("--gamma-margin", type=float, default=SearchLimits.gamma_margin,
-                   help="relative safety margin on the diagonal lift (default %(default)s)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -368,9 +353,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecValidationError, InfeasibleSpecError, VisibleRegionError,
-            OrderSearchError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as err:
+    # SpecValidationError, InfeasibleSpecError and JSONDecodeError are ValueErrors.
+    except (ValueError, KeyError, OSError, OrderSearchError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

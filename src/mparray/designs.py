@@ -23,8 +23,8 @@ DESIGN2_STOP_EDGE = 1.92
 
 # Flat top 25 deg wide.  The tightest symmetric -30 dB restatement of the
 # asymmetric (-30 dB one side, -20 dB the other) request puts the sidelobe
-# region just past the main-beam edge; the default transition is calibrated
-# so the minimal design lands on 14 elements.
+# region just past the main-beam edge; the transition is calibrated so the
+# minimal design lands on 14 elements.
 DESIGN3_PASS_EDGE = math.pi * math.sin(math.radians(12.5))
 DESIGN3_STOP_EDGE = 1.255
 
@@ -56,13 +56,12 @@ def design2_spec() -> DesignSpec:
         name="design2")
 
 
-def design3_spec(stop_edge: float | None = None) -> DesignSpec:
-    edge = DESIGN3_STOP_EDGE if stop_edge is None else stop_edge
+def design3_spec() -> DesignSpec:
     return DesignSpec(
         spacing_wavelengths=SPACING,
         bands=(
             BandSpec(0.0, DESIGN3_PASS_EDGE, "pass", ripple_db=0.5),
-            BandSpec(edge, math.pi, "stop", max_level_db=-30.0),
+            BandSpec(DESIGN3_STOP_EDGE, math.pi, "stop", max_level_db=-30.0),
         ),
         name="design3")
 

@@ -61,10 +61,6 @@ class PrototypeBand:
         if not self.weight > 0.0:
             raise ValueError(f"band weight must be positive, got {self.weight!r}")
 
-    @property
-    def width(self) -> float:
-        return self.u_hi - self.u_lo
-
 
 @dataclass(frozen=True)
 class LinearPhasePrototype:

@@ -28,8 +28,7 @@ from .analysis import (DesignReport, PatternMetrics, ZERO_RADIUS_TOL,
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
-from .spectral_factor import (DEFAULT_EXPANSION_FACTOR, DEFAULT_GAMMA_MARGIN,
-                              FactorizationError, FactorizationDiagnostics,
+from .spectral_factor import (FactorizationError, FactorizationDiagnostics,
                               MinPhaseWeights, autocorrelation,
                               critical_cosines, spectral_factorize)
 
@@ -62,13 +61,13 @@ MAX_SHRINKS = 5
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Knobs of the search and of :func:`evaluate`; the CLI's option defaults."""
+    """Bound of the element-count search; ``max_order`` is the CLI's ``--max-n``."""
 
     max_order: int = 64
-    expansion_factor: int = DEFAULT_EXPANSION_FACTOR
-    newton: bool = True
-    gamma_margin: float = DEFAULT_GAMMA_MARGIN
-    zero_radius_tol: float = ZERO_RADIUS_TOL
+
+    def __post_init__(self):
+        if self.max_order < 1:
+            raise ValueError(f"max_order must be at least 1, got {self.max_order!r}")
 
 
 @dataclass(frozen=True)
@@ -115,14 +114,16 @@ def _unmet(metrics: PatternMetrics) -> tuple[str, ...]:
         for lv in metrics.violations)
 
 
-def evaluate(c, spec: DesignSpec | None, limits: SearchLimits, *,
-             diagnostics=None, witness: tuple[str, ...] | None = None,
+def evaluate(c, spec: DesignSpec | None, *, diagnostics=None,
+             witness: tuple[str, ...] | None = None,
              minimality: str | None = None, name: str | None = None) -> DesignReport:
     """Judge excitation ``c`` against ``spec`` and report it: the one report path.
 
     The bands are measured by :func:`measure`.  The report is feasible
     when no band is violated, and ``witness`` defaults to the violated
-    bands.  ``spec`` None judges the zeros only.
+    bands.  ``spec`` None judges the zeros only.  The design is minimum
+    phase when no zero lies farther than ZERO_RADIUS_TOL outside the unit
+    circle.
     """
     metrics = PatternMetrics((), None, None) if spec is None else measure(c, spec)
     zero_set = polynomial_zeros(c)
@@ -137,7 +138,7 @@ def evaluate(c, spec: DesignSpec | None, limits: SearchLimits, *,
         zero_count=len(zero_set.zeros),
         zero_max_radius=zero_set.max_radius,
         zero_min_radius=float(radii.min()) if len(radii) else 0.0,
-        min_phase=zero_set.max_radius <= 1.0 + limits.zero_radius_tol,
+        min_phase=zero_set.max_radius <= 1.0 + ZERO_RADIUS_TOL,
         steering_angle_rad=0.0 if spec is None else spec.steering_angle_rad,
         witness=_unmet(metrics) if witness is None else tuple(witness),
         minimality=minimality, zeros=zero_set,
@@ -204,8 +205,7 @@ def _tilted(pspec: PrototypeSpec, side: str | None, scale: float) -> PrototypeSp
         for b in pspec.bands))
 
 
-def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
-             limits: SearchLimits) -> DesignTrial:
+def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int) -> DesignTrial:
     """Try one element count, walking the one violated tolerance tighter.
 
     Only the ratio of the pass and stop weights shapes the equiripple
@@ -232,11 +232,7 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int,
             return DesignTrial(order, None, None, None, None,
                                (f"exchange failed: {err}",))
         try:
-            weights, diag = spectral_factorize(
-                prototype.taps,
-                expansion_factor=limits.expansion_factor,
-                gamma_margin=limits.gamma_margin,
-                newton=limits.newton)
+            weights, diag = spectral_factorize(prototype.taps, newton=True)
         except FactorizationError as err:
             return DesignTrial(order, None, None, prototype, None,
                                (f"factorization failed: {err}",))
@@ -279,7 +275,7 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
 
     def trial(n: int) -> DesignTrial:
         if n not in trials:
-            trials[n] = _attempt(spec, pspec, n, limits)
+            trials[n] = _attempt(spec, pspec, n)
         return trials[n]
 
     if trial(guess).feasible:
@@ -304,6 +300,6 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         minimality = "route_only" if below.metrics is not None else "unproven"
     else:
         witness, minimality = (), "trivial"
-    report = evaluate(best.weights.c, spec, limits, diagnostics=best.diagnostics,
+    report = evaluate(best.weights.c, spec, diagnostics=best.diagnostics,
                       witness=witness, minimality=minimality)
     return replace(best, report=report)

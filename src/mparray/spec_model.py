@@ -28,10 +28,6 @@ class SpecValidationError(ValueError):
         super().__init__("; ".join(self.problems))
 
 
-class VisibleRegionError(ValueError):
-    """A u value has no real-angle preimage for the given spacing."""
-
-
 @dataclass(frozen=True)
 class BandSpec:
     """One amplitude band in u-space.
@@ -100,40 +96,9 @@ def theta_to_u(theta_rad: float, spacing_wavelengths: float) -> float:
     return 2.0 * math.pi * spacing_wavelengths * math.sin(theta_rad)
 
 
-def u_to_theta(u: float, spacing_wavelengths: float) -> float:
-    """Inverse of :func:`theta_to_u` on the visible region.
-
-    Raises
-    ------
-    VisibleRegionError
-        If ``|u| > 2*pi*spacing``, i.e. no real angle maps to u.
-    """
-    limit = 2.0 * math.pi * spacing_wavelengths
-    ratio = u / limit
-    if abs(ratio) > 1.0 + 1e-12:
-        raise VisibleRegionError(
-            f"u = {u:.6g} lies outside the visible region "
-            f"|u| <= {limit:.6g} for spacing {spacing_wavelengths:g} wavelengths"
-        )
-    return math.asin(min(1.0, max(-1.0, ratio)))
-
-
 def db_to_amplitude(level_db: float) -> float:
     """Linear amplitude ratio for a dB level: 10**(dB/20)."""
     return 10.0 ** (level_db / 20.0)
-
-
-def amplitude_to_db(amplitude: float) -> float:
-    """dB level of a linear amplitude ratio.
-
-    Zero amplitude returns -inf, the sentinel for a pattern null; negative
-    amplitudes are rejected.
-    """
-    if amplitude < 0.0:
-        raise ValueError(f"amplitude must be non-negative, got {amplitude!r}")
-    if amplitude == 0.0:
-        return -math.inf
-    return 20.0 * math.log10(amplitude)
 
 
 def _band_problems(i: int, band: BandSpec) -> list[str]:

@@ -36,8 +36,10 @@ from numpy.polynomial import chebyshev as _cheb
 
 DEFAULT_EXPANSION_FACTOR = 30
 MIN_EXPANSION = 176
-DEFAULT_GAMMA_MARGIN = 1e-3
+GAMMA_MARGIN = 1e-3
 PIVOT_FLOOR_FACTOR = 1e-14
+NEWTON_TOL = 1e-13
+NEWTON_MAX_ITER = 40
 
 
 class FactorizationError(RuntimeError):
@@ -91,24 +93,23 @@ def critical_cosines(r) -> np.ndarray:
     return np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
 
 
-def find_gamma(taps, *, gamma_margin: float = DEFAULT_GAMMA_MARGIN,
-               pivot_floor_factor: float = PIVOT_FLOOR_FACTOR) -> tuple[float, float]:
+def find_gamma(taps) -> tuple[float, float]:
     """Diagonal lift for the Toeplitz operator, from the exact symbol minimum.
 
     Returns ``(gamma, m)`` with m = min over u of
     G(u) = g_0 + 2 sum_k g_k cos(k u), the least value of G's Chebyshev
     series at the points of :func:`critical_cosines`.
 
-    gamma = -m * (1 + gamma_margin), raised so that min(G + gamma) reaches
-    the pivot floor ``pivot_floor_factor * max|g|``; a symbol above that
-    floor gets exactly 0.
+    gamma = -m * (1 + GAMMA_MARGIN), raised so that min(G + gamma) reaches
+    the pivot floor PIVOT_FLOOR_FACTOR * max|g|; a symbol above that floor
+    gets exactly 0.
     """
     taps = np.asarray(taps, float)
     r = taps[(len(taps) - 1) // 2:]
     a = np.concatenate([r[:1], 2.0 * r[1:]])
     m = float(np.min(_cheb.chebval(critical_cosines(r), a)))
-    floor = pivot_floor_factor * float(np.max(np.abs(taps)))
-    return max((1.0 + gamma_margin) * -m, floor - m, 0.0), m
+    floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps)))
+    return max((1.0 + GAMMA_MARGIN) * -m, floor - m, 0.0), m
 
 
 def cholesky_banded(taps, expansion: int, gamma: float) -> np.ndarray:
@@ -222,19 +223,19 @@ def reflect_into_disc(c) -> np.ndarray:
     return c if c.sum() >= 0.0 else -c
 
 
-def refine_newton(c_init, taps, gamma: float, *,
-                  tol: float = 1e-13, max_iter: int = 40) -> tuple[np.ndarray, bool]:
+def refine_newton(c_init, taps, gamma: float) -> tuple[np.ndarray, bool]:
     """Newton polish of the factorization equations.
 
     Solves sum_k c_k c_{k+m} = g[N-1+m] + gamma*[m=0] for m = 0..N-1 with
-    a damped Newton iteration started at ``c_init``.  Returns the refined
-    vector and True on success; on divergence or a singular Jacobian the
-    starting vector is returned unchanged with False.
+    a damped Newton iteration started at ``c_init``, for at most
+    NEWTON_MAX_ITER steps.  Returns the refined vector and True when the
+    residual ends at or below NEWTON_TOL; on divergence or a singular
+    Jacobian the starting vector is returned unchanged with False.
 
-    Iteration continues past ``tol`` until the residual stops improving:
+    Iteration continues past NEWTON_TOL until the residual stops improving:
     an ill-conditioned Jacobian (clustered zeros) amplifies a residual at
-    tol into a much larger coefficient error, so the extra steps to the
-    machine floor are what make the coefficients themselves accurate.
+    that bound into a much larger coefficient error, so the extra steps to
+    the machine floor are what make the coefficients themselves accurate.
     """
     taps = np.asarray(taps, float)
     c = np.asarray(c_init, float).copy()
@@ -248,7 +249,7 @@ def refine_newton(c_init, taps, gamma: float, *,
     jacobian = _jacobian_of(n)
     r = residual(c)
     norm = float(np.max(np.abs(r)))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         try:
             step = np.linalg.solve(jacobian(c), -r)
         except np.linalg.LinAlgError:
@@ -264,28 +265,30 @@ def refine_newton(c_init, taps, gamma: float, *,
             scale *= 0.5
         else:
             break
-    if norm <= tol:
+    if norm <= NEWTON_TOL:
         return c, True
     return np.asarray(c_init, float), False
 
 
 def spectral_factorize(taps, *,
                        expansion_factor: int = DEFAULT_EXPANSION_FACTOR,
-                       gamma_margin: float = DEFAULT_GAMMA_MARGIN,
                        newton: bool = False
                        ) -> tuple[MinPhaseWeights, FactorizationDiagnostics]:
     """Full pipeline: lift, factor, extract, optionally polish, verify.
 
-    The lift comes from the exact symbol minimum (:func:`find_gamma`), so
-    one banded Cholesky factors the lifted (Q+N)-dimensional leading
-    section, whose last column is the extraction (sign normalized so that
-    sum(c) > 0); a failure raises FactorizationError, and taps of even
-    length or not symmetric raise ValueError.  ``expansion_factor`` sets
+    The lift comes from the exact symbol minimum, enlarged by the fixed
+    relative margin GAMMA_MARGIN (:func:`find_gamma`), so one banded
+    Cholesky factors the lifted (Q+N)-dimensional leading section, whose
+    last column is the extraction (sign normalized so that sum(c) > 0); a
+    failure raises FactorizationError, and taps of even length or not
+    symmetric raise ValueError.  ``expansion_factor`` sets
     Q = expansion_factor * N, floored at MIN_EXPANSION: the extraction
     error decays like r^(2Q) with r the largest zero radius, so tiny
-    arrays still need Q in the hundreds when a zero sits near 0.95.  The optional Newton polish tightens the
-    autocorrelation residual toward machine precision; if it diverges,
-    the unrefined extraction is kept and flagged in the diagnostics.
+    arrays still need Q in the hundreds when a zero sits near 0.95.
+    ``newton`` turns on the Newton polish (:func:`refine_newton`), which
+    tightens the autocorrelation residual toward machine precision; if it
+    diverges, the unrefined extraction is kept and flagged in the
+    diagnostics.  The element-count search always polishes.
 
     A lift that leaves G + gamma nearly touching zero puts zeros of the
     factor close to the unit circle, where a finite Q may not resolve
@@ -303,7 +306,7 @@ def spectral_factorize(taps, *,
         raise ValueError("taps must be symmetric")
     order = (len(taps) + 1) // 2
     expansion = max(expansion_factor * order, MIN_EXPANSION)
-    gamma, m = find_gamma(taps, gamma_margin=gamma_margin)
+    gamma, m = find_gamma(taps)
     # Column Q+N-1, the factor's last, holds (c_{N-1}, ..., c_0): the
     # factor of a banded matrix has the same bandwidth, so the order-N
     # window is the whole stored column.

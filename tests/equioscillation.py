@@ -62,13 +62,14 @@ def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 
     """
     a = cosine_coefficients(prototype.taps)
     bands = prototype.bands
-    total_width = sum(b.width for b in bands)
+    total_width = sum(b.u_hi - b.u_lo for b in bands)
     u, e, band = [], [], []
     for bi, b in enumerate(bands):
         def err(x, b=b):
             return b.weight * (cheb.chebval(np.cos(x), a) - b.desired)
 
-        grid = np.linspace(b.u_lo, b.u_hi, max(64, int(round(points * b.width / total_width))))
+        width = b.u_hi - b.u_lo
+        grid = np.linspace(b.u_lo, b.u_hi, max(64, int(round(points * width / total_width))))
         mag = np.abs(err(grid))
         peaks = 1 + np.flatnonzero((mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]))
         band_u = [grid[0], grid[-1]]

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mparray import (BandSpec, DesignSpec, SearchLimits, allpass_variants,
+from mparray import (BandSpec, DesignSpec, allpass_variants,
                      apply_steering, design1_spec, design2_spec, design3_spec,
                      design_pencil, evaluate, partial_energy_profile,
                      pencil_spec, polynomial_zeros)
-from mparray.analysis import array_factor, pattern_metrics
+from mparray.analysis import ZERO_RADIUS_TOL, array_factor, pattern_metrics
 from mparray.prototype import measure
 
 from conftest import make_min_phase
@@ -89,18 +89,17 @@ def test_zeros_are_sorted_and_conjugate_closed(oracle_rng):
 
 
 def test_min_phase_verdict():
-    good = evaluate([1.0, 0.5], None, SearchLimits(), name="good")
+    good = evaluate([1.0, 0.5], None, name="good")
     assert good.min_phase
     assert good.zeros.radii == pytest.approx([0.5])
 
-    bad = evaluate([0.5, 1.0], None, SearchLimits(), name="bad")
+    bad = evaluate([0.5, 1.0], None, name="bad")
     assert not bad.min_phase
     assert bad.zeros.zeros == pytest.approx([-2.0])
 
     # radius 1 + tol is still on the circle; just past it is outside
-    tol = SearchLimits().zero_radius_tol
-    for radius, inside in ((1.0 + tol, True), (1.0 + 2.0 * tol, False)):
-        assert evaluate([1.0, radius], None, SearchLimits(), name="edge").min_phase is inside
+    for radius, inside in ((1.0 + ZERO_RADIUS_TOL, True), (1.0 + 2.0 * ZERO_RADIUS_TOL, False)):
+        assert evaluate([1.0, radius], None, name="edge").min_phase is inside
 
 
 def test_partial_energy_profile():
@@ -143,8 +142,7 @@ def test_variants_share_magnitude_and_energy(oracle_rng):
 
 def test_only_base_variant_is_min_phase(oracle_rng):
     c = make_min_phase(oracle_rng, 5)
-    limits = SearchLimits()
-    flags = [evaluate(v, None, limits, name="variant").min_phase
+    flags = [evaluate(v, None, name="variant").min_phase
              for v in allpass_variants(c)]
     assert flags[0]
     assert flags.count(True) == 1
@@ -250,7 +248,7 @@ def test_measure_catches_a_peak_between_grid_points():
                             BandSpec(1.0, math.pi, "stop", max_level_db=-0.27182)))
     grid = np.concatenate([np.linspace(0.0, math.pi, 8192), [0.5, 1.0]])
     assert pattern_metrics(array_factor(c, grid), spec).violations == ()
-    report = evaluate(c, spec, SearchLimits())
+    report = evaluate(c, spec)
     assert not report.feasible
     assert [lv.kind for lv in report.bands if lv.margin_db < 0.0] == ["stop"]
     assert report.witness[0].startswith("stop band [1, 3.14159]")
@@ -258,8 +256,7 @@ def test_measure_catches_a_peak_between_grid_points():
 
 def test_report_serializes_to_json(design1):
     spec = design1_spec()
-    report = evaluate(design1.weights.c, spec, SearchLimits(),
-                      diagnostics=design1.diagnostics)
+    report = evaluate(design1.weights.c, spec, diagnostics=design1.diagnostics)
     payload = json.loads(json.dumps(report.to_dict()))
     assert payload["name"] == spec.name
     assert payload["element_count"] == 6
@@ -274,7 +271,7 @@ def test_report_maps_unbounded_levels_to_null():
     spec = DesignSpec(0.5, (BandSpec(0.0, 1.0, "pass", ripple_db=1.0),),
                       name="pass-only")
     assert measure([1.0, 0.5], spec).max_sidelobe_db == -math.inf
-    report = evaluate([1.0, 0.5], spec, SearchLimits())
+    report = evaluate([1.0, 0.5], spec)
     payload = report.to_dict()
     assert payload["max_sidelobe_db"] is None
     assert payload["gamma"] is None

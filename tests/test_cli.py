@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from mparray import (OrderSearchError, SearchLimits, builtin_spec,
                      find_min_order)
-from mparray.cli import (PATTERN_POINTS, _build_parser, _limits_from,
-                         _read_weights, load_design_spec, main)
+from mparray.cli import (PATTERN_POINTS, _build_parser, _read_weights,
+                         load_design_spec, main)
 from mparray.spec_model import validate_spec
 
 PASS_EDGE = math.pi * math.sin(0.2182)
@@ -357,10 +357,23 @@ def test_parser_defaults_are_the_search_defaults():
     parser = _build_parser()
     for command in ("design --spec s.json", "reproduce design1"):
         args = parser.parse_args(command.split() + ["--out", "o"])
-        assert _limits_from(args) == SearchLimits()
+        assert SearchLimits(args.max_n) == SearchLimits()
         assert args.grid == PATTERN_POINTS
     args = parser.parse_args(["analyze", "--weights", "w.csv", "--out", "o"])
-    assert (args.grid, args.zero_tol) == (PATTERN_POINTS, SearchLimits.zero_radius_tol)
+    assert args.grid == PATTERN_POINTS
+
+
+@pytest.mark.parametrize("command", ["design --spec {spec}", "reproduce design1",
+                                     "reproduce pencil"])
+def test_max_n_below_one_is_an_input_error(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    out = tmp_path / "out"
+    argv = command.format(spec=spec).split() + ["--out", str(out), "--max-n", "0"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "max_order" in err and "got 0" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("body", [
@@ -428,9 +441,7 @@ def test_pattern_marks_invisible_angles(tmp_path):
         {"u_lo": 1.0, "u_hi": 1.5, "kind": "stop", "max_level_db": -25.0},
     ])
     out = tmp_path / "out"
-    assert main(["design", "--spec", str(spec), "--out", str(out),
-                 "--no-newton"]) == 0
-    assert read_report(out)["refined"] is False
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 0
     rows = (out / "pattern.csv").read_text().splitlines()[1:]
     thetas = [r.split(",")[1] for r in rows]
     assert "nan" in thetas  # u beyond the visible region of 0.25-lambda spacing

@@ -122,7 +122,7 @@ def test_exchange_failure_does_not_end_the_search():
     # At 13 elements the exchange does not converge; that count is recorded
     # as failed and the search goes on.
     spec = _EXCHANGE_FAILS_AT_13
-    failed = _attempt(spec, to_prototype_spec(spec), 13, SearchLimits())
+    failed = _attempt(spec, to_prototype_spec(spec), 13)
     assert not failed.feasible and failed.prototype is None
     assert failed.violations[0].startswith("exchange failed: no convergence")
     result = find_min_order(spec)
@@ -237,12 +237,12 @@ def test_pass_side_tilt_rescues_an_element_count(monkeypatch):
     pspec = to_prototype_spec(spec)
     assert find_min_order(spec).order == 5
     monkeypatch.setattr(prototype_module, "MAX_SHRINKS", 0)
-    untilted = _attempt(spec, pspec, 5, SearchLimits())
+    untilted = _attempt(spec, pspec, 5)
     assert not untilted.feasible
     assert {lv.kind for lv in untilted.metrics.violations} == {"pass"}
     monkeypatch.undo()
     calls = _count_prototypes(monkeypatch)
-    assert _attempt(spec, pspec, 5, SearchLimits()).feasible
+    assert _attempt(spec, pspec, 5).feasible
     assert len(calls) == 2
 
 

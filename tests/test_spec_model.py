@@ -3,10 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
-from mparray import (BandSpec, DesignSpec, SpecValidationError,
-                     VisibleRegionError, design1_spec)
-from mparray.spec_model import (amplitude_to_db, db_to_amplitude, theta_to_u,
-                                u_to_theta, validate_spec)
+from mparray import BandSpec, DesignSpec, SpecValidationError, design1_spec
+from mparray.spec_model import db_to_amplitude, theta_to_u, validate_spec
 
 
 def test_theta_to_u_known_points():
@@ -14,28 +12,6 @@ def test_theta_to_u_known_points():
     assert theta_to_u(math.pi / 2, 0.5) == pytest.approx(math.pi, abs=1e-15)
     # flat-top edge of the first reference design
     assert theta_to_u(0.2182, 0.5) == pytest.approx(0.6800689029299019, abs=1e-15)
-
-
-def test_u_to_theta_known_points():
-    assert u_to_theta(0.0, 0.5) == 0.0
-    assert u_to_theta(math.pi, 0.5) == pytest.approx(math.pi / 2, abs=1e-15)
-    assert u_to_theta(math.pi / 2, 0.5) == pytest.approx(0.5235987755982989, abs=1e-15)
-
-
-def test_u_outside_visible_region_rejected():
-    with pytest.raises(VisibleRegionError):
-        u_to_theta(2.0, 0.25)  # visible region is |u| <= pi/2 at quarter spacing
-
-
-@given(st.floats(-math.pi / 2, math.pi / 2),
-       st.floats(0.05, 2.0))
-@example(1.5707802767056902, 1.0)  # comes back 9.8e-12 off
-def test_theta_u_round_trip(theta, spacing):
-    # Near +-pi/2 sin is flat: rounding sin(theta) alone moves the recovered
-    # angle by about eps/cos(theta), so the bound follows that conditioning.
-    eps = 2.0 ** -52
-    back = u_to_theta(theta_to_u(theta, spacing), spacing)
-    assert abs(back - theta) <= 1e-12 + 4 * eps / max(math.cos(theta), math.sqrt(eps))
 
 
 @given(st.floats(0.0, math.pi / 2), st.floats(0.05, 2.0))
@@ -52,14 +28,11 @@ def test_db_conversions_known_values():
     assert db_to_amplitude(0.0) == 1.0
     assert db_to_amplitude(-52.0) == pytest.approx(0.0025118864315095794, rel=1e-15)
     assert db_to_amplitude(-30.0) == pytest.approx(0.03162277660168379, rel=1e-15)
-    assert amplitude_to_db(0.0) == -math.inf
-    with pytest.raises(ValueError):
-        amplitude_to_db(-0.1)
 
 
 @given(st.floats(-200.0, 40.0))
 def test_db_round_trip(level):
-    assert amplitude_to_db(db_to_amplitude(level)) == pytest.approx(level, abs=1e-12)
+    assert 20.0 * math.log10(db_to_amplitude(level)) == pytest.approx(level, abs=1e-12)
 
 
 def test_design1_spec_is_valid():

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from mparray import FactorizationError, design1_spec, spectral_factorize
 from mparray.prototype import to_prototype_spec
 from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
-                                     DEFAULT_GAMMA_MARGIN, MIN_EXPANSION,
+                                     GAMMA_MARGIN, MIN_EXPANSION,
                                      PIVOT_FLOOR_FACTOR, _jacobian_of,
                                      _zeros_inside, autocorrelation,
                                      cholesky_banded, find_gamma,
@@ -126,7 +126,7 @@ def test_section_eigenvalues_lie_above_symbol_min(design1):
         assert gamma > -lam
         lams.append(lam)
     assert lams[1] <= lams[0]
-    assert gamma == (1.0 + DEFAULT_GAMMA_MARGIN) * -m
+    assert gamma == (1.0 + GAMMA_MARGIN) * -m
     assert 0.0 < gamma <= 2.0 * pspec.delta_stop * 1.01
 
 
