@@ -29,16 +29,15 @@ def flat_top_designs() -> int:
         t0 = time.perf_counter()
         result = find_min_order(spec)
         elapsed = time.perf_counter() - t0
-        diag = result.diagnostics
-        unmet = result.metrics.violations
-        failures += bool(unmet)
+        report = result.report
+        failures += not report.feasible
         print(f"{key}: N={result.order}  "
-              f"sidelobes {result.metrics.max_sidelobe_db:.4f} dB  "
-              f"ripple {result.metrics.flattop_ripple_db:.4f} dB  "
-              f"max|z| {result.report.zero_max_radius:.9f}  ({elapsed:.2f} s)")
-        print(f"  gamma {diag.gamma:.4e}  autocorr residual "
-              f"{diag.autocorr_residual:.3e}  Q {diag.expansion}")
-        for lv in result.metrics.bands:
+              f"sidelobes {report.max_sidelobe_db:.4f} dB  "
+              f"ripple {report.flattop_ripple_db:.4f} dB  "
+              f"max|z| {report.zero_max_radius:.9f}  ({elapsed:.2f} s)")
+        print(f"  gamma {report.gamma:.4e}  autocorr residual "
+              f"{report.autocorr_residual:.3e}  Q {report.expansion}")
+        for lv in report.bands:
             print(f"  {lv.kind:>4} band [{lv.u_lo:.4f}, {lv.u_hi:.4f}]  "
                   f"achieved {lv.achieved_db:8.4f} dB  "
                   f"margin {lv.margin_db:+.4f} dB")
@@ -61,7 +60,7 @@ def chebyshev_pencil_db(element_count: int, edge: float) -> float:
 def pencil_design() -> int:
     proto = design_pencil()
     report = evaluate(proto.taps, builtin_spec("pencil"))
-    circle = float(np.max(np.abs(report.zeros.radii - 1.0)))
+    circle = float(np.max(np.abs(np.abs(report.zeros) - 1.0)))
     sll = report.max_sidelobe_db
     optimum_db = chebyshev_pencil_db(len(proto.taps), PENCIL_STOP_EDGE)
     print(f"pencil: N={len(proto.taps)}  sidelobes {sll:.4f} dB  "

@@ -25,31 +25,6 @@ ALLPASS_MAX_ORDER = 12
 
 
 @dataclass(frozen=True)
-class PatternSamples:
-    """Sampled pattern: u grid, normalized dB magnitude, raw complex values.
-
-    ``magnitude_db`` is normalized so its maximum is exactly 0; a true
-    pattern null maps to -inf.
-    """
-
-    u: np.ndarray
-    magnitude_db: np.ndarray
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
-class ZeroSet:
-    """Pattern zeros, sorted by (real, imag) for reproducibility."""
-
-    zeros: np.ndarray
-    max_radius: float
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.abs(self.zeros)
-
-
-@dataclass(frozen=True)
 class BandLevel:
     """Measured level of one band against its bound.
 
@@ -67,21 +42,11 @@ class BandLevel:
 
 
 @dataclass(frozen=True)
-class PatternMetrics:
-    bands: tuple[BandLevel, ...]
-    flattop_ripple_db: float
-    max_sidelobe_db: float
-
-    @property
-    def violations(self) -> tuple[BandLevel, ...]:
-        return tuple(b for b in self.bands if b.margin_db < 0.0)
-
-
-@dataclass(frozen=True)
 class DesignReport:
     """Everything a design run asserts about its output, built by ``evaluate``.
 
-    ``zeros``, the zero set the verdict was taken on, is not serialized.
+    ``zeros``, the zeros the verdict was taken on (sorted by real, then
+    imaginary part), is not serialized.
     """
 
     name: str
@@ -102,7 +67,7 @@ class DesignReport:
     refined: bool | None = None
     witness: tuple[str, ...] = ()
     minimality: str | None = None
-    zeros: ZeroSet | None = field(default=None, repr=False, compare=False)
+    zeros: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """The ``report.json`` payload: every field but ``zeros``.
@@ -125,8 +90,11 @@ def _json_value(key: str, value):
     return list(value) if key == "witness" else value
 
 
-def array_factor(c, u) -> PatternSamples:
-    """Sample C(u) at the points u and normalize the magnitude to a 0 dB peak."""
+def array_factor(c, u) -> np.ndarray:
+    """|C(u)| in dB at the points u, normalized so the largest sample is 0 dB.
+
+    A true pattern null maps to -inf.
+    """
     c = np.asarray(c)
     u = np.asarray(u, float)
     values = np.exp(1j * np.outer(u, np.arange(len(c)))) @ c
@@ -136,43 +104,41 @@ def array_factor(c, u) -> PatternSamples:
         db = 20.0 * np.log10(mag)
         if peak > 0.0:
             db -= 20.0 * np.log10(peak)
-    return PatternSamples(u=u, magnitude_db=db, values=values)
+    return db
 
 
-def pattern_metrics(samples: PatternSamples, spec: DesignSpec) -> PatternMetrics:
-    """Per-band achieved levels and margins of a sampled pattern.
+def pattern_metrics(u, db, spec: DesignSpec) -> tuple[BandLevel, ...]:
+    """Achieved level and margin of each band of ``spec``, in its order.
 
-    Each band is judged on the samples inside it, relative to the largest
-    sample.  The levels are exact when the samples hold every band edge,
-    0, pi and every critical point of |C|^2: the points of
+    ``db`` is the pattern at the points ``u``, as :func:`array_factor`
+    returns it.  Each band is judged on the samples inside it, relative to
+    the largest sample.  The levels are exact when the samples hold every
+    band edge, 0, pi and every critical point of |C|^2: the points of
     ``prototype.measure``.  A spurious extra sample is harmless, since it
     is a value |C| does take.
     """
     levels = []
     for band in spec.bands:
-        mask = (samples.u >= band.u_lo - 1e-9) & (samples.u <= band.u_hi + 1e-9)
-        db = samples.magnitude_db[mask]
+        inside = db[(u >= band.u_lo - 1e-9) & (u <= band.u_hi + 1e-9)]
         if band.kind == "stop":
-            achieved = float(db.max())
+            achieved = float(inside.max())
             bound = band.max_level_db
         else:
-            achieved = float(db.max() - db.min()) if not band.is_degenerate else 0.0
+            achieved = float(inside.max() - inside.min()) if not band.is_degenerate else 0.0
             bound = band.ripple_db
         margin = math.inf if bound is None else float(bound - achieved)
         levels.append(BandLevel(kind=band.kind, u_lo=band.u_lo, u_hi=band.u_hi,
                                 bound_db=bound, achieved_db=achieved, margin_db=margin))
-    stops = [lv.achieved_db for lv in levels if lv.kind == "stop"]
-    ripple = next((lv.achieved_db for lv in levels if lv.kind == "pass"), 0.0)
-    return PatternMetrics(bands=tuple(levels),
-                          flattop_ripple_db=ripple,
-                          max_sidelobe_db=max(stops) if stops else -math.inf)
+    return tuple(levels)
 
 
-def polynomial_zeros(c) -> ZeroSet:
+def polynomial_zeros(c) -> np.ndarray:
     """Pattern zeros via companion-matrix eigenvalues plus Newton polish.
 
     Exact leading zero coefficients are stripped first; each root gets up
-    to two Newton corrections, kept only while they shrink |p(z)|.
+    to two Newton corrections, kept only while they shrink |p(z)|.  The
+    zeros come back sorted by (real, imag) for reproducibility, and the
+    array is empty when at most one coefficient is left after stripping.
     """
     coeffs = np.atleast_1d(np.asarray(c))
     lead = 0
@@ -180,7 +146,7 @@ def polynomial_zeros(c) -> ZeroSet:
         lead += 1
     coeffs = coeffs[lead:]
     if len(coeffs) <= 1:
-        return ZeroSet(zeros=np.zeros(0, complex), max_radius=0.0)
+        return np.zeros(0, complex)
     roots = np.roots(coeffs)
     deriv = np.polyder(coeffs)
     for i, z in enumerate(roots):
@@ -195,9 +161,7 @@ def polynomial_zeros(c) -> ZeroSet:
             else:
                 break
         roots[i] = z
-    order = np.lexsort((roots.imag, roots.real))
-    roots = roots[order]
-    return ZeroSet(zeros=roots, max_radius=float(np.max(np.abs(roots))))
+    return roots[np.lexsort((roots.imag, roots.real))]
 
 
 def partial_energy_profile(c) -> np.ndarray:
@@ -220,8 +184,7 @@ def allpass_variants(c) -> list[np.ndarray]:
     if len(c) > ALLPASS_MAX_ORDER:
         raise ValueError(f"variant enumeration capped at {ALLPASS_MAX_ORDER} elements, "
                          f"got {len(c)}")
-    zero_set = polynomial_zeros(c)
-    zeros = zero_set.zeros
+    zeros = polynomial_zeros(c)
     interior = [i for i, z in enumerate(zeros) if abs(z) < 1.0 - ZERO_RADIUS_TOL]
     energy = float(np.sum(np.abs(c) ** 2))
     out = []

@@ -150,10 +150,9 @@ def _write_weights(path: Path, c) -> None:
 def _write_pattern(path: Path, c, spacing: float, points: int) -> None:
     half = np.linspace(0.0, math.pi, points)
     u = np.concatenate([-half[:0:-1], half])
-    samples = array_factor(c, u)
     visible = 2.0 * math.pi * spacing
     lines = ["u_rad,theta_deg,magnitude_db"]
-    for ui, db in zip(samples.u, samples.magnitude_db):
+    for ui, db in zip(u, array_factor(c, u)):
         if abs(ui) <= visible * (1.0 + 1e-12):
             theta = math.degrees(math.asin(min(1.0, max(-1.0, ui / visible))))
             theta_txt = f"{theta:.6f}"
@@ -163,9 +162,9 @@ def _write_pattern(path: Path, c, spacing: float, points: int) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_zeros(path: Path, zero_set) -> None:
+def _write_zeros(path: Path, zeros) -> None:
     lines = ["re,im,radius"]
-    for z in zero_set.zeros:
+    for z in zeros:
         lines.append(f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}")
     path.write_text("\n".join(lines) + "\n")
 
@@ -174,12 +173,12 @@ def _write_report(path: Path, report_dict: dict) -> None:
     path.write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
 
 
-def _write_artifacts(out: Path, c, spacing: float, zero_set, report,
+def _write_artifacts(out: Path, c, spacing: float, zeros, report,
                      points: int) -> None:
     out.mkdir(parents=True, exist_ok=True)
     _write_weights(out / "weights.csv", c)
     _write_pattern(out / "pattern.csv", c, spacing, points)
-    _write_zeros(out / "zeros.csv", zero_set)
+    _write_zeros(out / "zeros.csv", zeros)
     _write_report(out / "report.json", report.to_dict())
 
 
@@ -219,8 +218,8 @@ def run_design(args) -> int:
     c, report = _search(spec, limits)
     c_out = _steered(c, spec, 1.0)
     # steering rotates the zeros
-    zero_set = report.zeros if c_out is c else polynomial_zeros(c_out)
-    _write_artifacts(out, c_out, spec.spacing_wavelengths, zero_set, report,
+    zeros = report.zeros if c_out is c else polynomial_zeros(c_out)
+    _write_artifacts(out, c_out, spec.spacing_wavelengths, zeros, report,
                      args.grid)
     print(f"{report.name or 'design'}: {report.element_count} elements, "
           f"sidelobes {report.max_sidelobe_db:.4f} dB, "
@@ -242,7 +241,7 @@ def run_reproduce(args) -> int:
     if key == "pencil":
         c = design_pencil().taps
         report = evaluate(c, spec)
-        circle_err = float(np.max(np.abs(report.zeros.radii - 1.0)))
+        circle_err = float(np.max(np.abs(np.abs(report.zeros) - 1.0)))
         checks.append(_check(
             "element count", len(c) == PENCIL_ELEMENT_COUNT,
             f"{len(c)} (expected {PENCIL_ELEMENT_COUNT})"))
@@ -291,10 +290,10 @@ def run_analyze(args) -> int:
     judged = _steered(c, spec, -1.0)
     report = evaluate(judged, spec,
                       name=Path(args.weights).stem if spec is None else None)
-    zero_set = report.zeros if judged is c else polynomial_zeros(c)
+    zeros = report.zeros if judged is c else polynomial_zeros(c)
     spacing = 0.5 if spec is None else spec.spacing_wavelengths
-    _write_artifacts(out, c, spacing, zero_set, report, args.grid)
-    outside = np.count_nonzero(zero_set.radii > 1.0 + ZERO_RADIUS_TOL)
+    _write_artifacts(out, c, spacing, zeros, report, args.grid)
+    outside = np.count_nonzero(np.abs(zeros) > 1.0 + ZERO_RADIUS_TOL)
     verdict_txt = "minimum phase" if report.min_phase else \
         f"not minimum phase ({outside} zeros outside)"
     print(f"{len(c)} elements, {verdict_txt} -> {out}")

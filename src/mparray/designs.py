@@ -6,8 +6,7 @@ import math
 from numpy.polynomial import chebyshev as _cheb
 
 # remez_design is not called here; perfbench/spans.py wraps it at this lookup site.
-from .equiripple import (LinearPhasePrototype, PrototypeBand, cosine_taps,
-                         remez_design)
+from .equiripple import LinearPhasePrototype, cosine_taps, remez_design
 from .spec_model import BandSpec, DesignSpec
 
 # Half-wavelength spacing throughout: the visible region is exactly [-pi, pi].
@@ -109,6 +108,4 @@ def design_pencil(element_count: int = PENCIL_ELEMENT_COUNT) -> LinearPhaseProto
     # Interpolation at M+1 Chebyshev points is exact at degree M.
     a = delta * _cheb.chebinterpolate(
         lambda x: t_m((2.0 * x + 1.0 - x_edge) / (1.0 + x_edge)), half_order)
-    return LinearPhasePrototype(
-        taps=cosine_taps(a), half_order=half_order,
-        bands=(PrototypeBand(PENCIL_STOP_EDGE, math.pi, 0.0, 1.0),), delta=delta)
+    return LinearPhasePrototype(taps=cosine_taps(a), delta=delta)

@@ -69,11 +69,8 @@ class LinearPhasePrototype:
     Attributes
     ----------
     taps : ndarray
-        2*(half_order)+1 symmetric real taps.
-    half_order : int
-        Degree N-1 of the amplitude polynomial in cos(u).
-    bands : tuple of PrototypeBand
-        The bands the design was run against, in the order given.
+        2n+1 symmetric real taps, n the degree of the amplitude polynomial
+        in cos(u).
     delta : float
         The equiripple level |delta|.
     iterations : int
@@ -81,21 +78,21 @@ class LinearPhasePrototype:
     """
 
     taps: np.ndarray
-    half_order: int
-    bands: tuple[PrototypeBand, ...]
     delta: float
     iterations: int = 0
 
 
-def estimate_order(bands: Sequence[PrototypeBand], delta_pass: float, delta_stop: float) -> int:
-    """Heuristic element-count estimate N for a banded target.
+def estimate_order(bands: Sequence[PrototypeBand]) -> int:
+    """Heuristic element-count estimate N for a squared-pattern plan.
 
-    Uses Kaiser's empirical length formula on the narrowest transition
-    between bands with different targets.  The value seeds the minimal
-    order search and carries no optimality guarantee in either direction.
+    ``bands`` is a plan as ``prototype.to_prototype_spec`` returns it: one
+    band with a nonzero target and stop bands with target 0, each weighted
+    1/delta.  Uses Kaiser's empirical length formula on the narrowest
+    transition between bands with different targets, with delta_pass the
+    pass band's tolerance and delta_stop that of the heaviest-weighted
+    stop band.  The value seeds the minimal order search and carries no
+    optimality guarantee in either direction.
     """
-    if not (delta_pass > 0.0 and delta_stop > 0.0):
-        raise ValueError("deltas must be positive")
     ordered = sorted(bands, key=lambda b: b.u_lo)
     gap = math.inf
     for prev, nxt in zip(ordered, ordered[1:]):
@@ -108,6 +105,8 @@ def estimate_order(bands: Sequence[PrototypeBand], delta_pass: float, delta_stop
         gap = min(gap, width)
     if not math.isfinite(gap):
         raise ValueError("no transition between distinct targets to size the design")
+    delta_pass = 1.0 / max(b.weight for b in bands if b.desired != 0.0)
+    delta_stop = 1.0 / max(b.weight for b in bands if b.desired == 0.0)
     df = gap / (2.0 * math.pi)
     length = (-20.0 * math.log10(math.sqrt(delta_pass * delta_stop)) - 13.0) / (14.6 * df) + 1.0
     return max(1, int(round((length + 1.0) / 2.0)))
@@ -237,8 +236,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         On malformed bands or a negative order.
     RemezConvergenceError
         If the interpolant through the reference turns non-finite, fewer
-        than half_order+2 extrema alternate, or the exchange stalls away
-        from an equiripple solution.
+        than half_order+2 extrema alternate, the exchange stalls away from
+        an equiripple solution, or the final taps are not finite.
     """
     bands = tuple(bands)
     if not bands:
@@ -341,5 +340,7 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     # Final node set -> amplitude values at the Chebyshev points of [-1, 1] -> taps.
     delta, nodes, values, bweights = reference()
     a = to_series @ _bary_eval(nodes, values, bweights, cheb_t)
-    return LinearPhasePrototype(taps=cosine_taps(a), half_order=half_order, bands=bands,
-                                delta=abs(delta), iterations=iterations)
+    if not np.all(np.isfinite(a)):
+        raise RemezConvergenceError("non-finite taps", iterations, abs(delta), quality)
+    return LinearPhasePrototype(taps=cosine_taps(a), delta=abs(delta),
+                                iterations=iterations)

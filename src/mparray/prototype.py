@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .analysis import (DesignReport, PatternMetrics, ZERO_RADIUS_TOL,
-                       array_factor, pattern_metrics, polynomial_zeros)
+from .analysis import (BandLevel, DesignReport, ZERO_RADIUS_TOL, array_factor,
+                       pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
@@ -43,15 +43,6 @@ class OrderSearchError(RuntimeError):
     def __init__(self, message: str, best):
         super().__init__(message)
         self.best = best
-
-
-@dataclass(frozen=True)
-class PrototypeSpec:
-    """Weighted equiripple plan for the squared pattern G(u)."""
-
-    bands: tuple[PrototypeBand, ...]
-    delta_pass: float
-    delta_stop: float
 
 
 # Tolerance walk of one element count (see _attempt).
@@ -74,14 +65,16 @@ class SearchLimits:
 class DesignTrial:
     """One element count attempted against the original bands.
 
-    ``find_min_order`` returns its winning trial with ``report`` set.
+    ``levels`` holds the band levels of the synthesized pattern, None when
+    the exchange or the factorization failed.  ``find_min_order`` returns
+    its winning trial with ``report`` set.
     """
 
     order: int
     weights: MinPhaseWeights | None
     diagnostics: FactorizationDiagnostics | None
     prototype: LinearPhasePrototype | None
-    metrics: PatternMetrics | None
+    levels: tuple[BandLevel, ...] | None
     violations: tuple[str, ...]
     report: DesignReport | None = None
 
@@ -90,8 +83,8 @@ class DesignTrial:
         return not self.violations
 
 
-def measure(c, spec: DesignSpec) -> PatternMetrics:
-    """Exact band levels of the pattern of ``c`` against ``spec``.
+def measure(c, spec: DesignSpec) -> tuple[BandLevel, ...]:
+    """Exact level and margin of each band of ``spec`` in the pattern of ``c``.
 
     The pattern is sampled where |C|^2 can take its extremes: at every band
     edge and at u = arccos x for every x of :func:`critical_cosines` of the
@@ -103,15 +96,15 @@ def measure(c, spec: DesignSpec) -> PatternMetrics:
     r = autocorrelation(c)[len(c) - 1:]
     edges = [u for band in spec.bands for u in (band.u_lo, band.u_hi)]
     u = np.concatenate([np.arccos(critical_cosines(r)), edges])
-    return pattern_metrics(array_factor(c, u), spec)
+    return pattern_metrics(u, array_factor(c, u), spec)
 
 
-def _unmet(metrics: PatternMetrics) -> tuple[str, ...]:
+def _unmet(levels: tuple[BandLevel, ...]) -> tuple[str, ...]:
     """One line per violated band: the witness format of every report."""
     return tuple(
         f"{lv.kind} band [{lv.u_lo:.6g}, {lv.u_hi:.6g}]: achieved "
         f"{lv.achieved_db:.4f} dB vs bound {lv.bound_db:.4f} dB"
-        for lv in metrics.violations)
+        for lv in levels if lv.margin_db < 0.0)
 
 
 def evaluate(c, spec: DesignSpec | None, *, diagnostics=None,
@@ -121,36 +114,43 @@ def evaluate(c, spec: DesignSpec | None, *, diagnostics=None,
 
     The bands are measured by :func:`measure`.  The report is feasible
     when no band is violated, and ``witness`` defaults to the violated
-    bands.  ``spec`` None judges the zeros only.  The design is minimum
-    phase when no zero lies farther than ZERO_RADIUS_TOL outside the unit
-    circle.
+    bands.  ``flattop_ripple_db`` is the pass band's achieved ripple (0.0
+    without one) and ``max_sidelobe_db`` the highest stop level (-inf
+    without one).  ``spec`` None judges the zeros only and leaves both
+    None.  The design is minimum phase when no zero lies farther than
+    ZERO_RADIUS_TOL outside the unit circle.
     """
-    metrics = PatternMetrics((), None, None) if spec is None else measure(c, spec)
-    zero_set = polynomial_zeros(c)
-    radii = zero_set.radii
+    levels = () if spec is None else measure(c, spec)
+    zeros = polynomial_zeros(c)
+    radii = np.abs(zeros)
+    max_radius = float(radii.max()) if len(radii) else 0.0
     return DesignReport(
         name=name if name is not None else spec.name,
         element_count=len(c),
-        feasible=not metrics.violations,
-        bands=metrics.bands,
-        flattop_ripple_db=metrics.flattop_ripple_db,
-        max_sidelobe_db=metrics.max_sidelobe_db,
-        zero_count=len(zero_set.zeros),
-        zero_max_radius=zero_set.max_radius,
+        feasible=not any(lv.margin_db < 0.0 for lv in levels),
+        bands=levels,
+        flattop_ripple_db=None if spec is None else next(
+            (lv.achieved_db for lv in levels if lv.kind == "pass"), 0.0),
+        max_sidelobe_db=None if spec is None else max(
+            (lv.achieved_db for lv in levels if lv.kind == "stop"), default=-math.inf),
+        zero_count=len(zeros),
+        zero_max_radius=max_radius,
         zero_min_radius=float(radii.min()) if len(radii) else 0.0,
-        min_phase=zero_set.max_radius <= 1.0 + ZERO_RADIUS_TOL,
+        min_phase=max_radius <= 1.0 + ZERO_RADIUS_TOL,
         steering_angle_rad=0.0 if spec is None else spec.steering_angle_rad,
-        witness=_unmet(metrics) if witness is None else tuple(witness),
-        minimality=minimality, zeros=zero_set,
+        witness=_unmet(levels) if witness is None else tuple(witness),
+        minimality=minimality, zeros=zeros,
         # the factorization fields of the report are those of the diagnostics
         **({} if diagnostics is None else asdict(diagnostics)))
 
 
-def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
+def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
     """Restate amplitude bands as a weighted plan for G = |C|^2.
 
-    Pass and stop bands get Chebyshev weights 1/delta1' and 1/delta2' so
-    a single equiripple level targets both tolerances at once.
+    The plan is one PrototypeBand per band, sorted by u_lo: the pass band
+    with target 1 and weight 1/delta1', each stop band with target 0 and
+    weight 1/delta2' of its own ceiling, so a single equiripple level
+    targets every tolerance at once.
 
     Raises
     ------
@@ -186,26 +186,27 @@ def to_prototype_spec(spec: DesignSpec) -> PrototypeSpec:
     for b, d2 in zip(stops, delta2_each):
         bands.append(PrototypeBand(b.u_lo, b.u_hi, 0.0, 1.0 / d2))
     bands.sort(key=lambda b: b.u_lo)
-    return PrototypeSpec(bands=tuple(bands), delta_pass=delta1, delta_stop=delta2)
+    return tuple(bands)
 
 
-def design_prototype(pspec: PrototypeSpec, order: int) -> LinearPhasePrototype:
+def design_prototype(plan: tuple[PrototypeBand, ...], order: int) -> LinearPhasePrototype:
     """Equiripple G design with 2*order-1 taps for an order-N excitation."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return remez_design(pspec.bands, order - 1)
+    return remez_design(plan, order - 1)
 
 
-def _tilted(pspec: PrototypeSpec, side: str | None, scale: float) -> PrototypeSpec:
+def _tilted(plan: tuple[PrototypeBand, ...], side: str | None,
+            scale: float) -> tuple[PrototypeBand, ...]:
     """The plan with only the ``side`` ("pass" or "stop") band weights divided by ``scale``."""
     if side is None:
-        return pspec
-    return replace(pspec, bands=tuple(
+        return plan
+    return tuple(
         replace(b, weight=b.weight / scale) if (b.desired != 0.0) == (side == "pass") else b
-        for b in pspec.bands))
+        for b in plan)
 
 
-def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int) -> DesignTrial:
+def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int) -> DesignTrial:
     """Try one element count, walking the one violated tolerance tighter.
 
     Only the ratio of the pass and stop weights shapes the equiripple
@@ -227,7 +228,7 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int) -> DesignTrial:
     side, scale = None, 1.0
     for _ in range(MAX_SHRINKS + 1):
         try:
-            prototype = design_prototype(_tilted(pspec, side, scale), order)
+            prototype = design_prototype(_tilted(plan, side, scale), order)
         except RemezConvergenceError as err:
             return DesignTrial(order, None, None, None, None,
                                (f"exchange failed: {err}",))
@@ -236,9 +237,9 @@ def _attempt(spec: DesignSpec, pspec: PrototypeSpec, order: int) -> DesignTrial:
         except FactorizationError as err:
             return DesignTrial(order, None, None, prototype, None,
                                (f"factorization failed: {err}",))
-        metrics = measure(weights.c, spec)
-        trial = DesignTrial(order, weights, diag, prototype, metrics, _unmet(metrics))
-        failed = {lv.kind for lv in metrics.violations}
+        levels = measure(weights.c, spec)
+        trial = DesignTrial(order, weights, diag, prototype, levels, _unmet(levels))
+        failed = {lv.kind for lv in levels if lv.margin_db < 0.0}
         if len(failed) != 1 or (side is not None and failed != {side}):
             return trial
         side = failed.pop()
@@ -267,15 +268,14 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     """
     limits = limits or SearchLimits()
     spec = validate_spec(spec)
-    pspec = to_prototype_spec(spec)
-    guess = min(max(estimate_order(pspec.bands, pspec.delta_pass, pspec.delta_stop), 1),
-                limits.max_order)
+    plan = to_prototype_spec(spec)
+    guess = min(max(estimate_order(plan), 1), limits.max_order)
 
     trials: dict[int, DesignTrial] = {}
 
     def trial(n: int) -> DesignTrial:
         if n not in trials:
-            trials[n] = _attempt(spec, pspec, n)
+            trials[n] = _attempt(spec, plan, n)
         return trials[n]
 
     if trial(guess).feasible:
@@ -288,8 +288,8 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
             order += 1
         if order > limits.max_order:
             best = max(trials.values(),
-                       key=lambda t: min((lv.margin_db for lv in t.metrics.bands),
-                                         default=-math.inf) if t.metrics else -math.inf)
+                       key=lambda t: min((lv.margin_db for lv in t.levels),
+                                         default=-math.inf) if t.levels else -math.inf)
             raise OrderSearchError(
                 f"no element count up to {limits.max_order} meets the bands", best)
 
@@ -297,7 +297,7 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     if order > 1:
         below = trial(order - 1)
         witness = below.violations
-        minimality = "route_only" if below.metrics is not None else "unproven"
+        minimality = "route_only" if below.levels is not None else "unproven"
     else:
         witness, minimality = (), "trivial"
     report = evaluate(best.weights.c, spec, diagnostics=best.diagnostics,

@@ -52,7 +52,6 @@ class MinPhaseWeights:
 
     c: np.ndarray
     gamma_used: float
-    refined: bool = False
 
 
 @dataclass(frozen=True)
@@ -280,8 +279,8 @@ def spectral_factorize(taps, *,
     relative margin GAMMA_MARGIN (:func:`find_gamma`), so one banded
     Cholesky factors the lifted (Q+N)-dimensional leading section, whose
     last column is the extraction (sign normalized so that sum(c) > 0); a
-    failure raises FactorizationError, and taps of even length or not
-    symmetric raise ValueError.  ``expansion_factor`` sets
+    failure raises FactorizationError, and taps of even length, not
+    finite or not symmetric raise ValueError.  ``expansion_factor`` sets
     Q = expansion_factor * N, floored at MIN_EXPANSION: the extraction
     error decays like r^(2Q) with r the largest zero radius, so tiny
     arrays still need Q in the hundreds when a zero sits near 0.95.
@@ -301,6 +300,8 @@ def spectral_factorize(taps, *,
     taps = np.asarray(taps, float)
     if len(taps) % 2 == 0:
         raise ValueError(f"taps must have odd length 2N-1, got {len(taps)}")
+    if not np.all(np.isfinite(taps)):
+        raise ValueError("taps must be finite")
     scale = max(1.0, float(np.max(np.abs(taps))))
     if np.max(np.abs(taps - taps[::-1])) > 1e-9 * scale:
         raise ValueError("taps must be symmetric")
@@ -316,8 +317,7 @@ def spectral_factorize(taps, *,
     refined = False
     if newton:
         c, refined = refine_newton(c, taps, gamma)
-    weights = MinPhaseWeights(c=reflect_into_disc(c), gamma_used=gamma,
-                              refined=refined)
+    weights = MinPhaseWeights(c=reflect_into_disc(c), gamma_used=gamma)
 
     residual = verify_factorization(weights, taps)
     diag = FactorizationDiagnostics(

@@ -51,9 +51,11 @@ def amplitude_response(prototype, u) -> np.ndarray:
     return cheb.chebval(np.cos(np.asarray(u, float)), cosine_coefficients(taps))
 
 
-def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 ** 14) -> ExtremaScan:
-    """Refined local extrema of the weighted error across the bands.
+def equioscillation_extrema(prototype: LinearPhasePrototype, bands, *,
+                            points: int = 2 ** 14) -> ExtremaScan:
+    """Refined local extrema of the weighted error across ``bands``.
 
+    ``bands`` are the PrototypeBands the prototype was designed against.
     Evaluates the designed amplitude on a dense grid (about ``points``
     samples over the bands), locates every band-interior peak of |weighted
     error|, maximizes |error| between each peak's grid neighbours with a
@@ -61,7 +63,6 @@ def equioscillation_extrema(prototype: LinearPhasePrototype, *, points: int = 2 
     edges, in ascending u.
     """
     a = cosine_coefficients(prototype.taps)
-    bands = prototype.bands
     total_width = sum(b.u_hi - b.u_lo for b in bands)
     u, e, band = [], [], []
     for bi, b in enumerate(bands):

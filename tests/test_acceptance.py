@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mparray import (allpass_variants, apply_steering, design1_spec,
-                     design2_spec, design3_spec, design_pencil,
+from mparray import (PrototypeBand, allpass_variants, apply_steering,
+                     design1_spec, design2_spec, design3_spec, design_pencil,
                      find_min_order, partial_energy_profile,
                      polynomial_zeros, spectral_factorize)
 from mparray.analysis import array_factor
 from mparray.designs import DESIGN3_STOP_EDGE
+from mparray.prototype import to_prototype_spec
 from mparray.spectral_factor import autocorrelation, verify_factorization
 
 from conftest import ORACLE_SEED, make_min_phase
@@ -34,9 +35,9 @@ def test_criterion_01_design1_reproduction():
     t0 = time.perf_counter()
     result = find_min_order(design1_spec())
     elapsed = time.perf_counter() - t0
-    sll = result.metrics.max_sidelobe_db
-    ripple = result.metrics.flattop_ripple_db
-    max_radius = polynomial_zeros(result.weights.c).max_radius
+    sll = result.report.max_sidelobe_db
+    ripple = result.report.flattop_ripple_db
+    max_radius = float(np.max(np.abs(polynomial_zeros(result.weights.c))))
     ok = (result.order == 6 and sll <= -52.0 and ripple <= 0.25
           and max_radius <= 1.0 + 1e-6 and elapsed < 2.0)
     _emit(1, ok, f"design1: N={result.order}, sidelobes {sll:.4f} dB, "
@@ -53,8 +54,8 @@ def test_criterion_02_design2_reproduction():
     t0 = time.perf_counter()
     result = find_min_order(design2_spec())
     elapsed = time.perf_counter() - t0
-    sll = result.metrics.max_sidelobe_db
-    ripple = result.metrics.flattop_ripple_db
+    sll = result.report.max_sidelobe_db
+    ripple = result.report.flattop_ripple_db
     ok = (result.order == 14 and sll <= -21.0 and ripple <= 1.18
           and elapsed < 2.0)
     _emit(2, ok, f"design2: N={result.order}, sidelobes {sll:.4f} dB, "
@@ -67,11 +68,11 @@ def test_criterion_02_design2_reproduction():
 
 def test_criterion_03_design3_asymmetric_spec(design3):
     c = design3.weights.c
-    samples = array_factor(c, FULL_GRID)
-    neg = samples.magnitude_db[FULL_GRID <= -DESIGN3_STOP_EDGE]
-    pos = samples.magnitude_db[FULL_GRID >= DESIGN3_STOP_EDGE]
+    db = array_factor(c, FULL_GRID)
+    neg = db[FULL_GRID <= -DESIGN3_STOP_EDGE]
+    pos = db[FULL_GRID >= DESIGN3_STOP_EDGE]
     neg_sll, pos_sll = float(neg.max()), float(pos.max())
-    ripple = design3.metrics.flattop_ripple_db
+    ripple = design3.report.flattop_ripple_db
     real = bool(np.isrealobj(c))
     phase_flips = int(np.sum(np.asarray(c) < 0.0))
     ok = (design3.order == 14 and neg_sll <= -30.0 and pos_sll <= -20.0
@@ -107,28 +108,28 @@ def _chebyshev_pencil_level(element_count: int, edge: float) -> float:
 
 def _pencil_sidelobe_db(taps) -> float:
     u = np.linspace(0.0, math.pi, 8192)
-    db = array_factor(taps, u).magnitude_db
+    db = array_factor(taps, u)
     return float(db[u >= PENCIL_EDGE].max())
 
 
 def test_criterion_04_pencil_beam(pencil):
     taps = pencil.taps
-    zero_set = polynomial_zeros(taps)
-    circle_dev = float(np.max(np.abs(zero_set.radii - 1.0)))
+    zeros = polynomial_zeros(taps)
+    circle_dev = float(np.max(np.abs(np.abs(zeros) - 1.0)))
     sll = _pencil_sidelobe_db(taps)
     level = _chebyshev_pencil_level(27, PENCIL_EDGE)
     optimum_db = 20.0 * math.log10(level)
     sll_29 = _pencil_sidelobe_db(design_pencil(29).taps)
-    ok = (len(taps) == 27 and len(zero_set.zeros) == 26
+    ok = (len(taps) == 27 and len(zeros) == 26
           and circle_dev <= 1e-3 and abs(sll - optimum_db) <= 1e-4
           and pencil.delta == pytest.approx(level, rel=1e-12)
           and sll_29 <= -30.0)
-    _emit(4, ok, f"pencil: {len(taps)} taps, {len(zero_set.zeros)} zeros, "
+    _emit(4, ok, f"pencil: {len(taps)} taps, {len(zeros)} zeros, "
                  f"max||z|-1| {circle_dev:.3e}, sidelobes {sll:.4f} dB "
                  f"(27-tap Chebyshev optimum {optimum_db:.4f} dB); "
                  f"29 taps {sll_29:.4f} dB (bound -30.0)")
     assert len(taps) == 27
-    assert len(zero_set.zeros) == 26
+    assert len(zeros) == 26
     assert circle_dev <= 1e-3
     # -30 dB is out of reach at 27 taps; the design must sit at the optimum.
     assert abs(sll - optimum_db) <= 1e-4
@@ -142,7 +143,11 @@ def test_pencil_peaks_at_its_level(element_count):
     proto = design_pencil(element_count)
     assert abs(proto.taps.sum() - 1.0) <= 1e-13  # A(0) = 1
     u = np.linspace(PENCIL_EDGE, math.pi, 2 ** 16)
-    peak = float(np.max(np.abs(array_factor(proto.taps, u).values)))
+    # u = 0 holds the 0 dB main-lobe peak A(0) = 1, so the sidelobe peak
+    # relative to it is the sidelobe level itself.
+    db = array_factor(proto.taps, np.append(0.0, u))
+    assert db[0] == 0.0
+    peak = 10.0 ** (float(db[1:].max()) / 20.0)
     assert peak == pytest.approx(proto.delta, rel=1e-12)
 
 
@@ -227,26 +232,32 @@ def test_criterion_08_partial_energy_dominance(design1):
 def test_criterion_09_equioscillation(design1, design2, design3, pencil):
     # An exchange design of degree M has M+1 free coefficients plus its level:
     # M+2 alternations.  The pencil spends one coefficient on A(0) = 1: M+1.
-    cases = (("design1", design1.prototype, design1.prototype.half_order + 2),
-             ("design2", design2.prototype, design2.prototype.half_order + 2),
-             ("design3", design3.prototype, design3.prototype.half_order + 2),
-             ("pencil", pencil, pencil.half_order + 1))
-    counts = {label: count_alternations(equioscillation_extrema(proto, points=2 ** 14),
+    # Each winning count was designed on its untilted plan.
+    def degree(proto):
+        return (len(proto.taps) - 1) // 2
+
+    cases = [(key, result.prototype, to_prototype_spec(spec()), degree(result.prototype) + 2)
+             for key, result, spec in (("design1", design1, design1_spec),
+                                       ("design2", design2, design2_spec),
+                                       ("design3", design3, design3_spec))]
+    cases.append(("pencil", pencil, (PrototypeBand(PENCIL_EDGE, math.pi, 0.0, 1.0),),
+                  degree(pencil) + 1))
+    counts = {label: count_alternations(equioscillation_extrema(proto, bands, points=2 ** 14),
                                         proto.delta, rel_tol=1e-6)
-              for label, proto, _ in cases}
-    ok = all(counts[label] >= required for label, _, required in cases)
+              for label, proto, bands, _ in cases}
+    ok = all(counts[label] >= required for label, _, _, required in cases)
     _emit(9, ok, "alternations found/required: " + ", ".join(
-        f"{label} {counts[label]}/{required}" for label, _, required in cases))
-    for label, _, required in cases:
+        f"{label} {counts[label]}/{required}" for label, _, _, required in cases))
+    for label, _, _, required in cases:
         assert counts[label] >= required, label
 
 
 def test_criterion_10_steering_invariance(design1):
     c = design1.weights.c
     u0 = 0.7
-    steered = np.abs(array_factor(apply_steering(c, u0), FULL_GRID).values)
-    shifted = np.abs(array_factor(c, FULL_GRID - u0).values)
-    db_dev = float(np.max(np.abs(20.0 * np.log10(steered / shifted))))
+    steered = array_factor(apply_steering(c, u0), FULL_GRID)
+    shifted = array_factor(c, FULL_GRID - u0)
+    db_dev = float(np.max(np.abs(steered - shifted)))
     ok = db_dev <= 1e-9
     _emit(10, ok, f"pattern translation under u0=0.7: max deviation "
                   f"{db_dev:.3e} dB (bound 1e-9)")

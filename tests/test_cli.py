@@ -142,6 +142,25 @@ def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
+    # At 22 elements one exchange of this request returns non-finite taps;
+    # that count fails, and the search ends with its best attempt.
+    spec = tmp_path / "spec.json"
+    write_spec(spec, name="short_stop", bands=[
+        {"u_lo": 0.0, "u_hi": 0.5596160170328854, "kind": "pass",
+         "ripple_db": 0.8900416182032752},
+        {"u_lo": 1.2309532909585377, "u_hi": 1.6471045872554742, "kind": "stop",
+         "max_level_db": -57.77033050100829}])
+    out = tmp_path / "out"
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 2
+    for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
+        assert (out / name).stat().st_size > 0
+    report = read_report(out)
+    assert report["element_count"] == 20 and report["feasible"] is False
+    err = capsys.readouterr().err
+    assert "bands unmet" in err and "error:" not in err
+
+
 @pytest.mark.parametrize("field, value", [
     ("ripple_db", "0.25"), ("spacing_wavelengths", "0.5"),
     ("steering_angle_rad", True), ("u_hi", "1.0"), ("max_level_db", False),

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 import mparray.equiripple as equiripple_module
-from mparray import PrototypeBand, design1_spec, design2_spec, remez_design
+from mparray import (PrototypeBand, design1_spec, design2_spec, design3_spec,
+                     remez_design)
 from mparray.equiripple import (RemezConvergenceError, _band_extrema, _bary_eval,
                                 _bary_weights, _chebyshev_points, estimate_order)
 from mparray.prototype import design_prototype, to_prototype_spec
@@ -50,7 +51,7 @@ def test_lowpass_seven_taps_equioscillates():
     proto = remez_design(bands, 3)
     assert np.max(np.abs(proto.taps - proto.taps[::-1])) <= 1e-12
     # both bands hit the same weighted deviation
-    scan = equioscillation_extrema(proto)
+    scan = equioscillation_extrema(proto, bands)
     peaks = scan.band_peaks()
     assert peaks[0] == pytest.approx(peaks[1], rel=1e-8)
     assert count_alternations(scan, proto.delta) >= 5
@@ -65,7 +66,7 @@ def test_alternation_count_rejects_wrong_level():
     bands = [PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
              PrototypeBand(0.6 * math.pi, math.pi, 0.0, 1.0)]
     proto = remez_design(bands, 3)
-    scan = equioscillation_extrema(proto)
+    scan = equioscillation_extrema(proto, bands)
     assert count_alternations(scan, proto.delta * 0.5) == 0
 
 
@@ -112,25 +113,25 @@ def test_unsorted_bands_rejected():
 
 
 def test_estimate_order_brackets_reference_designs():
-    p1 = to_prototype_spec(design1_spec())
-    p2 = to_prototype_spec(design2_spec())
-    assert abs(estimate_order(p1.bands, p1.delta_pass, p1.delta_stop) - 6) <= 3
-    assert abs(estimate_order(p2.bands, p2.delta_pass, p2.delta_stop) - 14) <= 4
+    assert abs(estimate_order(to_prototype_spec(design1_spec())) - 6) <= 3
+    assert abs(estimate_order(to_prototype_spec(design2_spec())) - 14) <= 4
+
+
+def _lowpass_plan(delta_pass, delta_stop, stop_lo=1.5):
+    """A two-band plan weighted 1/delta, as to_prototype_spec weights it."""
+    return (PrototypeBand(0.0, 1.0, 1.0, 1.0 / delta_pass),
+            PrototypeBand(stop_lo, math.pi, 0.0, 1.0 / delta_stop))
 
 
 def test_estimate_order_monotone_in_tolerances():
-    bands = (PrototypeBand(0.0, 1.0, 1.0, 1.0),
-             PrototypeBand(1.5, math.pi, 0.0, 1.0))
-    tight = estimate_order(bands, 1e-3, 1e-5)
-    loose = estimate_order(bands, 1e-2, 1e-3)
+    tight = estimate_order(_lowpass_plan(1e-3, 1e-5))
+    loose = estimate_order(_lowpass_plan(1e-2, 1e-3))
     assert loose <= tight
 
 
 def test_estimate_order_rejects_zero_transition():
-    bands = (PrototypeBand(0.0, 1.0, 1.0, 1.0),
-             PrototypeBand(1.0, math.pi, 0.0, 1.0))
     with pytest.raises(ValueError, match="transition"):
-        estimate_order(bands, 1e-2, 1e-3)
+        estimate_order(_lowpass_plan(1e-2, 1e-3, stop_lo=1.0))
 
 
 @settings(deadline=None, max_examples=20)
@@ -139,7 +140,7 @@ def test_lowpass_family_meets_alternation_bound(half_order):
     bands = [PrototypeBand(0.0, 0.35 * math.pi, 1.0, 1.0),
              PrototypeBand(0.62 * math.pi, math.pi, 0.0, 2.0)]
     proto = remez_design(bands, half_order)
-    scan = equioscillation_extrema(proto)
+    scan = equioscillation_extrema(proto, bands)
     assert count_alternations(scan, proto.delta) >= half_order + 2
 
 
@@ -271,10 +272,12 @@ def test_finder_batches_err_fn_calls(monkeypatch):
 
 def test_exchange_stops_within_its_own_level(design1, design2, design3):
     # The exchange reads its error at the exact extrema, so its 1e-9 stop
-    # rule bounds the true excess ripple, read here by the dense scan.
-    for result in (design1, design2, design3):
+    # rule bounds the true excess ripple, read here by the dense scan.  Each
+    # winning count was designed on the untilted plan.
+    for result, make_spec in ((design1, design1_spec), (design2, design2_spec),
+                              (design3, design3_spec)):
         proto = result.prototype
-        peaks = equioscillation_extrema(proto).band_peaks()
+        peaks = equioscillation_extrema(proto, to_prototype_spec(make_spec())).band_peaks()
         assert np.all(peaks <= proto.delta * (1.0 + 1e-9)), peaks / proto.delta - 1.0
 
 

@@ -5,31 +5,32 @@ import numpy as np
 import pytest
 
 import mparray.prototype as prototype_module
-from mparray import (BandSpec, DesignSpec, InfeasibleSpecError,
-                     OrderSearchError, PrototypeBand, SearchLimits,
-                     design1_spec, design2_spec, design3_spec, find_min_order,
-                     pencil_spec)
-from mparray.prototype import (PrototypeSpec, _attempt, design_prototype,
+from mparray import (BandSpec, DesignSpec, FactorizationError,
+                     InfeasibleSpecError, OrderSearchError, PrototypeBand,
+                     RemezConvergenceError, SearchLimits, design1_spec,
+                     design2_spec, design3_spec, find_min_order, pencil_spec)
+from mparray.prototype import (DELTA_SHRINK, _attempt, _tilted, design_prototype,
                                to_prototype_spec)
 
 from equioscillation import amplitude_response, equioscillation_extrema
 
 
 def test_squared_pattern_tolerances_for_design1():
-    pspec = to_prototype_spec(design1_spec())
-    # stop: half the squared linear ceiling; pass: what the ripple leaves
-    assert pspec.delta_stop == pytest.approx(3.1547867224009644e-06, rel=1e-12)
-    assert pspec.delta_pass == pytest.approx(0.028365738849448957, rel=1e-12)
-    by_target = {b.desired: b for b in pspec.bands}
-    assert by_target[1.0].weight == pytest.approx(1.0 / pspec.delta_pass, rel=1e-12)
-    assert by_target[0.0].weight == pytest.approx(1.0 / pspec.delta_stop, rel=1e-12)
+    plan = to_prototype_spec(design1_spec())
+    # Each band is weighted 1/delta. stop: half the squared linear ceiling;
+    # pass: what the ripple leaves.
+    by_target = {b.desired: b for b in plan}
+    assert 1.0 / by_target[0.0].weight == pytest.approx(3.1547867224009644e-06, rel=1e-12)
+    assert 1.0 / by_target[1.0].weight == pytest.approx(0.028365738849448957, rel=1e-12)
+    assert [b.u_lo for b in plan] == sorted(b.u_lo for b in plan)
 
 
 def test_tolerance_mapping_monotone_in_ripple():
     def delta_pass(ripple_db):
         bands = (BandSpec(0.0, 1.0, "pass", ripple_db=ripple_db),
                  BandSpec(2.0, math.pi, "stop", max_level_db=-40.0))
-        return to_prototype_spec(DesignSpec(0.5, bands)).delta_pass
+        plan = to_prototype_spec(DesignSpec(0.5, bands))
+        return 1.0 / next(b.weight for b in plan if b.desired == 1.0)
 
     values = [delta_pass(r) for r in (0.1, 0.25, 0.5, 1.0)]
     assert all(lo < hi for lo, hi in zip(values, values[1:]))
@@ -54,37 +55,35 @@ def test_spec_without_stop_band_is_rejected():
 
 
 def test_single_element_prototype_is_unity():
-    pspec = PrototypeSpec(bands=(PrototypeBand(0.0, math.pi, 1.0, 1.0),),
-                          delta_pass=1.0, delta_stop=1.0)
-    proto = design_prototype(pspec, 1)
+    proto = design_prototype((PrototypeBand(0.0, math.pi, 1.0, 1.0),), 1)
     assert proto.taps == pytest.approx([1.0], abs=1e-14)
 
 
 def test_design1_prototype_respects_stop_budget():
-    pspec = to_prototype_spec(design1_spec())
-    proto = design_prototype(pspec, 6)
+    plan = to_prototype_spec(design1_spec())
+    proto = design_prototype(plan, 6)
     assert len(proto.taps) == 11
-    stop = next(b for b in proto.bands if b.desired == 0.0)
+    stop = next(b for b in plan if b.desired == 0.0)
     u = np.linspace(stop.u_lo, stop.u_hi, 20001)
-    assert np.max(np.abs(amplitude_response(proto, u))) <= pspec.delta_stop * (1.0 + 1e-6)
+    assert np.max(np.abs(amplitude_response(proto, u))) <= (1.0 + 1e-6) / stop.weight
 
 
 def test_design2_prototype_balances_band_errors():
-    pspec = to_prototype_spec(design2_spec())
-    proto = design_prototype(pspec, 14)
+    plan = to_prototype_spec(design2_spec())
+    proto = design_prototype(plan, 14)
     assert len(proto.taps) == 27
-    peaks = equioscillation_extrema(proto).band_peaks()
+    peaks = equioscillation_extrema(proto, plan).band_peaks()
     assert peaks[0] == pytest.approx(peaks[1], rel=1e-6)
 
 
 def test_minimal_order_search_design1(design1):
     assert design1.order == 6
-    assert not design1.metrics.violations
+    assert design1.feasible
     assert design1.report.min_phase
     # minimality witness: the trial one element short violated a band
     assert design1.report.witness
     assert design1.report.minimality == "route_only"
-    assert all(lv.margin_db >= 0.0 for lv in design1.metrics.bands)
+    assert all(lv.margin_db >= 0.0 for lv in design1.levels)
 
 
 def test_search_is_deterministic(design1):
@@ -104,7 +103,7 @@ def test_search_reports_best_attempt_when_capped():
 
 def test_feasibility_is_judged_on_original_bands(design2):
     spec = design2_spec()
-    for lv, band in zip(design2.metrics.bands, spec.bands):
+    for lv, band in zip(design2.levels, spec.bands):
         assert lv.u_lo == pytest.approx(band.u_lo)
         assert lv.u_hi == pytest.approx(band.u_hi)
         assert lv.margin_db >= 0.0
@@ -127,7 +126,7 @@ def test_exchange_failure_does_not_end_the_search():
     assert failed.violations[0].startswith("exchange failed: no convergence")
     result = find_min_order(spec)
     assert result.order == 14
-    assert not result.metrics.violations
+    assert result.feasible
 
 
 def test_minimality_rests_on_an_exchange_failure_is_unproven():
@@ -138,6 +137,63 @@ def test_minimality_rests_on_an_exchange_failure_is_unproven():
     assert result.report.minimality == "unproven"
     assert result.report.to_dict()["minimality"] == "unproven"
     assert result.report.witness[0].startswith("exchange failed:")
+
+
+# A low-pass request whose stop band ends short of pi.  Past the stop band's
+# end the plan bounds nothing, and the exchange fails there in two ways.
+_SHORT_STOP = DesignSpec(0.5, (
+    BandSpec(0.0, 0.5596160170328854, "pass", ripple_db=0.8900416182032752),
+    BandSpec(1.2309532909585377, 1.6471045872554742, "stop",
+             max_level_db=-57.77033050100829)))
+
+
+def test_non_finite_taps_are_an_exchange_failure():
+    # At 22 elements the walk's fourth stop-side tilt converges, but the
+    # final barycentric evaluation at a Chebyshev point past the stop band's
+    # end, outside the reference nodes, is infinite.  The count fails in the
+    # exchange, and the search goes on.  The scale is multiplied up as the
+    # walk does it: DELTA_SHRINK ** 4 differs in the last bit and converges.
+    plan = to_prototype_spec(_SHORT_STOP)
+    with pytest.raises(RemezConvergenceError, match="non-finite taps"):
+        design_prototype(_tilted(plan, "stop", math.prod([DELTA_SHRINK] * 4)), 22)
+    failed = _attempt(_SHORT_STOP, plan, 22)
+    assert failed.prototype is None and failed.levels is None
+    assert failed.violations == ("exchange failed: non-finite taps",)
+    with pytest.raises(OrderSearchError) as info:
+        find_min_order(_SHORT_STOP, SearchLimits(max_order=24))
+    assert info.value.best.order == 20
+
+
+def test_too_few_alternations_is_an_exchange_failure():
+    plan = to_prototype_spec(_SHORT_STOP)
+    with pytest.raises(RemezConvergenceError,
+                       match="only 18 alternating extrema for 29 required"):
+        design_prototype(plan, 28)
+    failed = _attempt(_SHORT_STOP, plan, 28)
+    assert not failed.feasible
+    assert failed.prototype is None and failed.levels is None
+    assert failed.violations[0].startswith("exchange failed: only")
+
+
+def test_factorization_failure_is_a_failed_trial(monkeypatch):
+    real = prototype_module.spectral_factorize
+
+    def fails_at_five(taps, **kwargs):
+        if len(taps) == 2 * 5 - 1:
+            raise FactorizationError("forced")
+        return real(taps, **kwargs)
+
+    monkeypatch.setattr(prototype_module, "spectral_factorize", fails_at_five)
+    spec = design1_spec()
+    failed = _attempt(spec, to_prototype_spec(spec), 5)
+    assert failed.prototype is not None
+    assert failed.weights is None and failed.levels is None
+    assert failed.violations == ("factorization failed: forced",)
+    # Nothing shows that 5 elements cannot meet the bands.
+    result = find_min_order(spec)
+    assert result.order == 6
+    assert result.report.minimality == "unproven"
+    assert result.report.witness == ("factorization failed: forced",)
 
 
 @pytest.mark.parametrize("bands", [
@@ -153,7 +209,7 @@ def test_minimality_rests_on_an_exchange_failure_is_unproven():
 def test_exact_extrema_verify_what_the_grid_left_unmet(bands):
     result = find_min_order(DesignSpec(0.5, bands), SearchLimits(max_order=32))
     assert result.order == 6
-    assert not result.metrics.violations
+    assert result.feasible
 
 
 @pytest.mark.parametrize("bands, order", [
@@ -173,7 +229,7 @@ def test_bandpass_counts_hold(bands, order):
     # one series over the hull of all bands missed both of these counts.
     result = find_min_order(DesignSpec(0.5, bands))
     assert result.order == order
-    assert not result.metrics.violations
+    assert result.feasible
 
 
 def test_zeros_near_the_circle_end_minimum_phase():
@@ -221,11 +277,11 @@ def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
 def test_uniform_weight_scaling_keeps_the_prototype(make_spec, order):
     # Only the ratio of the band weights shapes the equiripple prototype,
     # which is why the walk never tightens both sides at once.
-    pspec = to_prototype_spec(make_spec())
-    base = design_prototype(pspec, order).taps
+    plan = to_prototype_spec(make_spec())
+    base = design_prototype(plan, order).taps
     for k in range(1, 6):
-        bands = tuple(replace(b, weight=b.weight / 0.9 ** k) for b in pspec.bands)
-        taps = design_prototype(replace(pspec, bands=bands), order).taps
+        bands = tuple(replace(b, weight=b.weight / 0.9 ** k) for b in plan)
+        taps = design_prototype(bands, order).taps
         assert np.max(np.abs(taps - base)) <= 1e-12 * np.max(np.abs(base))
 
 
@@ -234,15 +290,15 @@ def test_pass_side_tilt_rescues_an_element_count(monkeypatch):
                                      ripple_db=1.7713404806886275),
                             BandSpec(2.7224321676816112, math.pi, "stop",
                                      max_level_db=-46.029040801240924)))
-    pspec = to_prototype_spec(spec)
+    plan = to_prototype_spec(spec)
     assert find_min_order(spec).order == 5
     monkeypatch.setattr(prototype_module, "MAX_SHRINKS", 0)
-    untilted = _attempt(spec, pspec, 5)
+    untilted = _attempt(spec, plan, 5)
     assert not untilted.feasible
-    assert {lv.kind for lv in untilted.metrics.violations} == {"pass"}
+    assert {lv.kind for lv in untilted.levels if lv.margin_db < 0.0} == {"pass"}
     monkeypatch.undo()
     calls = _count_prototypes(monkeypatch)
-    assert _attempt(spec, pspec, 5).feasible
+    assert _attempt(spec, plan, 5).feasible
     assert len(calls) == 2
 
 
@@ -259,6 +315,6 @@ def test_touching_stop_bands_with_different_weights():
 
     result = find_min_order(spec(0.0))
     assert result.order == 22
-    assert not result.metrics.violations
+    assert result.feasible
     assert result.report.min_phase
     assert find_min_order(spec(1e-3)).order == 22

@@ -81,6 +81,13 @@ def test_operator_rejects_malformed_taps():
         spectral_factorize(np.array([]))
 
 
+@pytest.mark.parametrize("taps", [[0.1, np.inf, 0.1], [np.nan, 1.0, np.nan]])
+def test_non_finite_taps_are_rejected(taps):
+    # A nan compares false, so the symmetry test alone would let it through.
+    with pytest.raises(ValueError, match="taps must be finite"):
+        spectral_factorize(np.array(taps), newton=True)
+
+
 def symbol_on_grid(g, points: int = 2_000_001) -> np.ndarray:
     """G(u) = g_0 + 2 sum_k g_k cos(k u) on a uniform grid over [0, pi]."""
     n = (len(g) + 1) // 2
@@ -116,7 +123,7 @@ def test_section_eigenvalues_lie_above_symbol_min(design1):
     # Grenander-Szego: every finite section's spectrum lies in [min G, max G],
     # so the lift -m covers every Q; by interlacing, a longer section's
     # lowest eigenvalue is lower, approaching m from above.
-    pspec = to_prototype_spec(design1_spec())
+    stop = next(b for b in to_prototype_spec(design1_spec()) if b.desired == 0.0)
     g = design1.prototype.taps
     gamma, m = find_gamma(g)
     lams = []
@@ -127,7 +134,7 @@ def test_section_eigenvalues_lie_above_symbol_min(design1):
         lams.append(lam)
     assert lams[1] <= lams[0]
     assert gamma == (1.0 + GAMMA_MARGIN) * -m
-    assert 0.0 < gamma <= 2.0 * pspec.delta_stop * 1.01
+    assert 0.0 < gamma <= 2.0 / stop.weight * 1.01
 
 
 def test_cholesky_fails_below_lift_and_succeeds_at_gamma(design1):
