@@ -28,9 +28,9 @@ ALLPASS_MAX_ORDER = 12
 class BandLevel:
     """Measured level of one band against its bound.
 
-    ``achieved_db`` is the peak level for a stop band and the peak-to-peak
-    ripple for a pass band; ``margin_db`` is bound - achieved, so a
-    non-negative margin means the band constraint is met.
+    ``achieved_db`` is the peak level for a stop band and, for a pass band
+    (which must hold the maximum), its depth below the maximum; ``margin_db``
+    is bound - achieved, so a non-negative margin means the band is met.
     """
 
     kind: str
@@ -112,7 +112,8 @@ def pattern_metrics(u, db, spec: DesignSpec) -> tuple[BandLevel, ...]:
 
     ``db`` is the pattern at the points ``u``, as :func:`array_factor`
     returns it.  Each band is judged on the samples inside it, relative to
-    the largest sample.  The levels are exact when the samples hold every
+    the largest sample, 0 dB, which the pass band must hold: its ripple is
+    its depth below 0 dB.  The levels are exact when the samples hold every
     band edge, 0, pi and every critical point of |C|^2: the points of
     ``prototype.measure``.  A spurious extra sample is harmless, since it
     is a value |C| does take.
@@ -124,7 +125,7 @@ def pattern_metrics(u, db, spec: DesignSpec) -> tuple[BandLevel, ...]:
             achieved = float(inside.max())
             bound = band.max_level_db
         else:
-            achieved = float(inside.max() - inside.min()) if not band.is_degenerate else 0.0
+            achieved = float(0.0 - inside.min()) if not band.is_degenerate else 0.0
             bound = band.ripple_db
         margin = math.inf if bound is None else float(bound - achieved)
         levels.append(BandLevel(kind=band.kind, u_lo=band.u_lo, u_hi=band.u_hi,

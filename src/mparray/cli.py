@@ -352,6 +352,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except np.linalg.LinAlgError:  # a ValueError, but not an input error
+        raise
     # SpecValidationError, InfeasibleSpecError and JSONDecodeError are ValueErrors.
     except (ValueError, KeyError, OSError, OrderSearchError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,6 +13,11 @@ iteration takes exactly those points: it expands the current interpolant
 as a Chebyshev series on every band's own x-interval and takes the roots
 of its derivative.  No working grid is sampled, and the stop rule reads
 the true peak error.
+
+The interpolant is evaluated in the first (modified-Lagrange) barycentric
+form, which has no denominator to cancel and stays backward stable past the
+nodes (Higham 2004; Webb, Trefethen & Gonnet 2012), where the final taps
+are read when a stop band ends short of pi.
 """
 from __future__ import annotations
 
@@ -34,11 +39,9 @@ _MAX_ITERATIONS = 250
 class RemezConvergenceError(RuntimeError):
     """The exchange stalled before reaching an equiripple solution."""
 
-    def __init__(self, message: str, iterations: int, delta: float, quality: float):
+    def __init__(self, message: str, iterations: int):
         super().__init__(message)
         self.iterations = iterations
-        self.delta = delta
-        self.quality = quality
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ def _bary_weights(nodes: np.ndarray) -> np.ndarray:
 
 
 def _bary_eval(nodes, values, weights, x) -> np.ndarray:
+    """First-form interpolant l(x) sum_j w_j f_j / (x - x_j), l = prod_j (x - x_j):
+    no denominator can cancel, so it is stable past the nodes as well."""
     x = np.atleast_1d(np.asarray(x, float))
     d = x - nodes[:, None]
     hit = d == 0.0
@@ -133,11 +138,7 @@ def _bary_eval(nodes, values, weights, x) -> np.ndarray:
     # nodes would; sum/reduce switch to pairwise summation on a single
     # point and so change the last bit.
     num = np.add.accumulate(t * values[:, None], axis=0)[-1]
-    den = np.add.accumulate(t, axis=0)[-1]
-    # den cancels to exactly zero only on a degenerate reference; callers
-    # get inf or nan there, which the exchange does not accept.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = num / den
+    out = num * np.prod(d, axis=0)
     k, j = np.nonzero(hit)
     out[j] = values[k]
     return out
@@ -190,10 +191,12 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
     """Candidate extrema (u, e, band) of the weighted error, in ascending u.
 
     On band b the weighted error W_b (A - D_b) peaks at the band's edges and
-    at the real roots of A' inside it.  ``amp`` evaluates the degree-n
-    polynomial A at an array of x = cos(u) and is called once, at the n+1
-    Chebyshev points of every band's own x-interval; ``to_series`` turns
-    the values there into A's Chebyshev series on each interval.
+    at the real roots of A' inside it.  Like ``critical_cosines`` it takes
+    the real part of every root: that of a complex pair is only a spurious
+    candidate, which cannot win a same-signed run.  ``amp`` evaluates the
+    degree-n polynomial A at an array of x = cos(u) and is called once, at
+    the n+1 Chebyshev points of every band's own x-interval; ``to_series``
+    turns the values there into A's Chebyshev series on each interval.
     ``band_err(u, band)`` is called once, at all candidates.  Returns None
     when a series is not finite, before any root is taken.
     """
@@ -206,8 +209,7 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
         return None
     cand_u, cand_band = [], []
     for b, coef in enumerate(series):
-        r = _cheb.chebroots(_cheb.chebder(coef))
-        r = r.real[r.imag == 0.0]
+        r = np.real(_cheb.chebroots(_cheb.chebder(coef)))
         u = np.arccos(np.clip(x_mid[b] + x_half[b] * r, -1.0, 1.0))
         u = np.sort(u[(band_lo[b] < u) & (u < band_hi[b])])
         cand_u += [band_lo[b], *u, band_hi[b]]
@@ -280,11 +282,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         values = d_ext[:-1] - signs[:-1] * delta / w_ext[:-1]
         return delta, nodes, values, _bary_weights(nodes)
 
-    delta = 0.0
     prev_delta = None
     prev_set = None
-    quality = math.inf
-    iterations = 0
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         delta, nodes, values, bweights = reference()
@@ -297,19 +296,16 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
 
         found = _band_extrema(amp, band_err, band_lo, band_hi, to_series)
         if found is None:
-            raise RemezConvergenceError(
-                "non-finite interpolant", iterations, abs(delta), quality)
+            raise RemezConvergenceError("non-finite interpolant", iterations)
         cand_u, cand_e, cand_band = found
         if np.max(np.abs(cand_e)) <= 1e-13 * err_scale:
-            quality = 0.0
             break
 
         cands = zip(cand_u.tolist(), cand_e.tolist(), cand_band.tolist())
         skeleton = _alternating_skeleton(cands)
         if len(skeleton) < m:
             raise RemezConvergenceError(
-                f"only {len(skeleton)} alternating extrema for {m} required",
-                iterations, abs(delta), quality)
+                f"only {len(skeleton)} alternating extrema for {m} required", iterations)
         # Each node keeps the band its error was measured in: at an edge
         # two bands share, that band's weight is the one that levels it.
         new_u, new_e, new_band = (np.array(col) for col in zip(*_trim_to(skeleton, m)))
@@ -327,20 +323,18 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
             if quality <= _QUALITY_ACCEPT:
                 break
             raise RemezConvergenceError(
-                f"exchange stalled with excess ripple {quality:.3e}",
-                iterations, abs(delta), quality)
+                f"exchange stalled with excess ripple {quality:.3e}", iterations)
         prev_delta = abs(delta)
         prev_set = new_u
     else:
         if not quality <= _QUALITY_ACCEPT:  # a nan error reads as unconverged
             raise RemezConvergenceError(
-                f"no convergence in {_MAX_ITERATIONS} iterations",
-                _MAX_ITERATIONS, abs(delta), quality)
+                f"no convergence in {_MAX_ITERATIONS} iterations", _MAX_ITERATIONS)
 
     # Final node set -> amplitude values at the Chebyshev points of [-1, 1] -> taps.
     delta, nodes, values, bweights = reference()
     a = to_series @ _bary_eval(nodes, values, bweights, cheb_t)
     if not np.all(np.isfinite(a)):
-        raise RemezConvergenceError("non-finite taps", iterations, abs(delta), quality)
+        raise RemezConvergenceError("non-finite taps", iterations)
     return LinearPhasePrototype(taps=cosine_taps(a), delta=abs(delta),
                                 iterations=iterations)

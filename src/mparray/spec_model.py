@@ -37,11 +37,11 @@ class BandSpec:
     u_lo, u_hi : float
         Band edges in radians of u, with 0 <= u_lo <= u_hi <= pi.
     kind : {"pass", "stop"}
-        Pass bands bound the peak-to-peak ripple about the flat-top level;
-        stop bands bound the peak level relative to the pattern maximum.
+        Pass bands must hold the pattern maximum and bound their ripple
+        below it; stop bands bound the peak level relative to it.
     ripple_db : float, optional
-        Peak-to-peak pass-band ripple bound in dB (> 0).  Required for a
-        pass band unless the band is degenerate (u_lo == u_hi).
+        Pass-band ripple bound in dB (> 0), as depth below the maximum.
+        Required for a pass band unless the band is degenerate (u_lo == u_hi).
     max_level_db : float, optional
         Stop-band ceiling in dB relative to the pattern maximum (< 0).
         Required for stop bands.

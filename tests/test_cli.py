@@ -143,8 +143,9 @@ def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys):
 
 
 def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
-    # At 22 elements one exchange of this request returns non-finite taps;
-    # that count fails, and the search ends with its best attempt.
+    # The stop band ends short of pi, so the final taps of this request are
+    # read outside the reference nodes; they stay finite, no count meets the
+    # bands, and the search ends with its best attempt.
     spec = tmp_path / "spec.json"
     write_spec(spec, name="short_stop", bands=[
         {"u_lo": 0.0, "u_hi": 0.5596160170328854, "kind": "pass",
@@ -156,9 +157,23 @@ def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
     for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
         assert (out / name).stat().st_size > 0
     report = read_report(out)
-    assert report["element_count"] == 20 and report["feasible"] is False
+    assert report["element_count"] == 22 and report["feasible"] is False
+    assert [w.split(" [")[0] for w in report["witness"]] == ["stop band"]
     err = capsys.readouterr().err
     assert "bands unmet" in err and "error:" not in err
+
+
+def test_numerical_failure_is_not_an_input_error(tmp_path, monkeypatch):
+    # LinAlgError is a ValueError, but it is the program's failure, not the
+    # request's: main lets it through instead of exiting 1.
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr("mparray.cli.find_min_order", fails)
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    with pytest.raises(np.linalg.LinAlgError, match="forced"):
+        main(["design", "--spec", str(spec), "--out", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -454,13 +469,17 @@ def test_analyze_judges_a_steered_design_unsteered(tmp_path):
 
 
 def test_pattern_marks_invisible_angles(tmp_path):
+    # Past the stop band nothing bounds the pattern, and the route's designs
+    # peak there, outside the pass band: the judge reads the pass band's
+    # depth below that peak as its ripple, so the request ends unmet (exit 2).
     spec = tmp_path / "spec.json"
     write_spec(spec, spacing=0.25, bands=[
         {"u_lo": 0.0, "u_hi": 0.5, "kind": "pass", "ripple_db": 1.0},
         {"u_lo": 1.0, "u_hi": 1.5, "kind": "stop", "max_level_db": -25.0},
     ])
     out = tmp_path / "out"
-    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 0
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 2
+    assert read_report(out)["witness"][0].startswith("pass band [0, 0.5]: achieved")
     rows = (out / "pattern.csv").read_text().splitlines()[1:]
     thetas = [r.split(",")[1] for r in rows]
     assert "nan" in thetas  # u beyond the visible region of 0.25-lambda spacing

@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mparray.equiripple as equiripple_module
 import mparray.prototype as prototype_module
 from mparray import (BandSpec, DesignSpec, FactorizationError,
                      InfeasibleSpecError, OrderSearchError, PrototypeBand,
                      RemezConvergenceError, SearchLimits, design1_spec,
                      design2_spec, design3_spec, find_min_order, pencil_spec)
+from mparray.equiripple import _chebyshev_points
 from mparray.prototype import (DELTA_SHRINK, _attempt, _tilted, design_prototype,
                                to_prototype_spec)
 
@@ -140,34 +142,48 @@ def test_minimality_rests_on_an_exchange_failure_is_unproven():
 
 
 # A low-pass request whose stop band ends short of pi.  Past the stop band's
-# end the plan bounds nothing, and the exchange fails there in two ways.
+# end the plan bounds nothing, so the final taps are read outside the hull
+# of the reference nodes, and at high counts too few extrema alternate.
 _SHORT_STOP = DesignSpec(0.5, (
     BandSpec(0.0, 0.5596160170328854, "pass", ripple_db=0.8900416182032752),
     BandSpec(1.2309532909585377, 1.6471045872554742, "stop",
              max_level_db=-57.77033050100829)))
 
 
-def test_non_finite_taps_are_an_exchange_failure():
-    # At 22 elements the walk's fourth stop-side tilt converges, but the
-    # final barycentric evaluation at a Chebyshev point past the stop band's
-    # end, outside the reference nodes, is infinite.  The count fails in the
-    # exchange, and the search goes on.  The scale is multiplied up as the
-    # walk does it: DELTA_SHRINK ** 4 differs in the last bit and converges.
+def test_non_finite_taps_are_an_exchange_failure(monkeypatch):
+    # At 22 elements the walk's fourth stop-side tilt reads its final taps at
+    # Chebyshev points past the stop band's end, outside the reference
+    # nodes; the first barycentric form keeps them finite there.  The scale
+    # is multiplied up as the walk does it.
     plan = to_prototype_spec(_SHORT_STOP)
+    tilted = _tilted(plan, "stop", math.prod([DELTA_SHRINK] * 4))
+    assert np.all(np.isfinite(design_prototype(tilted, 22).taps))
+    # The guard stays: a non-finite final evaluation (the one at the n+1
+    # Chebyshev points of [-1, 1]) fails the count in the exchange, and the
+    # search goes on.
+    real_eval = equiripple_module._bary_eval
+
+    def infinite_taps_at_22(nodes, values, weights, x):
+        out = real_eval(nodes, values, weights, x)
+        if len(x) == 22 and np.array_equal(x, _chebyshev_points(21)):
+            out[0] = math.inf
+        return out
+
+    monkeypatch.setattr(equiripple_module, "_bary_eval", infinite_taps_at_22)
     with pytest.raises(RemezConvergenceError, match="non-finite taps"):
-        design_prototype(_tilted(plan, "stop", math.prod([DELTA_SHRINK] * 4)), 22)
+        design_prototype(tilted, 22)
     failed = _attempt(_SHORT_STOP, plan, 22)
     assert failed.prototype is None and failed.levels is None
     assert failed.violations == ("exchange failed: non-finite taps",)
     with pytest.raises(OrderSearchError) as info:
         find_min_order(_SHORT_STOP, SearchLimits(max_order=24))
-    assert info.value.best.order == 20
+    assert info.value.best.order == 23  # a count past the failed one
 
 
 def test_too_few_alternations_is_an_exchange_failure():
     plan = to_prototype_spec(_SHORT_STOP)
     with pytest.raises(RemezConvergenceError,
-                       match="only 18 alternating extrema for 29 required"):
+                       match="only 24 alternating extrema for 29 required"):
         design_prototype(plan, 28)
     failed = _attempt(_SHORT_STOP, plan, 28)
     assert not failed.feasible
