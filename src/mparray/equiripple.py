@@ -11,8 +11,9 @@ x.  W and D are constant on each band, so the weighted error there peaks
 only at the band's edges and at the real roots of A'.  Each exchange
 iteration takes exactly those points: it expands the current interpolant
 as a Chebyshev series on every band's own x-interval and takes the roots
-of its derivative.  No working grid is sampled, and the stop rule reads
-the true peak error.
+of its derivative on all bands from one stacked eigenvalue problem, the
+bands' colleague matrices side by side.  No working grid is sampled, and
+the stop rule reads the true peak error.
 
 The interpolant is evaluated in the first (modified-Lagrange) barycentric
 form, which has no denominator to cancel and stays backward stable past the
@@ -120,10 +121,11 @@ def cosine_taps(a) -> np.ndarray:
     return np.concatenate([0.5 * a[:0:-1], a[:1], 0.5 * a[1:]])
 
 
-def _bary_weights(nodes: np.ndarray) -> np.ndarray:
-    diff = nodes[:, None] - nodes
+def _bary_weights(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Barycentric weights of ``points`` and of ``points[:-1]``, from one difference matrix."""
+    diff = points[:, None] - points
     np.fill_diagonal(diff, 1.0)
-    return 1.0 / np.prod(diff, axis=1)
+    return 1.0 / np.prod(diff, axis=1), 1.0 / np.prod(diff[:-1, :-1], axis=1)
 
 
 def _bary_eval(nodes, values, weights, x) -> np.ndarray:
@@ -144,9 +146,9 @@ def _bary_eval(nodes, values, weights, x) -> np.ndarray:
     return out
 
 
-def _leveled_delta(x_ext, d_ext, w_ext) -> float:
-    g = _bary_weights(x_ext)
-    signs = np.where(np.arange(len(x_ext)) % 2 == 0, 1.0, -1.0)
+def _leveled_delta(g, d_ext, w_ext) -> float:
+    """The level delta of the reference points whose barycentric weights are ``g``."""
+    signs = np.where(np.arange(len(g)) % 2 == 0, 1.0, -1.0)
     den = np.sum(g * signs / w_ext)
     return float(np.sum(g * d_ext) / den)
 
@@ -187,6 +189,47 @@ def _chebyshev_points(n: int) -> np.ndarray:
     return np.cos(np.arange(n + 1) * math.pi / max(n, 1))
 
 
+def _derivative_roots(series: np.ndarray) -> np.ndarray:
+    """Real parts of the roots of each row's derivative, ascending, nan-padded.
+
+    Row i holds ``np.real(chebroots(chebder(series[i])))`` bit for bit.
+    ``chebder``'s recurrence runs on Python floats, the same operations in
+    the same order without numpy's array calls per coefficient.  The
+    colleague matrices of all full-degree derivatives, built with
+    ``chebcompanion``'s arithmetic and rotation, share one ``eigvals`` call.
+    A derivative whose leading coefficient is exactly 0, which ``chebroots``
+    trims, goes through ``chebroots`` alone.
+    """
+    rows, n = series.shape[0], series.shape[1] - 2
+    if n < 1:  # a derivative of degree 0 or less has no roots
+        return np.empty((rows, 0))
+    der = []
+    for c in series.tolist():
+        d = [0.0] * (n + 1)
+        for j in range(n + 1, 2, -1):
+            d[j - 1] = (2 * j) * c[j]
+            c[j - 2] += (j * c[j]) / (j - 2)
+        d[0], d[1] = c[1], 4 * c[2]
+        der.append(d)
+    der = np.array(der)
+    out = np.full((rows, n), np.nan)
+    full = der[:, -1] != 0.0
+    kept = der[full]
+    if n == 1:  # chebroots solves a linear series directly
+        out[full] = -kept[:, :1] / kept[:, 1:]
+    elif len(kept):
+        mat = np.zeros((len(kept), n * n))
+        mat[:, 1::n + 1] = mat[:, n::n + 1] = [np.sqrt(0.5)] + [0.5] * (n - 2)
+        mat = mat.reshape(-1, n, n)
+        scl = np.array([1.0] + [np.sqrt(0.5)] * (n - 1))
+        mat[:, :, -1] -= (kept[:, :-1] / kept[:, -1:]) * (scl / scl[-1]) * 0.5
+        out[full] = np.sort(np.linalg.eigvals(mat[:, ::-1, ::-1]).real, axis=1)
+    for i in np.flatnonzero(~full):
+        r = np.real(_cheb.chebroots(_cheb.chebder(series[i])))
+        out[i, :len(r)] = r
+    return out
+
+
 def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
     """Candidate extrema (u, e, band) of the weighted error, in ascending u.
 
@@ -196,9 +239,11 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
     candidate, which cannot win a same-signed run.  ``amp`` evaluates the
     degree-n polynomial A at an array of x = cos(u) and is called once, at
     the n+1 Chebyshev points of every band's own x-interval; ``to_series``
-    turns the values there into A's Chebyshev series on each interval.
-    ``band_err(u, band)`` is called once, at all candidates.  Returns None
-    when a series is not finite, before any root is taken.
+    turns the values there into A's Chebyshev series on each interval.  The
+    roots of A' on all bands come from one stacked eigenvalue problem
+    (:func:`_derivative_roots`).  ``band_err(u, band)`` is called once, at
+    all candidates.  Returns None when a series is not finite, before any
+    root is taken.
     """
     t = _chebyshev_points(len(to_series) - 1)
     x_lo, x_hi = np.cos(band_hi), np.cos(band_lo)
@@ -207,14 +252,15 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
     series = amp(band_x.ravel()).reshape(band_x.shape) @ to_series.T
     if not np.all(np.isfinite(series)):
         return None
-    cand_u, cand_band = [], []
-    for b, coef in enumerate(series):
-        r = np.real(_cheb.chebroots(_cheb.chebder(coef)))
-        u = np.arccos(np.clip(x_mid[b] + x_half[b] * r, -1.0, 1.0))
-        u = np.sort(u[(band_lo[b] < u) & (u < band_hi[b])])
-        cand_u += [band_lo[b], *u, band_hi[b]]
-        cand_band += [b] * (len(u) + 2)
-    cand_u, cand_band = np.array(cand_u), np.array(cand_band)
+    r = _derivative_roots(series)
+    u = np.arccos(np.clip(x_mid[:, None] + x_half[:, None] * r, -1.0, 1.0))
+    inside = (band_lo[:, None] < u) & (u < band_hi[:, None])
+    # nan marks no candidate: it sorts last and is dropped with the padding.
+    u = np.sort(np.where(inside, u, np.nan), axis=1)
+    cand_u = np.concatenate([band_lo[:, None], u, band_hi[:, None]], axis=1)
+    keep = ~np.isnan(cand_u)
+    cand_band = np.nonzero(keep)[0]
+    cand_u = cand_u[keep]
     return cand_u, band_err(cand_u, cand_band), cand_band
 
 
@@ -277,10 +323,10 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         """Level and barycentric interpolant through the current node set."""
         x_ext = np.cos(ext_u)
         d_ext, w_ext = band_d[ext_band], band_w[ext_band]
-        delta = _leveled_delta(x_ext, d_ext, w_ext)
-        nodes = x_ext[:-1]
+        g, bweights = _bary_weights(x_ext)
+        delta = _leveled_delta(g, d_ext, w_ext)
         values = d_ext[:-1] - signs[:-1] * delta / w_ext[:-1]
-        return delta, nodes, values, _bary_weights(nodes)
+        return delta, x_ext[:-1], values, bweights
 
     prev_delta = None
     prev_set = None

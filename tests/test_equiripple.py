@@ -10,7 +10,8 @@ import mparray.equiripple as equiripple_module
 from mparray import (PrototypeBand, design1_spec, design2_spec, design3_spec,
                      remez_design)
 from mparray.equiripple import (RemezConvergenceError, _band_extrema, _bary_eval,
-                                _bary_weights, _chebyshev_points, estimate_order)
+                                _bary_weights, _chebyshev_points, _derivative_roots,
+                                estimate_order)
 from mparray.prototype import design_prototype, to_prototype_spec
 
 from equioscillation import (amplitude_response, cosine_coefficients,
@@ -189,7 +190,7 @@ def test_batched_finder_matches_scalar_loop(amp_fn, err_fn, tens, lo, hi, points
     values = amp_fn(np.arccos(nodes))
 
     def amp(x):
-        return _bary_eval(nodes, values, _bary_weights(nodes), x)
+        return _bary_eval(nodes, values, _bary_weights(nodes)[0], x)
 
     def band_err(u, bi):
         return _BAND_SCALE[bi] * err_fn(u)
@@ -263,15 +264,18 @@ def _bary_calls_per_iteration(monkeypatch, bands, half_order):
     return segments[:-1]
 
 
+# Two- and three-band plans with their half orders, keyed by band count.
+_PLANS = {2: ([PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
+               PrototypeBand(0.6 * math.pi, math.pi, 0.0, 2.0)], 9),
+          3: ([PrototypeBand(0.0, 0.25 * math.pi, 0.0, 1.0),
+               PrototypeBand(0.4 * math.pi, 0.6 * math.pi, 1.0, 1.0),
+               PrototypeBand(0.75 * math.pi, math.pi, 0.0, 3.0)], 12)}
+
+
 def test_finder_batches_err_fn_calls(monkeypatch):
     # Per exchange iteration, whatever the band count: one evaluation at the
     # Chebyshev points of every band, one at every band's edges and roots of A'.
-    plans = {2: ([PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
-                  PrototypeBand(0.6 * math.pi, math.pi, 0.0, 2.0)], 9),
-             3: ([PrototypeBand(0.0, 0.25 * math.pi, 0.0, 1.0),
-                  PrototypeBand(0.4 * math.pi, 0.6 * math.pi, 1.0, 1.0),
-                  PrototypeBand(0.75 * math.pi, math.pi, 0.0, 3.0)], 12)}
-    for count, (bands, half_order) in plans.items():
+    for count, (bands, half_order) in _PLANS.items():
         per_iteration = _bary_calls_per_iteration(monkeypatch, bands, half_order)
         assert len(per_iteration) >= 2, count
         assert per_iteration == [2] * len(per_iteration), (count, per_iteration)
@@ -293,11 +297,53 @@ def test_non_finite_interpolant_is_a_convergence_error(monkeypatch):
         raise AssertionError("a root was taken of a non-finite series")
 
     monkeypatch.setattr(equiripple_module, "_leveled_delta", lambda *args: math.nan)
-    monkeypatch.setattr(equiripple_module._cheb, "chebroots", no_roots)
+    monkeypatch.setattr(equiripple_module, "_derivative_roots", no_roots)
+    monkeypatch.setattr(equiripple_module.np.linalg, "eigvals", no_roots)
     bands = [PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
              PrototypeBand(0.6 * math.pi, math.pi, 0.0, 2.0)]
     with pytest.raises(RemezConvergenceError, match="non-finite interpolant"):
         remez_design(bands, 6)
+
+
+def _roots_row_by_row(series):
+    """Reference for _derivative_roots: chebroots(chebder(row)) for one row at a time."""
+    out = np.full((len(series), max(series.shape[1] - 2, 0)), np.nan)
+    for i, row in enumerate(series):
+        r = np.real(cheb.chebroots(cheb.chebder(row)))
+        out[i, :len(r)] = r
+    return out
+
+
+def test_stacked_roots_match_chebroots_row_by_row():
+    # One eigensolve over the stacked colleague matrices gives every row the
+    # roots chebroots gives it alone, bit for bit.  Row 1 ends in a 0, so
+    # its derivative's leading coefficient is exactly 0 and chebroots trims
+    # it: that row has fewer roots than the ordinary rows beside it.
+    rng = np.random.default_rng(20261020)
+    for rows in (1, 2, 3):
+        for length in range(1, 46):
+            series = rng.normal(size=(rows, length)) * 10.0 ** rng.integers(-6, 7, (rows, 1))
+            if rows > 1 and length >= 3:
+                series[1, -1] = 0.0
+            got = _derivative_roots(series)
+            assert got.shape == (rows, max(length - 2, 0))
+            assert np.array_equal(got, _roots_row_by_row(series), equal_nan=True)
+            full = np.sum(~np.isnan(got), axis=1)
+            assert full[0] == max(length - 2, 0)
+            if rows > 1 and length >= 3:
+                assert full[1] < full[0]
+
+
+def test_stacked_roots_leave_the_exchange_unchanged(monkeypatch):
+    # A whole design with every root taken row by row is byte-equal.
+    for count, (bands, half_order) in _PLANS.items():
+        stacked = remez_design(bands, half_order)
+        monkeypatch.setattr(equiripple_module, "_derivative_roots", _roots_row_by_row)
+        row_by_row = remez_design(bands, half_order)
+        monkeypatch.undo()
+        assert stacked.taps.tobytes() == row_by_row.taps.tobytes(), count
+        assert stacked.delta == row_by_row.delta, count
+        assert stacked.iterations == row_by_row.iterations >= 2, count
 
 
 # Node-by-node reference for the array forms: same arithmetic, same order.
@@ -345,8 +391,12 @@ def _bary_draws():
 
 
 def test_bary_weights_match_scalar_loop():
+    # One difference matrix gives the weights of the reference points and,
+    # from its leading block, those of the interpolation nodes.
     for nodes, _, _ in _bary_draws():
-        assert np.array_equal(_bary_weights(nodes), _bary_weights_loop(nodes), equal_nan=True)
+        full, head = _bary_weights(nodes)
+        assert np.array_equal(full, _bary_weights_loop(nodes), equal_nan=True)
+        assert np.array_equal(head, _bary_weights_loop(nodes[:-1]), equal_nan=True)
 
 
 def test_bary_eval_matches_scalar_loop():
@@ -372,7 +422,7 @@ def test_bary_eval_extrapolates_stably():
         nodes = np.sort(rng.uniform(0.2, 1.0, n))
         values = rng.normal(size=n)
         x = np.concatenate([rng.uniform(-1.0, 0.2, 6), [-1.0]])
-        got = _bary_eval(nodes, values, _bary_weights(nodes), x)
+        got = _bary_eval(nodes, values, _bary_weights(nodes)[0], x)
         exact_nodes = [Fraction(v) for v in nodes]
         for xi, gi in zip(x, got):
             terms = []
