@@ -15,6 +15,12 @@ of its derivative on all bands from one stacked eigenvalue problem, the
 bands' colleague matrices side by side.  No working grid is sampled, and
 the stop rule reads the true peak error.
 
+The first reference is an even spread of nodes over the bands unless the
+caller hands in the final reference of a converged exchange on the same
+bands: as it is when the node count matches, as the order search's tilts
+do, and otherwise scaled band by band to the new count (reference scaling,
+Filip, ACM TOMS 43(1), 2016, section 4), as its neighbouring counts do.
+
 The interpolant is evaluated in the first (modified-Lagrange) barycentric
 form, which has no denominator to cancel and stays backward stable past the
 nodes (Higham 2004; Webb, Trefethen & Gonnet 2012), where the final taps
@@ -79,11 +85,15 @@ class LinearPhasePrototype:
         The equiripple level |delta|.
     iterations : int
         Exchange iterations used; 0 for a closed-form design.
+    reference : (ndarray, ndarray) or None
+        The final reference of the exchange: its nodes u, ascending, and
+        the index of each node's band.  None for a closed-form design.
     """
 
     taps: np.ndarray
     delta: float
     iterations: int = 0
+    reference: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def estimate_order(bands: Sequence[PrototypeBand]) -> int:
@@ -189,12 +199,26 @@ def _chebyshev_points(n: int) -> np.ndarray:
     return np.cos(np.arange(n + 1) * math.pi / max(n, 1))
 
 
+def chebder(c: list) -> list:
+    """``numpy.polynomial.chebyshev.chebder(c)`` of a series of 2 or more
+    Python floats, bit for bit: the same operations in the same order,
+    without numpy's array calls per coefficient.  ``c`` is overwritten."""
+    n = len(c) - 1
+    d = [0.0] * n
+    for j in range(n, 2, -1):
+        d[j - 1] = (2 * j) * c[j]
+        c[j - 2] += (j * c[j]) / (j - 2)
+    if n > 1:
+        d[1] = 4 * c[2]
+    d[0] = c[1]
+    return d
+
+
 def _derivative_roots(series: np.ndarray) -> np.ndarray:
     """Real parts of the roots of each row's derivative, ascending, nan-padded.
 
-    Row i holds ``np.real(chebroots(chebder(series[i])))`` bit for bit.
-    ``chebder``'s recurrence runs on Python floats, the same operations in
-    the same order without numpy's array calls per coefficient.  The
+    Row i holds ``np.real(chebroots(chebder(series[i])))`` bit for bit,
+    the derivatives taken by :func:`chebder` on Python floats.  The
     colleague matrices of all full-degree derivatives, built with
     ``chebcompanion``'s arithmetic and rotation, share one ``eigvals`` call.
     A derivative whose leading coefficient is exactly 0, which ``chebroots``
@@ -203,15 +227,7 @@ def _derivative_roots(series: np.ndarray) -> np.ndarray:
     rows, n = series.shape[0], series.shape[1] - 2
     if n < 1:  # a derivative of degree 0 or less has no roots
         return np.empty((rows, 0))
-    der = []
-    for c in series.tolist():
-        d = [0.0] * (n + 1)
-        for j in range(n + 1, 2, -1):
-            d[j - 1] = (2 * j) * c[j]
-            c[j - 2] += (j * c[j]) / (j - 2)
-        d[0], d[1] = c[1], 4 * c[2]
-        der.append(d)
-    der = np.array(der)
+    der = np.array([chebder(c) for c in series.tolist()])
     out = np.full((rows, n), np.nan)
     full = der[:, -1] != 0.0
     kept = der[full]
@@ -264,7 +280,36 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
     return cand_u, band_err(cand_u, cand_band), cand_band
 
 
-def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhasePrototype:
+def _scaled_reference(start, m: int, band_lo, band_hi):
+    """The reference ``start`` = (u, band) mapped to m nodes, band by band.
+
+    A reference of m nodes is returned as it is.  Otherwise each band keeps
+    its share of the nodes, rounded down; the nodes still missing go to the
+    bands with the largest remainders, the first of equal ones, so the
+    shares add up to m.  A band that held 2 or more nodes takes its new ones
+    by linear interpolation in its own node index, which keeps its outermost
+    nodes and their order; a band that held fewer gets evenly spread
+    interior points.  The nodes stay strictly increasing and inside
+    their bands.
+    """
+    u, band = start
+    if len(u) == m:
+        return u, band
+    old = np.bincount(band, minlength=len(band_lo))
+    new, remainder = np.divmod(old * m, len(u))
+    new[np.argsort(-remainder, kind="stable")[:m - new.sum()]] += 1
+    ext_u = []
+    for b, (k_old, k) in enumerate(zip(old.tolist(), new.tolist())):
+        if k_old >= 2:
+            ext_u.append(np.interp(np.linspace(0.0, k_old - 1, k), np.arange(k_old),
+                                   u[band == b]))
+        else:
+            ext_u.append(band_lo[b] + (band_hi[b] - band_lo[b]) * np.arange(1, k + 1) / (k + 1))
+    return np.concatenate(ext_u), np.repeat(np.arange(len(band_lo)), new)
+
+
+def remez_design(bands: Sequence[PrototypeBand], half_order: int,
+                 start: tuple[np.ndarray, np.ndarray] | None = None) -> LinearPhasePrototype:
     """Weighted-Chebyshev design of a 2*half_order+1 tap symmetric prototype.
 
     Parameters
@@ -273,6 +318,12 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
         Sorted, non-overlapping bands.
     half_order : int
         Amplitude polynomial degree; the design has 2*half_order+1 taps.
+    start : (ndarray, ndarray), optional
+        The first reference: the ``reference`` of a converged design on
+        bands with the same edges, for any order.  It is used as it is when
+        it holds half_order+2 nodes and is otherwise scaled to that count
+        band by band.  By default the first reference spreads the nodes
+        evenly over the bands' total width.
 
     Returns
     -------
@@ -311,12 +362,14 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     cheb_t = _chebyshev_points(half_order)
     to_series = np.linalg.inv(_cheb.chebvander(cheb_t, half_order))
 
-    # The first reference spreads m points evenly over the bands' total width.
     m = half_order + 2
-    offset = np.concatenate([[0.0], np.cumsum(band_hi - band_lo)])
-    s = np.linspace(0.0, offset[-1], m)
-    ext_band = np.searchsorted(offset[:-1], s, side="right") - 1
-    ext_u = np.minimum(band_lo[ext_band] + (s - offset[ext_band]), band_hi[ext_band])
+    if start is not None:
+        ext_u, ext_band = _scaled_reference(start, m, band_lo, band_hi)
+    else:  # m points spread evenly over the bands' total width
+        offset = np.concatenate([[0.0], np.cumsum(band_hi - band_lo)])
+        s = np.linspace(0.0, offset[-1], m)
+        ext_band = np.searchsorted(offset[:-1], s, side="right") - 1
+        ext_u = np.minimum(band_lo[ext_band] + (s - offset[ext_band]), band_hi[ext_band])
     signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
 
     def reference():
@@ -383,4 +436,4 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int) -> LinearPhase
     if not np.all(np.isfinite(a)):
         raise RemezConvergenceError("non-finite taps", iterations)
     return LinearPhasePrototype(taps=cosine_taps(a), delta=abs(delta),
-                                iterations=iterations)
+                                iterations=iterations, reference=(ext_u, ext_band))

@@ -120,7 +120,13 @@ def evaluate(c, spec: DesignSpec | None, *, diagnostics=None,
     None.  The design is minimum phase when no zero lies farther than
     ZERO_RADIUS_TOL outside the unit circle.
     """
-    levels = () if spec is None else measure(c, spec)
+    return _report(c, spec, () if spec is None else measure(c, spec), diagnostics=diagnostics,
+                   witness=witness, minimality=minimality, name=name)
+
+
+def _report(c, spec, levels, *, diagnostics=None, witness=None, minimality=None,
+            name=None) -> DesignReport:
+    """:func:`evaluate`'s report of ``c`` from the band levels ``measure`` gave."""
     zeros = polynomial_zeros(c)
     radii = np.abs(zeros)
     max_radius = float(radii.max()) if len(radii) else 0.0
@@ -189,11 +195,13 @@ def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
     return tuple(bands)
 
 
-def design_prototype(plan: tuple[PrototypeBand, ...], order: int) -> LinearPhasePrototype:
-    """Equiripple G design with 2*order-1 taps for an order-N excitation."""
+def design_prototype(plan: tuple[PrototypeBand, ...], order: int,
+                     start: tuple[np.ndarray, np.ndarray] | None = None) -> LinearPhasePrototype:
+    """Equiripple G design with 2*order-1 taps for an order-N excitation,
+    its exchange started from the reference ``start`` (see remez_design)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return remez_design(plan, order - 1)
+    return remez_design(plan, order - 1, start)
 
 
 def _tilted(plan: tuple[PrototypeBand, ...], side: str | None,
@@ -206,7 +214,8 @@ def _tilted(plan: tuple[PrototypeBand, ...], side: str | None,
         for b in plan)
 
 
-def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int) -> DesignTrial:
+def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
+             start: tuple[np.ndarray, np.ndarray] | None = None) -> DesignTrial:
     """Try one element count, walking the one violated tolerance tighter.
 
     Only the ratio of the pass and stop weights shapes the equiripple
@@ -224,11 +233,16 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int) -> D
 
     The factorization lifts G by its exact minimum, which covers the
     stop-band dips and any dip in a transition band alike.
+
+    The first exchange starts from the reference ``start`` (by default an
+    even spread; ``find_min_order`` passes a neighbouring count's final
+    reference), and each tilt from the final reference of the design it
+    tilts: only the weights change, so its nodes are already close.
     """
     side, scale = None, 1.0
     for _ in range(MAX_SHRINKS + 1):
         try:
-            prototype = design_prototype(_tilted(plan, side, scale), order)
+            prototype = design_prototype(_tilted(plan, side, scale), order, start)
         except RemezConvergenceError as err:
             return DesignTrial(order, None, None, None, None,
                                (f"exchange failed: {err}",))
@@ -244,6 +258,7 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int) -> D
             return trial
         side = failed.pop()
         scale *= DELTA_SHRINK
+        start = prototype.reference
     return trial
 
 
@@ -253,12 +268,14 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     Starts from the heuristic estimate, then walks down while feasible or
     up while infeasible.  Feasibility of a count is judged on the final
     minimum-phase pattern against the original bands.  Returns the trial
-    at that count with its ``report`` set.  The report carries a
-    minimality witness, the failure observed at one element fewer, and
-    says what backs the claim: ``"route_only"`` when that trial violated a
-    band (this design route cannot meet the bands there), ``"unproven"``
-    when its exchange or factorization failed, ``"trivial"`` at one
-    element.
+    at that count with its ``report`` set.  The first exchange at a count
+    starts from the final reference of the count one below or above, when
+    that count has a prototype, and otherwise from an even spread.  The
+    report carries a minimality witness, the failure observed at one
+    element fewer, and says what backs the claim: ``"route_only"`` when
+    that trial violated a band (this design route cannot meet the bands
+    there), ``"unproven"`` when its exchange or factorization failed,
+    ``"trivial"`` at one element.
 
     Raises
     ------
@@ -275,7 +292,9 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
 
     def trial(n: int) -> DesignTrial:
         if n not in trials:
-            trials[n] = _attempt(spec, plan, n)
+            starts = [trials[k].prototype.reference for k in (n - 1, n + 1)
+                      if k in trials and trials[k].prototype is not None]
+            trials[n] = _attempt(spec, plan, n, starts[0] if starts else None)
         return trials[n]
 
     if trial(guess).feasible:
@@ -300,6 +319,7 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         minimality = "route_only" if below.levels is not None else "unproven"
     else:
         witness, minimality = (), "trivial"
-    report = evaluate(best.weights.c, spec, diagnostics=best.diagnostics,
-                      witness=witness, minimality=minimality)
+    # The trial's levels are measure(best.weights.c, spec) already.
+    report = _report(best.weights.c, spec, best.levels, diagnostics=best.diagnostics,
+                     witness=witness, minimality=minimality)
     return replace(best, report=report)

@@ -34,6 +34,8 @@ import numpy as np
 import scipy.linalg as _sla
 from numpy.polynomial import chebyshev as _cheb
 
+from .equiripple import chebder
+
 DEFAULT_EXPANSION_FACTOR = 30
 MIN_EXPANSION = 176
 GAMMA_MARGIN = 1e-3
@@ -87,8 +89,10 @@ def critical_cosines(r) -> np.ndarray:
         k = np.arange(1, len(r))
         dz = np.concatenate([(k * r[1:])[::-1], [0.0], -k * np.conj(r[1:])])
         return np.concatenate([[-1.0, 1.0], np.cos(np.angle(np.roots(dz)))])
+    if len(r) < 3:  # G' has degree 0 or less: no roots
+        return np.array([-1.0, 1.0])
     a = np.concatenate([r[:1], 2.0 * r[1:]])
-    roots = np.real(_cheb.chebroots(_cheb.chebder(a)))
+    roots = np.real(_cheb.chebroots(chebder(a.tolist())))
     return np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
 
 

@@ -157,8 +157,8 @@ def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
     for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
         assert (out / name).stat().st_size > 0
     report = read_report(out)
-    assert report["element_count"] == 22 and report["feasible"] is False
-    assert [w.split(" [")[0] for w in report["witness"]] == ["stop band"]
+    assert report["element_count"] == 36 and report["feasible"] is False
+    assert [w.split(" [")[0] for w in report["witness"]] == ["pass band", "stop band"]
     err = capsys.readouterr().err
     assert "bands unmet" in err and "error:" not in err
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 import mparray.equiripple as equiripple_module
-from mparray import (PrototypeBand, design1_spec, design2_spec, design3_spec,
-                     remez_design)
+from mparray import (BandSpec, DesignSpec, PrototypeBand, design1_spec, design2_spec,
+                     design3_spec, remez_design)
 from mparray.equiripple import (RemezConvergenceError, _band_extrema, _bary_eval,
                                 _bary_weights, _chebyshev_points, _derivative_roots,
-                                estimate_order)
-from mparray.prototype import design_prototype, to_prototype_spec
+                                _scaled_reference, estimate_order)
+from mparray.prototype import (DELTA_SHRINK, MAX_SHRINKS, _tilted, design_prototype,
+                               to_prototype_spec)
 
 from equioscillation import (amplitude_response, cosine_coefficients,
                              count_alternations, equioscillation_extrema)
@@ -435,3 +436,94 @@ def test_bary_eval_extrapolates_stably():
             scale = float(sum(abs(t) for t in terms))
             worst = max(worst, abs(gi - float(sum(terms))) / scale)
     assert worst <= 1e-12, worst
+
+
+def _edges(plan):
+    return np.array([b.u_lo for b in plan]), np.array([b.u_hi for b in plan])
+
+
+# Converged references to scale: 2-band plans, 3-band band-pass plans (at
+# 12 elements the pass band of the second holds a single node) and two stop
+# bands that touch at u = 2.0.
+_SCALED = {
+    "design1": (to_prototype_spec(design1_spec()), 6),
+    "design2": (to_prototype_spec(design2_spec()), 14),
+    "bandpass": (_PLANS[3][0], 13),
+    "bandpass-one-pass-node": (to_prototype_spec(DesignSpec(0.5, (
+        BandSpec(0.0, 1.025411625891609, "stop", max_level_db=-26.41145634128804),
+        BandSpec(1.5191336435981924, 1.8340307980888764, "pass", ripple_db=1.842046690529218),
+        BandSpec(2.32775281579546, math.pi, "stop", max_level_db=-27.22315537626411)))), 12),
+    "touching-stops": (to_prototype_spec(DesignSpec(0.5, (
+        BandSpec(0.0, 0.6, "pass", ripple_db=1.0),
+        BandSpec(1.2, 2.0, "stop", max_level_db=-30.0),
+        BandSpec(2.0, math.pi, "stop", max_level_db=-45.0)))), 22),
+}
+
+
+def _assert_valid_reference(u, band, m, lo, hi):
+    assert len(u) == len(band) == m
+    assert np.all(np.diff(u) > 0.0)
+    assert np.all(np.diff(band) >= 0)
+    assert np.all((lo[band] <= u) & (u <= hi[band]))
+
+
+@pytest.mark.parametrize("name", sorted(_SCALED))
+def test_scaled_reference_is_increasing_and_in_band(name):
+    plan, order = _SCALED[name]
+    lo, hi = _edges(plan)
+    ref = design_prototype(plan, order).reference
+    m = len(ref[0])
+    assert m == order + 1
+    _assert_valid_reference(*ref, m, lo, hi)
+    for new_m in (m - 1, m + 1):
+        _assert_valid_reference(*_scaled_reference(ref, new_m, lo, hi), new_m, lo, hi)
+    # A reference of the count it is scaled to is used as it is.
+    same = _scaled_reference(ref, m, lo, hi)
+    assert np.array_equal(same[0], ref[0]) and np.array_equal(same[1], ref[1])
+
+
+def test_bands_short_of_two_nodes_get_interior_points():
+    # The pass band held one node and the last band none: both get evenly
+    # spread interior points, the first band keeps its outer nodes.
+    plan = _PLANS[3][0]
+    lo, hi = _edges(plan)
+    ref = (np.array([0.0, 0.2, 0.4, 0.6, lo[1] + 0.1]), np.array([0, 0, 0, 0, 1]))
+    u, band = _scaled_reference(ref, 8, lo, hi)
+    _assert_valid_reference(u, band, 8, lo, hi)
+    assert np.bincount(band).tolist() == [6, 2]
+    assert u[0] == 0.0 and u[5] == 0.6
+    assert np.allclose(u[6:], lo[1] + (hi[1] - lo[1]) * np.array([1, 2]) / 3)
+
+
+def _warm_and_cold(make_spec, order):
+    """(cold, warm) pairs at ``order`` on the plan of ``make_spec``: each
+    start the order search can take there, first the neighbouring counts'
+    references on the plan, then every tilt from the count's own."""
+    plan = to_prototype_spec(make_spec())
+    base = design_prototype(plan, order)
+    for n in (order - 1, order + 1):
+        yield base, design_prototype(plan, order, design_prototype(plan, n).reference), None
+    for side in ("pass", "stop"):
+        for k in range(1, MAX_SHRINKS + 1):
+            tilted = _tilted(plan, side, DELTA_SHRINK ** k)
+            yield (design_prototype(tilted, order),
+                   design_prototype(tilted, order, base.reference), (side, k))
+
+
+_COUNTS = [(design1_spec, 5), (design1_spec, 6), (design2_spec, 13), (design2_spec, 14),
+           (design3_spec, 13), (design3_spec, 14)]
+
+
+@pytest.mark.parametrize("make_spec, order", _COUNTS)
+def test_warm_and_cold_exchanges_agree(make_spec, order):
+    # Both stop within 1e-9 of the same minimax level.
+    for cold, warm, tilt in _warm_and_cold(make_spec, order):
+        assert abs(warm.delta - cold.delta) <= 1e-9 * cold.delta, tilt
+
+
+@pytest.mark.parametrize("make_spec, order", _COUNTS)
+def test_tilt_from_its_counts_reference_takes_fewer_iterations(make_spec, order):
+    # Only the weights change, so the count's final reference is close.
+    for cold, warm, tilt in _warm_and_cold(make_spec, order):
+        if tilt is not None:
+            assert warm.iterations < cold.iterations, tilt

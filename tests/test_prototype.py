@@ -112,33 +112,54 @@ def test_feasibility_is_judged_on_original_bands(design2):
 
 
 
-# A band-pass request whose exchange does not converge at 13 elements.
+# A band-pass request whose exchange, started cold, does not converge at 13
+# elements: |delta| alternates between two levels until the iteration cap.
 _EXCHANGE_FAILS_AT_13 = DesignSpec(0.5, (
     BandSpec(0.0, 1.025411625891609, "stop", max_level_db=-26.41145634128804),
     BandSpec(1.5191336435981924, 1.8340307980888764, "pass", ripple_db=1.842046690529218),
     BandSpec(2.32775281579546, math.pi, "stop", max_level_db=-27.22315537626411)))
 
 
-def test_exchange_failure_does_not_end_the_search():
-    # At 13 elements the exchange does not converge; that count is recorded
-    # as failed and the search goes on.
+def _exchange_fails_at(monkeypatch, order: int):
+    """Make every exchange at ``order`` elements fail."""
+    real = prototype_module.design_prototype
+
+    def fails(plan, n, start=None):
+        if n == order:
+            raise RemezConvergenceError("forced", 1)
+        return real(plan, n, start)
+
+    monkeypatch.setattr(prototype_module, "design_prototype", fails)
+
+
+def test_exchange_failure_does_not_end_the_search(monkeypatch):
+    # Started cold, the exchange at 13 elements does not converge; that
+    # count is recorded as failed.  The search starts 13 from 12's final
+    # reference, where it converges and meets the bands.
     spec = _EXCHANGE_FAILS_AT_13
     failed = _attempt(spec, to_prototype_spec(spec), 13)
     assert not failed.feasible and failed.prototype is None
     assert failed.violations[0].startswith("exchange failed: no convergence")
     result = find_min_order(spec)
+    assert result.order == 13
+    assert result.feasible
+    assert result.report.minimality == "route_only"
+    # When the exchange at 13 fails, the search goes on.
+    _exchange_fails_at(monkeypatch, 13)
+    result = find_min_order(spec)
     assert result.order == 14
     assert result.feasible
 
 
-def test_minimality_rests_on_an_exchange_failure_is_unproven():
-    # 13 elements failed in the exchange, not against the bands, so nothing
-    # shows that 13 elements cannot meet them.
-    result = find_min_order(_EXCHANGE_FAILS_AT_13)
-    assert result.order == 14
+def test_minimality_rests_on_an_exchange_failure_is_unproven(monkeypatch):
+    # 5 elements failed in the exchange, not against the bands, so nothing
+    # shows that 5 elements cannot meet them.
+    _exchange_fails_at(monkeypatch, 5)
+    result = find_min_order(design1_spec())
+    assert result.order == 6
     assert result.report.minimality == "unproven"
     assert result.report.to_dict()["minimality"] == "unproven"
-    assert result.report.witness[0].startswith("exchange failed:")
+    assert result.report.witness == ("exchange failed: forced",)
 
 
 # A low-pass request whose stop band ends short of pi.  Past the stop band's
@@ -263,6 +284,26 @@ def test_zeros_near_the_circle_end_minimum_phase():
     assert result.diagnostics.autocorr_residual <= 1e-12
 
 
+@pytest.mark.parametrize("make_spec, starts", [
+    (design1_spec, [(7, None), (6, 8), (5, 7)]),
+    (design3_spec, [(13, None), (13, 14), (14, 14)])])
+def test_search_starts_each_exchange_from_a_converged_reference(monkeypatch, make_spec,
+                                                                starts):
+    # (count, nodes in the start reference): the first count starts cold, a
+    # tilt from its count's reference (count + 1 nodes), and each next count
+    # from its neighbour's, scaled by the exchange.
+    seen = []
+    real = prototype_module.design_prototype
+
+    def record(plan, order, start=None):
+        seen.append((order, None if start is None else len(start[0])))
+        return real(plan, order, start)
+
+    monkeypatch.setattr(prototype_module, "design_prototype", record)
+    find_min_order(make_spec())
+    assert seen == starts
+
+
 def _count_prototypes(monkeypatch) -> list[int]:
     """Record the element count of every design_prototype call."""
     calls = []
@@ -286,6 +327,22 @@ def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
     calls = _count_prototypes(monkeypatch)
     find_min_order(make_spec())
     assert calls == orders
+
+
+def test_winner_is_not_measured_again(monkeypatch):
+    # The report is built from the winning trial's levels: one measure per
+    # designed prototype, none more.
+    designed, measured = _count_prototypes(monkeypatch), []
+    real = prototype_module.measure
+
+    def counted(c, spec):
+        measured.append(len(c))
+        return real(c, spec)
+
+    monkeypatch.setattr(prototype_module, "measure", counted)
+    result = find_min_order(design1_spec())
+    assert measured == designed == [7, 6, 5]
+    assert result.report.bands == result.levels
 
 
 @pytest.mark.parametrize("make_spec, order", [(design1_spec, 5), (design2_spec, 13),

@@ -9,7 +9,7 @@ from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
                                      GAMMA_MARGIN, MIN_EXPANSION,
                                      PIVOT_FLOOR_FACTOR, _jacobian_of,
                                      _zeros_inside, autocorrelation,
-                                     cholesky_banded, find_gamma,
+                                     cholesky_banded, critical_cosines, find_gamma,
                                      reflect_into_disc, refine_newton,
                                      verify_factorization)
 
@@ -104,6 +104,18 @@ def test_gamma_zero_for_nonnegative_symbol():
     assert m == pytest.approx(0.25, abs=1e-15)  # |1 + 0.5 e^{iu}|^2 at u = pi
     gamma, m = find_gamma(np.array([1.0]))
     assert gamma == 0.0 and m == 1.0
+
+
+def test_critical_cosines_match_numpy_chebder():
+    # The derivative recurrence on Python floats gives numpy's chebder bit
+    # for bit, so the points are those of chebroots(chebder(a)).
+    rng = np.random.default_rng(20261019)
+    for n in range(1, 40):
+        r = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)
+        a = np.concatenate([r[:1], 2.0 * r[1:]])
+        roots = np.real(np.polynomial.chebyshev.chebroots(np.polynomial.chebyshev.chebder(a)))
+        want = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
+        assert np.array_equal(critical_cosines(r), want), n
 
 
 def test_symbol_min_matches_dense_grid(design1, design2, design3):
