@@ -139,68 +139,47 @@ def _read_weights(path: str | Path) -> np.ndarray:
     return c
 
 
-def _write_weights(path: Path, c) -> None:
-    lines = ["index,re,im"]
-    for k, v in enumerate(np.atleast_1d(c)):
-        z = complex(v)
-        lines.append(f"{k},{z.real!r},{z.imag!r}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_pattern(path: Path, c, spacing: float, points: int) -> None:
+def _write_artifacts(out: Path, c, spacing: float, zeros, report,
+                     points: int) -> None:
+    """Write the four artifacts of the module docstring, each as its lines."""
     half = np.linspace(0.0, math.pi, points)
     u = np.concatenate([-half[:0:-1], half])
     visible = 2.0 * math.pi * spacing
-    lines = ["u_rad,theta_deg,magnitude_db"]
-    for ui, db in zip(u, array_factor(c, u)):
+    pattern = []
+    for ui, db in zip(u.tolist(), array_factor(c, u).tolist()):
+        theta_txt = "nan"
         if abs(ui) <= visible * (1.0 + 1e-12):
-            theta = math.degrees(math.asin(min(1.0, max(-1.0, ui / visible))))
-            theta_txt = f"{theta:.6f}"
-        else:
-            theta_txt = "nan"
-        lines.append(f"{ui:.12g},{theta_txt},{db:.4f}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_zeros(path: Path, zeros) -> None:
-    lines = ["re,im,radius"]
-    for z in zeros:
-        lines.append(f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_report(path: Path, report_dict: dict) -> None:
-    path.write_text(json.dumps(report_dict, indent=2, sort_keys=True) + "\n")
-
-
-def _write_artifacts(out: Path, c, spacing: float, zeros, report,
-                     points: int) -> None:
+            theta_txt = f"{math.degrees(math.asin(min(1.0, max(-1.0, ui / visible)))):.6f}"
+        pattern.append(f"{ui:.12g},{theta_txt},{db:.4f}")
+    artifacts = {
+        "weights.csv": ["index,re,im"] + [f"{k},{z.real!r},{z.imag!r}" for k, z
+                                          in enumerate(np.asarray(c, complex).tolist())],
+        "pattern.csv": ["u_rad,theta_deg,magnitude_db"] + pattern,
+        "zeros.csv": ["re,im,radius"] + [f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}"
+                                         for z in zeros.tolist()],
+        "report.json": [json.dumps(report.to_dict(), indent=2, sort_keys=True)],
+    }
     out.mkdir(parents=True, exist_ok=True)
-    _write_weights(out / "weights.csv", c)
-    _write_pattern(out / "pattern.csv", c, spacing, points)
-    _write_zeros(out / "zeros.csv", zeros)
-    _write_report(out / "report.json", report.to_dict())
+    for name, lines in artifacts.items():
+        (out / name).write_text("\n".join(lines) + "\n")
 
 
 def _search(spec: DesignSpec, limits: SearchLimits):
-    """The least-count design of ``spec`` and its report.
+    """The least-count design of ``spec``: the trial ``find_min_order`` hands back.
 
-    When no count meets the bands the search's best attempt is reported
-    instead, for the caller to write and exit 2 on.  A search in which no
-    trial produced weights has nothing to write: its OrderSearchError
-    propagates, an exit 1.
+    When no count meets the bands the search's best attempt, with its own
+    report, is returned instead, for the caller to write and exit 2 on.  A
+    search in which no trial produced weights has nothing to write: its
+    OrderSearchError propagates, an exit 1.
     """
     try:
-        result = find_min_order(spec, limits)
-        return result.weights.c, result.report
+        return find_min_order(spec, limits)
     except OrderSearchError as err:
-        best = err.best
-        if best is None or best.weights is None:
+        if err.best.report is None:
             raise
         print(f"bands unmet up to {limits.max_order} elements; "
-              f"writing the best attempt ({best.order} elements)", file=sys.stderr)
-        return best.weights.c, evaluate(best.weights.c, spec,
-                                        diagnostics=best.diagnostics)
+              f"writing the best attempt ({err.best.order} elements)", file=sys.stderr)
+        return err.best
 
 
 def _steered(c, spec: DesignSpec | None, sign: float):
@@ -215,7 +194,8 @@ def run_design(args) -> int:
     limits = SearchLimits(args.max_n)
     spec = load_design_spec(args.spec)
     out = Path(args.out)
-    c, report = _search(spec, limits)
+    result = _search(spec, limits)
+    c, report = result.weights.c, result.report
     c_out = _steered(c, spec, 1.0)
     # steering rotates the zeros
     zeros = report.zeros if c_out is c else polynomial_zeros(c_out)
@@ -253,7 +233,8 @@ def run_reproduce(args) -> int:
             f"max |radius - 1| = {circle_err:.3e}"))
         weights_c = c
     else:
-        weights_c, report = _search(spec, limits)
+        result = _search(spec, limits)
+        weights_c, report = result.weights.c, result.report
         expected = EXPECTED_ELEMENTS[key]
         checks.append(_check(
             "element count", report.feasible and len(weights_c) <= expected,

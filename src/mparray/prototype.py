@@ -38,7 +38,12 @@ class InfeasibleSpecError(ValueError):
 
 
 class OrderSearchError(RuntimeError):
-    """No element count within the search limit satisfied the bands."""
+    """No element count within the search limit satisfied the bands.
+
+    ``best`` is the search's best failing trial.  When it has weights, its
+    ``report`` judges them: the witness lists its own unmet bands and
+    ``minimality`` is None.
+    """
 
     def __init__(self, message: str, best):
         super().__init__(message)
@@ -66,8 +71,8 @@ class DesignTrial:
     """One element count attempted against the original bands.
 
     ``levels`` holds the band levels of the synthesized pattern, None when
-    the exchange or the factorization failed.  ``find_min_order`` returns
-    its winning trial with ``report`` set.
+    the exchange or the factorization failed.  ``find_min_order`` sets
+    ``report`` on the trial it hands back when that trial has weights.
     """
 
     order: int
@@ -107,21 +112,18 @@ def _unmet(levels: tuple[BandLevel, ...]) -> tuple[str, ...]:
         for lv in levels if lv.margin_db < 0.0)
 
 
-def evaluate(c, spec: DesignSpec | None, *, diagnostics=None,
-             witness: tuple[str, ...] | None = None,
-             minimality: str | None = None, name: str | None = None) -> DesignReport:
+def evaluate(c, spec: DesignSpec | None, *, name: str | None = None) -> DesignReport:
     """Judge excitation ``c`` against ``spec`` and report it: the one report path.
 
     The bands are measured by :func:`measure`.  The report is feasible
-    when no band is violated, and ``witness`` defaults to the violated
+    when no band is violated, and its witness lists the violated
     bands.  ``flattop_ripple_db`` is the pass band's achieved ripple (0.0
     without one) and ``max_sidelobe_db`` the highest stop level (-inf
     without one).  ``spec`` None judges the zeros only and leaves both
     None.  The design is minimum phase when no zero lies farther than
     ZERO_RADIUS_TOL outside the unit circle.
     """
-    return _report(c, spec, () if spec is None else measure(c, spec), diagnostics=diagnostics,
-                   witness=witness, minimality=minimality, name=name)
+    return _report(c, spec, () if spec is None else measure(c, spec), name=name)
 
 
 def _report(c, spec, levels, *, diagnostics=None, witness=None, minimality=None,
@@ -281,7 +283,7 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     ------
     OrderSearchError
         If no count up to ``limits.max_order`` is feasible; the best
-        failing trial is attached.
+        failing trial is attached, with its own report when it has weights.
     """
     limits = limits or SearchLimits()
     spec = validate_spec(spec)
@@ -297,6 +299,11 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
             trials[n] = _attempt(spec, plan, n, starts[0] if starts else None)
         return trials[n]
 
+    def reported(t: DesignTrial, **claim) -> DesignTrial:
+        # The trial's levels are measure(t.weights.c, spec) already.
+        return replace(t, report=_report(t.weights.c, spec, t.levels,
+                                         diagnostics=t.diagnostics, **claim))
+
     if trial(guess).feasible:
         order = guess
         while order > 1 and trial(order - 1).feasible:
@@ -310,16 +317,11 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
                        key=lambda t: min((lv.margin_db for lv in t.levels),
                                          default=-math.inf) if t.levels else -math.inf)
             raise OrderSearchError(
-                f"no element count up to {limits.max_order} meets the bands", best)
+                f"no element count up to {limits.max_order} meets the bands",
+                best if best.weights is None else reported(best))
 
-    best = trial(order)
-    if order > 1:
-        below = trial(order - 1)
-        witness = below.violations
-        minimality = "route_only" if below.levels is not None else "unproven"
-    else:
-        witness, minimality = (), "trivial"
-    # The trial's levels are measure(best.weights.c, spec) already.
-    report = _report(best.weights.c, spec, best.levels, diagnostics=best.diagnostics,
-                     witness=witness, minimality=minimality)
-    return replace(best, report=report)
+    if order == 1:
+        return reported(trial(order), witness=(), minimality="trivial")
+    below = trial(order - 1)
+    return reported(trial(order), witness=below.violations,
+                    minimality="route_only" if below.levels is not None else "unproven")

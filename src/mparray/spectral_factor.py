@@ -210,9 +210,9 @@ def reflect_into_disc(c) -> np.ndarray:
 
     Each move is an all-pass factor scaled by |z|, so |C(u)| and the
     autocorrelation stay as they are; a vector with no zero outside is
-    returned unchanged.  The sign is normalized so that sum(c) >= 0.
-    Roots are taken only when the Schur-Cohn step-down
-    (:func:`_zeros_inside`) does not certify every zero strictly inside.
+    returned unchanged.  Roots are taken only when the Schur-Cohn
+    step-down (:func:`_zeros_inside`) does not certify every zero strictly
+    inside.
     """
     if _zeros_inside(c):
         return c
@@ -222,8 +222,7 @@ def reflect_into_disc(c) -> np.ndarray:
         return c
     gain = c[0] * np.prod(np.abs(z[out]))
     z[out] = 1.0 / np.conj(z[out])
-    c = np.real(gain * np.poly(z))
-    return c if c.sum() >= 0.0 else -c
+    return np.real(gain * np.poly(z))
 
 
 def refine_newton(c_init, taps, gamma: float) -> tuple[np.ndarray, bool]:
@@ -282,12 +281,12 @@ def spectral_factorize(taps, *,
     The lift comes from the exact symbol minimum, enlarged by the fixed
     relative margin GAMMA_MARGIN (:func:`find_gamma`), so one banded
     Cholesky factors the lifted (Q+N)-dimensional leading section, whose
-    last column is the extraction (sign normalized so that sum(c) > 0); a
-    failure raises FactorizationError, and taps of even length, not
-    finite or not symmetric raise ValueError.  ``expansion_factor`` sets
-    Q = expansion_factor * N, floored at MIN_EXPANSION: the extraction
-    error decays like r^(2Q) with r the largest zero radius, so tiny
-    arrays still need Q in the hundreds when a zero sits near 0.95.
+    last column is the extraction; a failure raises FactorizationError,
+    and taps of even length, not finite or not symmetric raise
+    ValueError.  ``expansion_factor`` sets Q = expansion_factor * N,
+    floored at MIN_EXPANSION: the extraction error decays like r^(2Q)
+    with r the largest zero radius, so tiny arrays still need Q in the
+    hundreds when a zero sits near 0.95.
     ``newton`` turns on the Newton polish (:func:`refine_newton`), which
     tightens the autocorrelation residual toward machine precision; if it
     diverges, the unrefined extraction is kept and flagged in the
@@ -299,7 +298,8 @@ def spectral_factorize(taps, *,
     converges to that non-minimum-phase factor.  Such zeros are
     reflected into the disc (:func:`reflect_into_disc`), which turns any
     spectral factor into the minimum-phase one; it takes roots only when
-    a Schur-Cohn step-down does not certify every zero inside.
+    a Schur-Cohn step-down does not certify every zero inside.  The sign
+    is normalized last, so that sum(c) >= 0.
     """
     taps = np.asarray(taps, float)
     if len(taps) % 2 == 0:
@@ -316,12 +316,11 @@ def spectral_factorize(taps, *,
     # factor of a banded matrix has the same bandwidth, so the order-N
     # window is the whole stored column.
     c = cholesky_banded(taps, expansion, gamma)[::-1, -1].copy()
-    if c.sum() < 0.0:
-        c = -c
     refined = False
     if newton:
         c, refined = refine_newton(c, taps, gamma)
-    weights = MinPhaseWeights(c=reflect_into_disc(c), gamma_used=gamma)
+    c = reflect_into_disc(c)
+    weights = MinPhaseWeights(c=c if c.sum() >= 0.0 else -c, gamma_used=gamma)
 
     residual = verify_factorization(weights, taps)
     diag = FactorizationDiagnostics(

@@ -270,8 +270,7 @@ def test_measure_catches_a_peak_between_grid_points():
 
 def test_report_serializes_to_json(design1):
     spec = design1_spec()
-    report = evaluate(design1.weights.c, spec, diagnostics=design1.diagnostics)
-    payload = json.loads(json.dumps(report.to_dict()))
+    payload = json.loads(json.dumps(design1.report.to_dict()))
     assert payload["name"] == spec.name
     assert payload["element_count"] == 6
     assert payload["min_phase"] is True

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mparray import (OrderSearchError, SearchLimits, builtin_spec,
-                     find_min_order)
+import mparray.prototype as prototype_module
+from mparray import (OrderSearchError, RemezConvergenceError, SearchLimits,
+                     builtin_spec, find_min_order)
 from mparray.cli import (PATTERN_POINTS, _build_parser, _read_weights,
                          load_design_spec, main)
 from mparray.spec_model import validate_spec
@@ -123,23 +124,36 @@ def test_missing_and_malformed_inputs_exit_one(tmp_path):
     assert main(["design", "--spec", str(bad), "--out", out]) == 1
 
 
-# The exchange loses alternation at some element counts on this request
-# ("only 15 alternating extrema for 17 required" at 16 elements).
+# Every exchange of this request's search converges, and it meets the bands
+# at 14 elements; the test below forces the exchange at 13 to fail.
 EXCHANGE_FAILURE_BANDS = [
     {"u_lo": 0.0, "u_hi": 1.1147, "kind": "pass", "ripple_db": 2.0},
     {"u_lo": 1.7247, "u_hi": math.pi, "kind": "stop", "max_level_db": -47.54},
 ]
 
 
-def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys):
+def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys, monkeypatch):
+    real = prototype_module.design_prototype
+
+    def fails_at_13(plan, n, start=None):
+        if n == 13:
+            raise RemezConvergenceError("forced", 1)
+        return real(plan, n, start)
+
+    monkeypatch.setattr(prototype_module, "design_prototype", fails_at_13)
     spec = tmp_path / "spec.json"
     write_spec(spec, bands=EXCHANGE_FAILURE_BANDS)
     out = tmp_path / "out"
-    assert main(["design", "--spec", str(spec), "--out", str(out)]) in (0, 2)
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 0
     for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
         assert (out / name).exists()
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+    # The failed exchange at one element fewer backs no minimality claim.
+    report = read_report(out)
+    assert report["element_count"] == 14
+    assert report["witness"] == ["exchange failed: forced"]
+    assert report["minimality"] == "unproven"
 
 
 def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
@@ -263,6 +277,7 @@ def test_unreachable_bands_write_best_attempt(tmp_path, capsys):
     with pytest.raises(OrderSearchError) as err:
         find_min_order(load_design_spec(spec), SearchLimits(max_order=3))
     assert report["witness"] == list(err.value.best.violations)
+    assert report == json.loads(json.dumps(err.value.best.report.to_dict()))
 
 
 def test_reproduce_with_unreachable_bands_writes_best_attempt(tmp_path, capsys):
@@ -282,6 +297,7 @@ def test_reproduce_with_unreachable_bands_writes_best_attempt(tmp_path, capsys):
     with pytest.raises(OrderSearchError) as err:
         find_min_order(builtin_spec("design1"), SearchLimits(max_order=3))
     assert report["witness"] == list(err.value.best.violations)
+    assert report == json.loads(json.dumps(err.value.best.report.to_dict()))
 
 
 def test_reproduce_design1_passes(tmp_path, capsys):

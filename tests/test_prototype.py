@@ -94,13 +94,22 @@ def test_search_is_deterministic(design1):
     assert np.array_equal(again.weights.c, design1.weights.c)
 
 
-def test_search_reports_best_attempt_when_capped():
+def test_search_reports_best_attempt_when_capped(monkeypatch):
     with pytest.raises(OrderSearchError) as info:
         find_min_order(design1_spec(), SearchLimits(max_order=3))
     best = info.value.best
     assert best is not None
     assert best.order <= 3
     assert best.violations
+    # The best attempt carries its own report: its unmet bands, no minimality.
+    assert best.report.witness == best.violations
+    assert best.report.minimality is None and not best.report.feasible
+    # A best attempt without weights has nothing to report.
+    for n in (1, 2, 3):
+        _exchange_fails_at(monkeypatch, n)
+    with pytest.raises(OrderSearchError) as info:
+        find_min_order(design1_spec(), SearchLimits(max_order=3))
+    assert info.value.best.weights is None and info.value.best.report is None
 
 
 def test_feasibility_is_judged_on_original_bands(design2):
