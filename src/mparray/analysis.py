@@ -137,9 +137,11 @@ def polynomial_zeros(c) -> np.ndarray:
     """Pattern zeros via companion-matrix eigenvalues plus Newton polish.
 
     Exact leading zero coefficients are stripped first; each root gets up
-    to two Newton corrections, kept only while they shrink |p(z)|.  The
-    zeros come back sorted by (real, imag) for reproducibility, and the
-    array is empty when at most one coefficient is left after stripping.
+    to two Newton corrections, kept only while they shrink |p(z)|, all
+    roots at once: a root stops at p'(z) = 0 or at its first correction
+    that does not shrink |p(z)|.  The zeros come back sorted by (real,
+    imag) for reproducibility, and the array is empty when at most one
+    coefficient is left after stripping.
     """
     coeffs = np.atleast_1d(np.asarray(c))
     lead = 0
@@ -150,18 +152,16 @@ def polynomial_zeros(c) -> np.ndarray:
         return np.zeros(0, complex)
     roots = np.roots(coeffs)
     deriv = np.polyder(coeffs)
-    for i, z in enumerate(roots):
-        for _ in range(2):
-            pz = np.polyval(coeffs, z)
-            dz = np.polyval(deriv, z)
-            if dz == 0.0:
-                break
-            z_new = z - pz / dz
-            if abs(np.polyval(coeffs, z_new)) < abs(pz):
-                z = z_new
-            else:
-                break
-        roots[i] = z
+    active = np.arange(len(roots))
+    for _ in range(2):
+        z = roots[active]
+        pz = np.polyval(coeffs, z)
+        dz = np.polyval(deriv, z)
+        moves = dz != 0.0
+        z_new = z - pz / np.where(moves, dz, 1.0)
+        moves &= np.abs(np.polyval(coeffs, z_new)) < np.abs(pz)
+        active = active[moves]
+        roots[active] = z_new[moves]
     return roots[np.lexsort((roots.imag, roots.real))]
 
 

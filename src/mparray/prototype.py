@@ -12,8 +12,11 @@ have to be restated as bounds on G:
     swing of G about 1 is delta1' = 1 - (1 - delta_p)^2 - 2*delta2'.
 
 The mapping is conservative, so a design meeting the G-plan meets the
-original bounds; feasibility of an element count is always judged on the
-synthesized pattern against the original bands, never on the plan.
+original bounds; feasibility of an element count is always judged against
+the original bands, never on the plan.  Each trial is judged first on the
+exact levels of the lifted prototype G + gamma, which is |C|^2 of its
+factor up to the factor's residual; only a trial G + gamma passes is
+factored, and the factor's own |C| has the last word.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from .equiripple import (LinearPhasePrototype, PrototypeBand,
 from .spec_model import DesignSpec, db_to_amplitude, validate_spec
 from .spectral_factor import (FactorizationError, FactorizationDiagnostics,
                               MinPhaseWeights, autocorrelation,
-                              critical_cosines, spectral_factorize)
+                              critical_cosines, lifted_symbol,
+                              spectral_factorize)
 
 
 class InfeasibleSpecError(ValueError):
@@ -70,7 +74,9 @@ class SearchLimits:
 class DesignTrial:
     """One element count attempted against the original bands.
 
-    ``levels`` holds the band levels of the synthesized pattern, None when
+    ``levels`` holds the band levels of the factor's pattern when the trial
+    has weights, else those of the lifted prototype G + gamma (which did
+    not meet the bands, so the trial was not factored); it is None when
     the exchange or the factorization failed.  ``find_min_order`` sets
     ``report`` on the trial it hands back when that trial has weights.
     """
@@ -99,9 +105,26 @@ def measure(c, spec: DesignSpec) -> tuple[BandLevel, ...]:
     keep their relative accuracy.
     """
     r = autocorrelation(c)[len(c) - 1:]
-    edges = [u for band in spec.bands for u in (band.u_lo, band.u_hi)]
-    u = np.concatenate([np.arccos(critical_cosines(r)), edges])
+    u = np.concatenate([np.arccos(critical_cosines(r)), _edges(spec)])
     return pattern_metrics(u, array_factor(c, u), spec)
+
+
+def measure_symbol(taps, spec: DesignSpec) -> tuple[BandLevel, ...]:
+    """Exact level and margin of each band of ``spec`` in G + gamma.
+
+    G + gamma, the lifted squared pattern of the prototype ``taps``, is
+    |C|^2 of the factor :func:`spectral_factorize` extracts, up to its
+    residual.  It is read at the points of :func:`lifted_symbol` and the
+    band edges and normalized as :func:`measure` normalizes |C|.
+    """
+    u, s = lifted_symbol(taps, _edges(spec))
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(np.maximum(s, 0.0) / s.max())
+    return pattern_metrics(u, db, spec)
+
+
+def _edges(spec: DesignSpec) -> list[float]:
+    return [u for band in spec.bands for u in (band.u_lo, band.u_hi)]
 
 
 def _unmet(levels: tuple[BandLevel, ...]) -> tuple[str, ...]:
@@ -119,10 +142,13 @@ def evaluate(c, spec: DesignSpec | None, *, name: str | None = None) -> DesignRe
     when no band is violated, and its witness lists the violated
     bands.  ``flattop_ripple_db`` is the pass band's achieved ripple (0.0
     without one) and ``max_sidelobe_db`` the highest stop level (-inf
-    without one).  ``spec`` None judges the zeros only and leaves both
-    None.  The design is minimum phase when no zero lies farther than
-    ZERO_RADIUS_TOL outside the unit circle.
+    without one).  ``spec`` None judges the zeros only, leaves both None
+    and needs ``name`` (ValueError without it).  The design is minimum
+    phase when no zero lies farther than ZERO_RADIUS_TOL outside the unit
+    circle.
     """
+    if spec is None and name is None:
+        raise ValueError("evaluate needs a name when spec is None")
     return _report(c, spec, () if spec is None else measure(c, spec), name=name)
 
 
@@ -216,6 +242,18 @@ def _tilted(plan: tuple[PrototypeBand, ...], side: str | None,
         for b in plan)
 
 
+def _factored(spec: DesignSpec, order: int,
+              prototype: LinearPhasePrototype) -> DesignTrial:
+    """The trial of ``prototype`` judged by :func:`measure` on its own factor."""
+    try:
+        weights, diag = spectral_factorize(prototype.taps, newton=True)
+    except FactorizationError as err:
+        return DesignTrial(order, None, None, prototype, None,
+                           (f"factorization failed: {err}",))
+    levels = measure(weights.c, spec)
+    return DesignTrial(order, weights, diag, prototype, levels, _unmet(levels))
+
+
 def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
              start: tuple[np.ndarray, np.ndarray] | None = None) -> DesignTrial:
     """Try one element count, walking the one violated tolerance tighter.
@@ -233,8 +271,11 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
       * both bands fail: tightening both would keep this ratio;
       * the other band fails: tightening it would return to the last ratio.
 
-    The factorization lifts G by its exact minimum, which covers the
-    stop-band dips and any dip in a transition band alike.
+    Each prototype is judged first on G + gamma (:func:`measure_symbol`),
+    whose lift from G's exact minimum covers the stop-band dips and any dip
+    in a transition band alike.  A prototype G + gamma passes is factored,
+    and its factor's levels (:func:`measure`) give the verdict and the
+    side to tighten next.
 
     The first exchange starts from the reference ``start`` (by default an
     even spread; ``find_min_order`` passes a neighbouring count's final
@@ -248,14 +289,13 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
         except RemezConvergenceError as err:
             return DesignTrial(order, None, None, None, None,
                                (f"exchange failed: {err}",))
-        try:
-            weights, diag = spectral_factorize(prototype.taps, newton=True)
-        except FactorizationError as err:
-            return DesignTrial(order, None, None, prototype, None,
-                               (f"factorization failed: {err}",))
-        levels = measure(weights.c, spec)
-        trial = DesignTrial(order, weights, diag, prototype, levels, _unmet(levels))
-        failed = {lv.kind for lv in levels if lv.margin_db < 0.0}
+        levels = measure_symbol(prototype.taps, spec)
+        trial = DesignTrial(order, None, None, prototype, levels, _unmet(levels))
+        if trial.feasible:
+            trial = _factored(spec, order, prototype)
+            if trial.levels is None:
+                return trial
+        failed = {lv.kind for lv in trial.levels if lv.margin_db < 0.0}
         if len(failed) != 1 or (side is not None and failed != {side}):
             return trial
         side = failed.pop()
@@ -268,22 +308,23 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     """Smallest element count whose synthesized pattern meets every band.
 
     Starts from the heuristic estimate, then walks down while feasible or
-    up while infeasible.  Feasibility of a count is judged on the final
-    minimum-phase pattern against the original bands.  Returns the trial
-    at that count with its ``report`` set.  The first exchange at a count
-    starts from the final reference of the count one below or above, when
+    up while infeasible.  A count is feasible when its minimum-phase factor
+    meets the original bands, and infeasible when G + gamma or the factor
+    misses one (see :func:`_attempt`).  Returns the trial at that count
+    with its ``report`` set.  The first exchange at a count starts from the final reference of the count one below or above, when
     that count has a prototype, and otherwise from an even spread.  The
     report carries a minimality witness, the failure observed at one
     element fewer, and says what backs the claim: ``"route_only"`` when
     that trial violated a band (this design route cannot meet the bands
-    there), ``"unproven"`` when its exchange or factorization failed,
-    ``"trivial"`` at one element.
+    there), ``"unproven"`` when its exchange failed, or its factorization
+    after G + gamma met the bands, ``"trivial"`` at one element.
 
     Raises
     ------
     OrderSearchError
         If no count up to ``limits.max_order`` is feasible; the best
-        failing trial is attached, with its own report when it has weights.
+        failing trial is attached, factored first when it was judged on
+        G + gamma alone, with its own report when it has weights.
     """
     limits = limits or SearchLimits()
     spec = validate_spec(spec)
@@ -316,6 +357,8 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
             best = max(trials.values(),
                        key=lambda t: min((lv.margin_db for lv in t.levels),
                                          default=-math.inf) if t.levels else -math.inf)
+            if best.weights is None and best.levels is not None:
+                best = _factored(spec, best.order, best.prototype)
             raise OrderSearchError(
                 f"no element count up to {limits.max_order} meets the bands",
                 best if best.weights is None else reported(best))

@@ -17,11 +17,12 @@ leading section; only that section is formed and factored.
 
 G is a Chebyshev series in x = cos u, so its minimum m is exact: the
 smallest value at x = +-1 and at the real roots of G' in [-1, 1] (the
-points of :func:`critical_cosines`, at which the band judge reads |C|
-too).  Every finite Toeplitz section has its eigenvalues in [min G, max G]
-(Grenander-Szego), so the lift gamma = -m, enlarged by a small safety
-margin and kept above a tiny pivot floor, makes every section positive
-definite; one banded Cholesky per factorization suffices.
+points of :func:`critical_cosines`, at which the search's band judge
+reads G + gamma before factoring, :func:`lifted_symbol`).  Every finite
+Toeplitz section has its eigenvalues in [min G, max G] (Grenander-Szego),
+so the lift gamma = -m, enlarged by a small safety margin and kept above a
+tiny pivot floor, makes every section positive definite; one banded
+Cholesky per factorization suffices.
 
 Everything here stays in banded storage; the dense matrix is never formed.
 """
@@ -96,6 +97,18 @@ def critical_cosines(r) -> np.ndarray:
     return np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
 
 
+def _lifted(taps):
+    """G's Chebyshev series a, the points x of :func:`critical_cosines`,
+    G(x) and :func:`find_gamma`'s (gamma, m), for float ``taps``."""
+    r = taps[(len(taps) - 1) // 2:]
+    a = np.concatenate([r[:1], 2.0 * r[1:]])
+    x = critical_cosines(r)
+    g = _cheb.chebval(x, a)
+    m = float(np.min(g))
+    floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps)))
+    return a, x, g, max((1.0 + GAMMA_MARGIN) * -m, floor - m, 0.0), m
+
+
 def find_gamma(taps) -> tuple[float, float]:
     """Diagonal lift for the Toeplitz operator, from the exact symbol minimum.
 
@@ -107,12 +120,21 @@ def find_gamma(taps) -> tuple[float, float]:
     the pivot floor PIVOT_FLOOR_FACTOR * max|g|; a symbol above that floor
     gets exactly 0.
     """
-    taps = np.asarray(taps, float)
-    r = taps[(len(taps) - 1) // 2:]
-    a = np.concatenate([r[:1], 2.0 * r[1:]])
-    m = float(np.min(_cheb.chebval(critical_cosines(r), a)))
-    floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps)))
-    return max((1.0 + GAMMA_MARGIN) * -m, floor - m, 0.0), m
+    return _lifted(np.asarray(taps, float))[3:]
+
+
+def lifted_symbol(taps, u) -> tuple[np.ndarray, np.ndarray]:
+    """G + gamma, with :func:`find_gamma`'s lift, where it may take its extremes.
+
+    Returns the angles arccos x for every x of :func:`critical_cosines`,
+    followed by ``u``, and G + gamma there.  These are the levels of |C|^2
+    for the factor :func:`spectral_factorize` extracts, up to its
+    residual, read with one root-find and no factorization.
+    """
+    a, x, g, gamma, _ = _lifted(np.asarray(taps, float))
+    u = np.asarray(u, float)
+    return (np.concatenate([np.arccos(x), u]),
+            np.concatenate([g, _cheb.chebval(np.cos(u), a)]) + gamma)
 
 
 def cholesky_banded(taps, expansion: int, gamma: float) -> np.ndarray:

@@ -88,6 +88,37 @@ def test_zero_count_and_leading_strip():
     assert evaluate([5.0], None, name="one").zero_max_radius == 0.0
 
 
+def _zeros_root_by_root(c) -> np.ndarray:
+    """polynomial_zeros' Newton polish, one root at a time: the reference."""
+    coeffs = np.asarray(c)
+    roots = np.roots(coeffs)
+    deriv = np.polyder(coeffs)
+    for i, z in enumerate(roots):
+        for _ in range(2):
+            pz = np.polyval(coeffs, z)
+            dz = np.polyval(deriv, z)
+            if dz == 0.0:
+                break
+            z_new = z - pz / dz
+            if abs(np.polyval(coeffs, z_new)) < abs(pz):
+                z = z_new
+            else:
+                break
+        roots[i] = z
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def test_vectorized_polish_matches_root_by_root(design1, design3):
+    rng = np.random.default_rng(5)
+    cases = [design1.weights.c, design3.weights.c, [1.0, -3.0, 3.0, -1.0],
+             [1.0, 0.0, 0.0, 0.0], make_min_phase(rng, 17),
+             apply_steering(design1.weights.c, 0.3)]
+    cases += [rng.standard_normal(n) for n in range(2, 33)]
+    for c in cases:
+        got, want = polynomial_zeros(c), _zeros_root_by_root(c)
+        assert got.dtype == want.dtype and np.array_equal(got, want), c
+
+
 def test_zeros_are_sorted_and_conjugate_closed(oracle_rng):
     c = make_min_phase(oracle_rng, 10)
     zs = polynomial_zeros(c)
@@ -109,6 +140,12 @@ def test_min_phase_verdict():
     # radius 1 + tol is still on the circle; just past it is outside
     for radius, inside in ((1.0 + ZERO_RADIUS_TOL, True), (1.0 + 2.0 * ZERO_RADIUS_TOL, False)):
         assert evaluate([1.0, radius], None, name="edge").min_phase is inside
+
+
+def test_evaluate_without_spec_needs_a_name():
+    with pytest.raises(ValueError, match="needs a name when spec is None"):
+        evaluate([1.0, 0.5], None)
+    assert evaluate([1.0, 0.5], None, name="named").name == "named"
 
 
 def test_partial_energy_profile():

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ import mparray.prototype as prototype_module
 from mparray import (BandSpec, DesignSpec, FactorizationError,
                      InfeasibleSpecError, OrderSearchError, PrototypeBand,
                      RemezConvergenceError, SearchLimits, design1_spec,
-                     design2_spec, design3_spec, find_min_order, pencil_spec)
+                     design2_spec, design3_spec, find_min_order, pencil_spec,
+                     spectral_factorize)
 from mparray.equiripple import _chebyshev_points
 from mparray.prototype import (DELTA_SHRINK, _attempt, _tilted, design_prototype,
-                               to_prototype_spec)
+                               measure, measure_symbol, to_prototype_spec)
 
 from equioscillation import amplitude_response, equioscillation_extrema
 
@@ -224,20 +227,27 @@ def test_too_few_alternations_is_an_exchange_failure():
 def test_factorization_failure_is_a_failed_trial(monkeypatch):
     real = prototype_module.spectral_factorize
 
-    def fails_at_five(taps, **kwargs):
-        if len(taps) == 2 * 5 - 1:
+    def fails_at_five_and_six(taps, **kwargs):
+        if len(taps) in (2 * 5 - 1, 2 * 6 - 1):
             raise FactorizationError("forced")
         return real(taps, **kwargs)
 
-    monkeypatch.setattr(prototype_module, "spectral_factorize", fails_at_five)
+    monkeypatch.setattr(prototype_module, "spectral_factorize", fails_at_five_and_six)
     spec = design1_spec()
-    failed = _attempt(spec, to_prototype_spec(spec), 5)
+    plan = to_prototype_spec(spec)
+    # G + gamma misses design1's bands at 5 elements, so 5 is never factored.
+    ruled_out = _attempt(spec, plan, 5)
+    assert ruled_out.weights is None and ruled_out.levels is not None
+    assert ruled_out.violations and all(" band [" in v for v in ruled_out.violations)
+    # G + gamma meets them at 6, so 6 is factored, and its failure fails the count.
+    failed = _attempt(spec, plan, 6)
     assert failed.prototype is not None
     assert failed.weights is None and failed.levels is None
     assert failed.violations == ("factorization failed: forced",)
-    # Nothing shows that 5 elements cannot meet the bands.
+    # Nothing shows that 6 elements cannot meet the bands.
     result = find_min_order(spec)
-    assert result.order == 6
+    assert result.order == 7
+    assert result.feasible
     assert result.report.minimality == "unproven"
     assert result.report.witness == ("factorization failed: forced",)
 
@@ -340,7 +350,7 @@ def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
 
 def test_winner_is_not_measured_again(monkeypatch):
     # The report is built from the winning trial's levels: one measure per
-    # designed prototype, none more.
+    # prototype that G + gamma passes (7 and 6; it rules 5 out), none more.
     designed, measured = _count_prototypes(monkeypatch), []
     real = prototype_module.measure
 
@@ -350,8 +360,100 @@ def test_winner_is_not_measured_again(monkeypatch):
 
     monkeypatch.setattr(prototype_module, "measure", counted)
     result = find_min_order(design1_spec())
-    assert measured == designed == [7, 6, 5]
+    assert designed == [7, 6, 5]
+    assert measured == [7, 6]
     assert result.report.bands == result.levels
+
+
+def _record_prototypes(monkeypatch) -> list:
+    """Record every prototype design_prototype returns."""
+    designed = []
+    real = prototype_module.design_prototype
+
+    def recorded(*args, **kwargs):
+        designed.append(real(*args, **kwargs))
+        return designed[-1]
+
+    monkeypatch.setattr(prototype_module, "design_prototype", recorded)
+    return designed
+
+
+def _sweep_specs(seed: int) -> list[DesignSpec]:
+    """The benchmark's seeded low-pass requests (perfbench/inputs.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    loader = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(inputs)
+    return [DesignSpec(0.5, tuple(BandSpec(b["u_lo"], b["u_hi"], b["kind"],
+                                           ripple_db=b.get("ripple_db"),
+                                           max_level_db=b.get("max_level_db"))
+                                  for b in request["bands"]))
+            for request in inputs.lowpass_specs(np.random.default_rng(seed))]
+
+
+def _symbol_agrees_with_factor(spec, prototype) -> bool:
+    """True when Newton is kept on the prototype's factor; asserts that the
+    levels of G + gamma are those of the factor, verdict and all."""
+    weights, diag = spectral_factorize(prototype.taps, newton=True)
+    if not diag.refined:
+        return False
+    symbol = measure_symbol(prototype.taps, spec)
+    factor = measure(weights.c, spec)
+    for lv_s, lv_f in zip(symbol, factor, strict=True):
+        assert lv_s.achieved_db == pytest.approx(lv_f.achieved_db, abs=1e-6)
+        assert (lv_s.margin_db < 0.0) == (lv_f.margin_db < 0.0)
+    return True
+
+
+@pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
+def test_symbol_levels_are_the_factor_levels_of_a_design(monkeypatch, make_spec):
+    designed = _record_prototypes(monkeypatch)
+    spec = make_spec()
+    order = find_min_order(spec).order
+    # The last prototype of each count is the one its trial was judged on.
+    last = {len(p.taps) // 2 + 1: p for p in designed}
+    for n in (order, order - 1):
+        assert _symbol_agrees_with_factor(spec, last[n]), n
+
+
+def test_symbol_levels_are_the_factor_levels_on_a_sweep(monkeypatch):
+    # Every trial of sweep seed 1, tilts included; Newton is kept on all.
+    designed = _record_prototypes(monkeypatch)
+    judged = 0
+    for spec in _sweep_specs(1):
+        designed.clear()
+        try:
+            find_min_order(spec, SearchLimits(max_order=32))
+        except OrderSearchError:
+            pass
+        judged += sum(_symbol_agrees_with_factor(spec, p) for p in designed)
+    assert judged == 350
+
+
+@pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
+def test_only_trials_the_symbol_passes_are_factored(monkeypatch, make_spec):
+    designed, factored = _record_prototypes(monkeypatch), []
+    real = prototype_module.spectral_factorize
+
+    def recorded(taps, **kwargs):
+        factored.append(taps)
+        return real(taps, **kwargs)
+
+    monkeypatch.setattr(prototype_module, "spectral_factorize", recorded)
+    spec = make_spec()
+    find_min_order(spec)
+    passed = [p.taps for p in designed
+              if all(lv.margin_db >= 0.0 for lv in measure_symbol(p.taps, spec))]
+    assert 0 < len(passed) < len(designed)
+    assert len(factored) == len(passed)
+    assert all(f is p for f, p in zip(factored, passed))
+    # A search that meets no count factors its best trial once, for its report.
+    designed.clear()
+    factored.clear()
+    with pytest.raises(OrderSearchError) as info:
+        find_min_order(spec, SearchLimits(max_order=3))
+    assert [f is info.value.best.prototype.taps for f in factored] == [True]
+    assert info.value.best.report is not None
 
 
 @pytest.mark.parametrize("make_spec, order", [(design1_spec, 5), (design2_spec, 13),
@@ -382,6 +484,21 @@ def test_pass_side_tilt_rescues_an_element_count(monkeypatch):
     calls = _count_prototypes(monkeypatch)
     assert _attempt(spec, plan, 5).feasible
     assert len(calls) == 2
+
+
+def test_walk_tightens_the_side_the_factor_fails(monkeypatch):
+    # Sweep seed 13, request 22: at 8 elements G + gamma meets both bands,
+    # but Newton is not kept on its factor, whose stop band misses by
+    # 0.05 dB.  The walk tightens the stop side, as the factor's levels say,
+    # and 8 holds; a walk that read its side from G + gamma would end at 9.
+    spec = DesignSpec(0.5, (BandSpec(0.0, 0.48248741287811314, "pass",
+                                     ripple_db=1.5332049033771575),
+                            BandSpec(2.2323599069240436, math.pi, "stop",
+                                     max_level_db=-66.62073583839857)))
+    calls = _count_prototypes(monkeypatch)
+    result = find_min_order(spec, SearchLimits(max_order=32))
+    assert result.order == 8
+    assert calls == [9, 8, 8, 7, 7]
 
 
 def test_touching_stop_bands_with_different_weights():

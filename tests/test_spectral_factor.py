@@ -281,7 +281,12 @@ def test_reflection_moves_outside_zeros_and_keeps_autocorrelation():
     flipped = reflect_into_disc(c)
     assert np.sort(np.abs(np.roots(flipped))) == pytest.approx([0.5, 0.5, 0.5, 0.8])
     assert autocorrelation(flipped) == pytest.approx(autocorrelation(c), abs=1e-12)
-    assert flipped.sum() > 0.0
+    # The reflection keeps the sign it is given; spectral_factorize owns the
+    # sign and normalizes it once, at its end.
+    assert np.array_equal(reflect_into_disc(-c), -flipped)
+    weights, _ = spectral_factorize(autocorrelation(-c), newton=True)
+    assert weights.c.sum() > 0.0
+    assert weights.c == pytest.approx(flipped, abs=1e-9)
 
 
 @settings(deadline=None, max_examples=25)
