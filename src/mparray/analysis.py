@@ -93,11 +93,18 @@ def _json_value(key: str, value):
 def array_factor(c, u) -> np.ndarray:
     """|C(u)| in dB at the points u, normalized so the largest sample is 0 dB.
 
-    A true pattern null maps to -inf.
+    C is read straight from c by Horner's rule in z = exp(ju): one complex
+    exponential per point and N - 1 multiply-adds over the points, so the
+    cost is O(len(u) N) with O(len(u)) memory.  A true pattern null maps
+    to -inf.
     """
     c = np.asarray(c)
     u = np.asarray(u, float)
-    values = np.exp(1j * np.outer(u, np.arange(len(c)))) @ c
+    z = np.exp(1j * u)
+    values = np.full(u.shape, c[-1], complex)
+    for ck in c[-2::-1].tolist():
+        values *= z
+        values += ck
     mag = np.abs(values)
     peak = mag.max() if len(mag) else 0.0
     with np.errstate(divide="ignore"):

@@ -141,20 +141,23 @@ def _read_weights(path: str | Path) -> np.ndarray:
 
 def _write_artifacts(out: Path, c, spacing: float, zeros, report,
                      points: int) -> None:
-    """Write the four artifacts of the module docstring, each as its lines."""
+    """Write the four artifacts of the module docstring, each as its lines.
+
+    The rows of pattern.csv come from one formatting pass over the whole
+    table: theta_deg is computed for every u at once (nan where |u| is past
+    the visible limit 2*pi*spacing) and a single %-format prints them all.
+    """
     half = np.linspace(0.0, math.pi, points)
     u = np.concatenate([-half[:0:-1], half])
     visible = 2.0 * math.pi * spacing
-    pattern = []
-    for ui, db in zip(u.tolist(), array_factor(c, u).tolist()):
-        theta_txt = "nan"
-        if abs(ui) <= visible * (1.0 + 1e-12):
-            theta_txt = f"{math.degrees(math.asin(min(1.0, max(-1.0, ui / visible)))):.6f}"
-        pattern.append(f"{ui:.12g},{theta_txt},{db:.4f}")
+    theta = np.where(np.abs(u) <= visible * (1.0 + 1e-12),
+                     np.degrees(np.arcsin(np.clip(u / visible, -1.0, 1.0))), np.nan)
+    rows = np.column_stack([u, theta, array_factor(c, u)]).ravel().tolist()
     artifacts = {
         "weights.csv": ["index,re,im"] + [f"{k},{z.real!r},{z.imag!r}" for k, z
                                           in enumerate(np.asarray(c, complex).tolist())],
-        "pattern.csv": ["u_rad,theta_deg,magnitude_db"] + pattern,
+        "pattern.csv": ["u_rad,theta_deg,magnitude_db",
+                        "\n".join(["%.12g,%.6f,%.4f"] * len(u)) % tuple(rows)],
         "zeros.csv": ["re,im,radius"] + [f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}"
                                          for z in zeros.tolist()],
         "report.json": [json.dumps(report.to_dict(), indent=2, sort_keys=True)],

@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mparray import (BandSpec, DesignSpec, allpass_variants,
                      apply_steering, design1_spec, design2_spec, design3_spec,
                      design_pencil, evaluate, partial_energy_profile,
                      pencil_spec, polynomial_zeros)
 from mparray.analysis import ZERO_RADIUS_TOL, array_factor, pattern_metrics
+from mparray.cli import PATTERN_POINTS
 from mparray.prototype import measure
 
 from conftest import make_min_phase
@@ -35,13 +36,16 @@ def _linear(db):
     return 10.0 ** (np.asarray(db) / 20.0)
 
 
-@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=8),
-       st.floats(-math.pi, math.pi))
-def test_pattern_matches_direct_sum(vals, u):
+@given(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=32),
+       st.floats(-math.pi, math.pi), st.just(33))
+@example(design_pencil().taps.tolist(), 0.0, 2 * PATTERN_POINTS - 1)
+@settings(deadline=None)
+def test_pattern_matches_direct_sum(vals, u, points):
     # The dB pattern on a grid holding u, scaled back by the direct sum's
-    # peak, is the magnitude of the direct sum.
+    # peak, is the magnitude of the direct sum.  The example is the pencil
+    # on the pattern.csv grid.
     c = np.array(vals)
-    grid = np.append(np.linspace(-math.pi, math.pi, 33), u)
+    grid = np.append(np.linspace(-math.pi, math.pi, points), u)
     direct = np.abs([sum(ck * np.exp(1j * k * x) for k, ck in enumerate(c))
                      for x in grid])
     db = array_factor(c, grid)

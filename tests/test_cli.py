@@ -11,9 +11,10 @@ from hypothesis import example, given, settings, strategies as st
 
 import mparray.prototype as prototype_module
 from mparray import (OrderSearchError, RemezConvergenceError, SearchLimits,
-                     builtin_spec, find_min_order)
+                     builtin_spec, design_pencil, evaluate, find_min_order)
+from mparray.analysis import array_factor
 from mparray.cli import (PATTERN_POINTS, _build_parser, _read_weights,
-                         load_design_spec, main)
+                         _write_artifacts, load_design_spec, main)
 from mparray.spec_model import validate_spec
 
 PASS_EDGE = math.pi * math.sin(0.2182)
@@ -501,6 +502,39 @@ def test_pattern_marks_invisible_angles(tmp_path):
     assert "nan" in thetas  # u beyond the visible region of 0.25-lambda spacing
     visible = [t for t in thetas if t != "nan"]
     assert visible and all(-90.0 <= float(t) <= 90.0 for t in visible)
+
+
+def _reference_pattern_csv(c, spacing, points):
+    """pattern.csv as a per-row loop writes it: one f-string per u."""
+    half = np.linspace(0.0, math.pi, points)
+    u = np.concatenate([-half[:0:-1], half])
+    visible = 2.0 * math.pi * spacing
+    lines = ["u_rad,theta_deg,magnitude_db"]
+    for ui, db in zip(u.tolist(), array_factor(c, u).tolist()):
+        theta_txt = "nan"
+        if abs(ui) <= visible * (1.0 + 1e-12):
+            theta_txt = f"{math.degrees(math.asin(min(1.0, max(-1.0, ui / visible)))):.6f}"
+        lines.append(f"{ui:.12g},{theta_txt},{db:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+_TAP = st.floats(-2.0, 2.0)
+
+
+@given(st.one_of(st.lists(_TAP, min_size=1, max_size=32),
+                 st.lists(st.builds(complex, _TAP, _TAP), min_size=1, max_size=32)),
+       st.floats(0.1, 1.0), st.integers(2, 300))
+@example(design_pencil().taps.tolist(), 0.5, PATTERN_POINTS)
+@example([1.0, -1.0], 0.5, 101)  # a null at u = 0: -inf
+@example([0.3, 1.1, 0.4], 0.25, 101)  # past the visible limit: nan
+@settings(deadline=None)
+def test_pattern_csv_matches_the_per_row_writer(c, spacing, points):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        _write_artifacts(out, np.array(c), spacing, np.zeros(0, complex),
+                         evaluate([1.0], None, name="row"), points)
+        assert (out / "pattern.csv").read_bytes() == \
+            _reference_pattern_csv(np.array(c), spacing, points).encode()
 
 
 # Fields of a request the fuzzer may break, and what it breaks them with.
