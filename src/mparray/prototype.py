@@ -1,22 +1,24 @@
-"""Squared-magnitude mapping, the minimal element-count search, one report path.
+"""Squared-magnitude plan, the minimal element-count search, one report path.
 
 The minimum-phase route designs the squared pattern G(u) = |C(u)|^2 as an
-equiripple prototype and factors it.  Amplitude bounds on |C| therefore
-have to be restated as bounds on G:
+equiripple prototype, lifts it by gamma and factors it, so the judged
+pattern is |C|^2 = G + gamma up to the factor's residual.  With the peak
+in the pass band, a pass-band swing p of G about 1, a stop-band swing q
+about 0 and the lift gamma = (1 + mu) q of the factorization (mu =
+GAMMA_MARGIN), the two levels the judge reads, normalized to the peak
+1 + p + gamma, meet a ripple bound r = 10**(ripple_dB/10) and a stop
+ceiling s = 10**(stop_dB/10) exactly when
 
-  * a stop ceiling delta_s on |C| allows G to swing within +-delta_s^2/2
-    about 0, so delta2' = delta_s^2 / 2;
-  * a peak-to-peak pass ripple of r dB about the flat top, split evenly in
-    dB, means |C| must stay above 10**(-r/40) =: 1 - delta_p, so G may dip
-    to (1 - delta_p)^2.  With the stop-band lift folded in, the pass-band
-    swing of G about 1 is delta1' = 1 - (1 - delta_p)^2 - 2*delta2'.
+    -s p + (2 + mu - s (1 + mu)) q = s,
+    (1 + r) p + (1 - r)(1 + mu) q = r - 1.
 
-The mapping is conservative, so a design meeting the G-plan meets the
-original bounds; feasibility of an element count is always judged against
-the original bands, never on the plan.  Each trial is judged first on the
-exact levels of the lifted prototype G + gamma, which is |C|^2 of its
-factor up to the factor's residual; only a trial G + gamma passes is
-factored, and the factor's own |C| has the last word.
+Their solution (p*, q*) weights the plan, so a count whose G takes its
+extremes in the bands meets them exactly when its equiripple level is at
+most 1: the plan is exact, not conservative.  Feasibility of an element count is still always judged
+against the original bands, never on the plan: each trial is judged
+first on the exact levels of the lifted prototype G + gamma, and only a
+trial G + gamma passes is factored; the factor's own |C| has the last
+word.
 """
 from __future__ import annotations
 
@@ -30,11 +32,11 @@ from .analysis import (BandLevel, DesignReport, ZERO_RADIUS_TOL, array_factor,
                        pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
-from .spec_model import DesignSpec, db_to_amplitude, validate_spec
-from .spectral_factor import (FactorizationError, FactorizationDiagnostics,
-                              MinPhaseWeights, autocorrelation,
-                              critical_cosines, lifted_symbol,
-                              spectral_factorize)
+from .spec_model import DesignSpec, validate_spec
+from .spectral_factor import (GAMMA_MARGIN, FactorizationError,
+                              FactorizationDiagnostics, MinPhaseWeights,
+                              autocorrelation, critical_cosines,
+                              lifted_symbol, spectral_factorize)
 
 
 class InfeasibleSpecError(ValueError):
@@ -52,11 +54,6 @@ class OrderSearchError(RuntimeError):
     def __init__(self, message: str, best):
         super().__init__(message)
         self.best = best
-
-
-# Tolerance walk of one element count (see _attempt).
-DELTA_SHRINK = 0.9
-MAX_SHRINKS = 5
 
 
 @dataclass(frozen=True)
@@ -179,21 +176,24 @@ def _report(c, spec, levels, *, diagnostics=None, witness=None, minimality=None,
 
 
 def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
-    """Restate amplitude bands as a weighted plan for G = |C|^2.
+    """Restate amplitude bands as the exact weighted plan for G = |C|^2.
 
     The plan is one PrototypeBand per band, sorted by u_lo: the pass band
-    with target 1 and weight 1/delta1', each stop band with target 0 and
-    weight 1/delta2' of its own ceiling, so a single equiripple level
-    targets every tolerance at once.
+    with target 1 and weight 1/p*, every stop band with target 0 and
+    weight 1/q*, (p*, q*) the solution of the module's two equations for
+    the ripple bound and the tightest stop ceiling (least s).  One lift
+    serves every stop band, so no stop band may swing more than the
+    tightest one allows; a single equiripple level then targets every
+    tolerance at once.
 
     Raises
     ------
     InfeasibleSpecError
-        If the ripple and sidelobe bounds leave no room for G (delta1'
-        <= 0), if there is no stop band, or if the pass band is a single
-        point (a pencil beam is designed in closed form by design_pencil,
-        not through the squared-magnitude mapping), or if a stop ceiling
-        is so low (about -3080 dB) that its weight 1/delta2' overflows.
+        If there is no stop band, or if the pass band is a single point
+        (a pencil beam is designed in closed form by design_pencil, not
+        through the squared-magnitude mapping), or if p* or q* is not
+        positive with a finite weight (a stop ceiling of about -3080 dB,
+        where 1/q* overflows, or one within 0.002 dB of the peak).
     """
     spec = validate_spec(spec)
     pass_band = spec.pass_band
@@ -204,21 +204,18 @@ def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
             "see design_pencil")
     if not stops:
         raise InfeasibleSpecError("need at least one stop band to bound sidelobes")
-    delta2_each = [0.5 * db_to_amplitude(b.max_level_db) ** 2 for b in stops]
-    delta2 = min(delta2_each)
-    if not delta2 * sys.float_info.max > 1.0:
+    mu = GAMMA_MARGIN
+    w = 10.0 ** (-pass_band.ripple_db / 10.0)  # 1/r: the equations divided by r
+    stop_db = min(b.max_level_db for b in stops)
+    s = 10.0 ** (stop_db / 10.0)
+    den = (1.0 + w) * (2.0 + mu) - 2.0 * s * (1.0 + mu)
+    swings = ((1.0 - w) * (2.0 + mu), 2.0 * s)  # den * (p*, q*)
+    if not min(swings) * sys.float_info.max > den > 0.0:
         raise InfeasibleSpecError(
-            f"stop ceiling {min(b.max_level_db for b in stops)} dB has no finite "
-            "squared-pattern weight")
-    delta_p = 1.0 - 10.0 ** (-pass_band.ripple_db / 40.0)
-    delta1 = 1.0 - (1.0 - delta_p) ** 2 - 2.0 * delta2
-    if delta1 <= 0.0:
-        raise InfeasibleSpecError(
-            f"ripple bound {pass_band.ripple_db} dB leaves no squared-pattern "
-            f"tolerance against the stop floor (delta1' = {delta1:.3e})")
-    bands = [PrototypeBand(pass_band.u_lo, pass_band.u_hi, 1.0, 1.0 / delta1)]
-    for b, d2 in zip(stops, delta2_each):
-        bands.append(PrototypeBand(b.u_lo, b.u_hi, 0.0, 1.0 / d2))
+            f"stop ceiling {stop_db} dB has no finite positive squared-pattern weight")
+    p, q = (x / den for x in swings)
+    bands = [PrototypeBand(pass_band.u_lo, pass_band.u_hi, 1.0, 1.0 / p)]
+    bands += [PrototypeBand(b.u_lo, b.u_hi, 0.0, 1.0 / q) for b in stops]
     bands.sort(key=lambda b: b.u_lo)
     return tuple(bands)
 
@@ -230,16 +227,6 @@ def design_prototype(plan: tuple[PrototypeBand, ...], order: int,
     if order < 1:
         raise ValueError("order must be at least 1")
     return remez_design(plan, order - 1, start)
-
-
-def _tilted(plan: tuple[PrototypeBand, ...], side: str | None,
-            scale: float) -> tuple[PrototypeBand, ...]:
-    """The plan with only the ``side`` ("pass" or "stop") band weights divided by ``scale``."""
-    if side is None:
-        return plan
-    return tuple(
-        replace(b, weight=b.weight / scale) if (b.desired != 0.0) == (side == "pass") else b
-        for b in plan)
 
 
 def _factored(spec: DesignSpec, order: int,
@@ -256,52 +243,25 @@ def _factored(spec: DesignSpec, order: int,
 
 def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
              start: tuple[np.ndarray, np.ndarray] | None = None) -> DesignTrial:
-    """Try one element count, walking the one violated tolerance tighter.
+    """Design one element count once and judge it against the original bands.
 
-    Only the ratio of the pass and stop weights shapes the equiripple
-    prototype.  If the first trial violates one side only, that side's
-    weight is divided by DELTA_SHRINK**k, k = 1..MAX_SHRINKS.  The walk
-    returns the trial in hand once it is feasible, or once going on would
-    have no side to tighten or would redesign a ratio already tried:
-
-      * the exchange fails: no pattern names a side (a failed trial; the
-        search goes on);
-      * the factorization fails: no pattern names a side, and tightening
-        both would keep this ratio;
-      * both bands fail: tightening both would keep this ratio;
-      * the other band fails: tightening it would return to the last ratio.
-
-    Each prototype is judged first on G + gamma (:func:`measure_symbol`),
-    whose lift from G's exact minimum covers the stop-band dips and any dip
-    in a transition band alike.  A prototype G + gamma passes is factored,
-    and its factor's levels (:func:`measure`) give the verdict and the
-    side to tighten next.
-
-    The first exchange starts from the reference ``start`` (by default an
-    even spread; ``find_min_order`` passes a neighbouring count's final
-    reference), and each tilt from the final reference of the design it
-    tilts: only the weights change, so its nodes are already close.
+    The exchange starts from the reference ``start`` (by default an even
+    spread; ``find_min_order`` passes a neighbouring count's final
+    reference); its failure fails the count.  The prototype is judged
+    first on G + gamma (:func:`measure_symbol`), whose lift from G's exact
+    minimum covers the stop-band dips and any dip in a transition band
+    alike.  A prototype G + gamma passes is factored, and its factor's
+    levels (:func:`measure`) give the verdict.
     """
-    side, scale = None, 1.0
-    for _ in range(MAX_SHRINKS + 1):
-        try:
-            prototype = design_prototype(_tilted(plan, side, scale), order, start)
-        except RemezConvergenceError as err:
-            return DesignTrial(order, None, None, None, None,
-                               (f"exchange failed: {err}",))
-        levels = measure_symbol(prototype.taps, spec)
-        trial = DesignTrial(order, None, None, prototype, levels, _unmet(levels))
-        if trial.feasible:
-            trial = _factored(spec, order, prototype)
-            if trial.levels is None:
-                return trial
-        failed = {lv.kind for lv in trial.levels if lv.margin_db < 0.0}
-        if len(failed) != 1 or (side is not None and failed != {side}):
-            return trial
-        side = failed.pop()
-        scale *= DELTA_SHRINK
-        start = prototype.reference
-    return trial
+    try:
+        prototype = design_prototype(plan, order, start)
+    except RemezConvergenceError as err:
+        return DesignTrial(order, None, None, None, None,
+                           (f"exchange failed: {err}",))
+    levels = measure_symbol(prototype.taps, spec)
+    if _unmet(levels):
+        return DesignTrial(order, None, None, prototype, levels, _unmet(levels))
+    return _factored(spec, order, prototype)
 
 
 def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> DesignTrial:

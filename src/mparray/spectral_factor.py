@@ -22,12 +22,15 @@ reads G + gamma before factoring, :func:`lifted_symbol`).  Every finite
 Toeplitz section has its eigenvalues in [min G, max G] (Grenander-Szego),
 so the lift gamma = -m, enlarged by a small safety margin and kept above a
 tiny pivot floor, makes every section positive definite; one banded
-Cholesky per factorization suffices.
+Cholesky per factorization suffices.  The curvature of G at its minima,
+read at the same points, gives the distance of the factor's outermost
+zero from the unit circle, and with it the Q the extraction needs.
 
 Everything here stays in banded storage; the dense matrix is never formed.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -109,18 +112,36 @@ def _lifted(taps):
     return a, x, g, max((1.0 + GAMMA_MARGIN) * -m, floor - m, 0.0), m
 
 
-def find_gamma(taps) -> tuple[float, float]:
+def find_gamma(taps) -> tuple[float, float, float]:
     """Diagonal lift for the Toeplitz operator, from the exact symbol minimum.
 
-    Returns ``(gamma, m)`` with m = min over u of
+    Returns ``(gamma, m, t)`` with m = min over u of
     G(u) = g_0 + 2 sum_k g_k cos(k u), the least value of G's Chebyshev
     series at the points of :func:`critical_cosines`.
 
     gamma = -m * (1 + GAMMA_MARGIN), raised so that min(G + gamma) reaches
     the pivot floor PIVOT_FLOOR_FACTOR * max|g|; a symbol above that floor
     gets exactly 0.
+
+    t is the distance from the unit circle of the factor's outermost zero,
+    the least sqrt(2 (G + gamma) / G_uu) over the points where
+    G_uu = -sum_k k^2 a_k cos(k u) > 0 (local minima in u): there
+    G + gamma ~ (G + gamma)(u_k) + G_uu (u - u_k)^2 / 2 vanishes at
+    u = u_k +- j t, a zero at radius exp(-t).  With no such point (a
+    constant symbol) t is infinite.  Where the pivot floor, not the
+    margin, sets the lift, G touches zero as far as the factorization can
+    tell (a pencil beam's symbol does, at every null): its zeros lie on
+    the circle and t is 0.
     """
-    return _lifted(np.asarray(taps, float))[3:]
+    taps = np.asarray(taps, float)
+    a, x, g, gamma, m = _lifted(taps)
+    if gamma == PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps))) - m:
+        return gamma, m, 0.0
+    k = np.arange(len(a))
+    g_uu = -np.cos(np.outer(np.arccos(x), k)) @ (k * k * a)
+    curved = g_uu > 0.0
+    t = np.min(np.sqrt(2.0 * (g[curved] + gamma) / g_uu[curved]), initial=math.inf)
+    return gamma, m, float(t)
 
 
 def lifted_symbol(taps, u) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +165,7 @@ def cholesky_banded(taps, expansion: int, gamma: float) -> np.ndarray:
     Q = ``expansion`` and N the order of the symmetric ``taps`` (length
     2N-1), held in upper-diagonal ordered banded storage: row r holds
     diagonal number N-1-r, the constant taps[r], and the main diagonal
-    (last row) carries the lift.  The factor comes back in the same
+    (last row) carries the lift.  The factor overwrites it, in the same
     storage.
 
     Every pivot the extracted column depends on is computed and checked
@@ -161,10 +182,13 @@ def cholesky_banded(taps, expansion: int, gamma: float) -> np.ndarray:
     """
     taps = np.asarray(taps, float)
     order = (len(taps) + 1) // 2
-    banded = np.repeat(taps[:order, None], expansion + order, axis=1)
+    # Fortran order lets LAPACK factor the section in place, with no copy.
+    banded = np.empty((order, expansion + order), order="F")
+    banded[:] = taps[:order, None]
     banded[-1, :] += gamma
     try:
-        fact = _sla.cholesky_banded(banded, lower=False, check_finite=False)
+        fact = _sla.cholesky_banded(banded, overwrite_ab=True, lower=False,
+                                    check_finite=False)
     except np.linalg.LinAlgError:
         fact = None
     floor = PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps)))
@@ -294,9 +318,7 @@ def refine_newton(c_init, taps, gamma: float) -> tuple[np.ndarray, bool]:
     return np.asarray(c_init, float), False
 
 
-def spectral_factorize(taps, *,
-                       expansion_factor: int = DEFAULT_EXPANSION_FACTOR,
-                       newton: bool = False
+def spectral_factorize(taps, *, newton: bool = False
                        ) -> tuple[MinPhaseWeights, FactorizationDiagnostics]:
     """Full pipeline: lift, factor, extract, optionally polish, verify.
 
@@ -305,23 +327,28 @@ def spectral_factorize(taps, *,
     Cholesky factors the lifted (Q+N)-dimensional leading section, whose
     last column is the extraction; a failure raises FactorizationError,
     and taps of even length, not finite or not symmetric raise
-    ValueError.  ``expansion_factor`` sets Q = expansion_factor * N,
-    floored at MIN_EXPANSION: the extraction error decays like r^(2Q)
-    with r the largest zero radius, so tiny arrays still need Q in the
-    hundreds when a zero sits near 0.95.
+    ValueError.
+
+    The extraction error decays like exp(-2 Q t), with t the distance of
+    the factor's outermost zero from the unit circle, which
+    :func:`find_gamma` returns with the lift.  Q is the least expansion
+    that keeps that error below t/4, and never below
+    DEFAULT_EXPANSION_FACTOR * N or MIN_EXPANSION, the floor the
+    unpolished extraction needs.  t/4 is Newton's basin by a Kantorovich
+    estimate that takes the Jacobian inverse as 1/t: an estimate, not a
+    certificate.  A zero on the circle (t = 0) converges at no geometric
+    rate; the floor stands, and Newton recovers it.
     ``newton`` turns on the Newton polish (:func:`refine_newton`), which
     tightens the autocorrelation residual toward machine precision; if it
     diverges, the unrefined extraction is kept and flagged in the
     diagnostics.  The element-count search always polishes.
 
-    A lift that leaves G + gamma nearly touching zero puts zeros of the
-    factor close to the unit circle, where a finite Q may not resolve
-    them and the extraction can land a zero just outside; Newton then
-    converges to that non-minimum-phase factor.  Such zeros are
-    reflected into the disc (:func:`reflect_into_disc`), which turns any
-    spectral factor into the minimum-phase one; it takes roots only when
-    a Schur-Cohn step-down does not certify every zero inside.  The sign
-    is normalized last, so that sum(c) >= 0.
+    An extraction may still land a zero just outside the circle, and
+    Newton then converges to that non-minimum-phase factor.  Such zeros
+    are reflected into the disc (:func:`reflect_into_disc`), which turns
+    any spectral factor into the minimum-phase one; it takes roots only
+    when a Schur-Cohn step-down does not certify every zero inside.  The
+    sign is normalized last, so that sum(c) >= 0.
     """
     taps = np.asarray(taps, float)
     if len(taps) % 2 == 0:
@@ -332,8 +359,10 @@ def spectral_factorize(taps, *,
     if np.max(np.abs(taps - taps[::-1])) > 1e-9 * scale:
         raise ValueError("taps must be symmetric")
     order = (len(taps) + 1) // 2
-    expansion = max(expansion_factor * order, MIN_EXPANSION)
-    gamma, m = find_gamma(taps)
+    gamma, m, t = find_gamma(taps)
+    expansion = max(DEFAULT_EXPANSION_FACTOR * order, MIN_EXPANSION)
+    if 0.0 < t < 4.0:  # from t = 4 on, exp(-2 Q t) <= t/4 at any Q
+        expansion = max(expansion, math.ceil(math.log(4.0 / t) / (2.0 * t)))
     # Column Q+N-1, the factor's last, holds (c_{N-1}, ..., c_0): the
     # factor of a banded matrix has the same bandwidth, so the order-N
     # window is the whole stored column.

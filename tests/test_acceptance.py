@@ -18,7 +18,8 @@ from mparray import (PrototypeBand, allpass_variants, apply_steering,
 from mparray.analysis import array_factor
 from mparray.designs import DESIGN3_STOP_EDGE
 from mparray.prototype import to_prototype_spec
-from mparray.spectral_factor import autocorrelation, verify_factorization
+from mparray.spectral_factor import (MIN_EXPANSION, autocorrelation, cholesky_banded,
+                                     find_gamma, refine_newton, verify_factorization)
 
 from conftest import ORACLE_SEED, make_min_phase
 from equioscillation import count_alternations, equioscillation_extrema
@@ -179,7 +180,11 @@ def test_criterion_06_autocorrelation_residual(design1, design2, design3):
     for label, result in (("design1", design1), ("design2", design2),
                           ("design3", design3)):
         g = result.prototype.taps
-        assert result.diagnostics.expansion == 30 * result.order
+        # Q sized from the symbol: exp(-2Qt) <= t/4 for the outermost zero's
+        # distance t from the circle, never below 30 N or MIN_EXPANSION.
+        t = find_gamma(g)[2]
+        assert result.diagnostics.expansion == max(
+            30 * result.order, MIN_EXPANSION, math.ceil(math.log(4.0 / t) / (2.0 * t)))
         resid = float(np.max(np.abs(verify_factorization(result.weights, g))))
         bound = 1e-8 * float(np.max(np.abs(g)))
         ok = ok and resid <= bound
@@ -193,18 +198,22 @@ def test_criterion_06_autocorrelation_residual(design1, design2, design3):
 
 
 def test_criterion_07_expansion_stability(design1, design2, design3):
+    # The raw extraction (last column of the section's factor) at the
+    # symbol-sized Q the design used and at 2Q; the polished moves are shown.
     details = []
     moves = []
     for label, result in (("design1", design1), ("design2", design2),
                           ("design3", design3)):
         g = result.prototype.taps
-        w30, _ = spectral_factorize(g, expansion_factor=30, newton=True)
-        w60, _ = spectral_factorize(g, expansion_factor=60, newton=True)
-        move = float(np.max(np.abs(w30.c - w60.c)))
+        gamma, q = result.diagnostics.gamma, result.diagnostics.expansion
+        raw = [cholesky_banded(g, e, gamma)[::-1, -1] for e in (q, 2 * q)]
+        polished = [refine_newton(c, g, gamma)[0] for c in raw]
+        move = float(np.max(np.abs(raw[0] - raw[1])))
         moves.append(move)
-        details.append(f"{label} {move:.3e}")
+        details.append(f"{label} Q={q} {move:.3e} "
+                       f"(polished {np.max(np.abs(polished[0] - polished[1])):.1e})")
     ok = all(m <= 1e-6 for m in moves)
-    _emit(7, ok, "weight change doubling Q 30N->60N: " + ", ".join(details))
+    _emit(7, ok, "raw extraction change doubling the symbol-sized Q: " + ", ".join(details))
     assert all(m <= 1e-6 for m in moves)
 
 
@@ -232,7 +241,7 @@ def test_criterion_08_partial_energy_dominance(design1):
 def test_criterion_09_equioscillation(design1, design2, design3, pencil):
     # An exchange design of degree M has M+1 free coefficients plus its level:
     # M+2 alternations.  The pencil spends one coefficient on A(0) = 1: M+1.
-    # Each winning count was designed on its untilted plan.
+    # Each winning count was designed once, on the plan.
     def degree(proto):
         return (len(proto.taps) - 1) // 2
 

@@ -160,7 +160,10 @@ def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys, monkey
 def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
     # The stop band ends short of pi, so the final taps of this request are
     # read outside the reference nodes; they stay finite, no count meets the
-    # bands, and the search ends with its best attempt.
+    # bands, and the search ends with its best attempt.  That attempt is
+    # ranked by its least band margin, so a near-flat pattern (stop band at
+    # -0.0000 dB, 19 elements) wins it; with the conservative plan it was a
+    # 36-element pattern missing both bands.
     spec = tmp_path / "spec.json"
     write_spec(spec, name="short_stop", bands=[
         {"u_lo": 0.0, "u_hi": 0.5596160170328854, "kind": "pass",
@@ -172,8 +175,8 @@ def test_non_finite_prototype_taps_end_in_exit_two(tmp_path, capsys):
     for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
         assert (out / name).stat().st_size > 0
     report = read_report(out)
-    assert report["element_count"] == 36 and report["feasible"] is False
-    assert [w.split(" [")[0] for w in report["witness"]] == ["pass band", "stop band"]
+    assert report["element_count"] == 19 and report["feasible"] is False
+    assert [w.split(" [")[0] for w in report["witness"]] == ["stop band"]
     err = capsys.readouterr().err
     assert "bands unmet" in err and "error:" not in err
 
@@ -487,8 +490,11 @@ def test_analyze_judges_a_steered_design_unsteered(tmp_path):
 
 def test_pattern_marks_invisible_angles(tmp_path):
     # Past the stop band nothing bounds the pattern, and the route's designs
-    # peak there, outside the pass band: the judge reads the pass band's
-    # depth below that peak as its ripple, so the request ends unmet (exit 2).
+    # peak there, outside the pass band and outside visible space, so the
+    # request ends unmet (exit 2).  The best attempt is ranked by its least
+    # band margin, and a near-flat pattern wins that ranking: its witness is
+    # the stop band at -0.0000 dB (with the conservative plan it was the
+    # pass band's ripple).
     spec = tmp_path / "spec.json"
     write_spec(spec, spacing=0.25, bands=[
         {"u_lo": 0.0, "u_hi": 0.5, "kind": "pass", "ripple_db": 1.0},
@@ -496,7 +502,8 @@ def test_pattern_marks_invisible_angles(tmp_path):
     ])
     out = tmp_path / "out"
     assert main(["design", "--spec", str(spec), "--out", str(out)]) == 2
-    assert read_report(out)["witness"][0].startswith("pass band [0, 0.5]: achieved")
+    assert read_report(out)["witness"] == [
+        "stop band [1, 1.5]: achieved -0.0000 dB vs bound -25.0000 dB"]
     rows = (out / "pattern.csv").read_text().splitlines()[1:]
     thetas = [r.split(",")[1] for r in rows]
     assert "nan" in thetas  # u beyond the visible region of 0.25-lambda spacing

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,7 @@ from mparray import (BandSpec, DesignSpec, PrototypeBand, design1_spec, design2_
 from mparray.equiripple import (RemezConvergenceError, _band_extrema, _bary_eval,
                                 _bary_weights, _chebyshev_points, _derivative_roots,
                                 _scaled_reference, estimate_order)
-from mparray.prototype import (DELTA_SHRINK, MAX_SHRINKS, _tilted, design_prototype,
-                               to_prototype_spec)
+from mparray.prototype import design_prototype, to_prototype_spec
 
 from equioscillation import (amplitude_response, cosine_coefficients,
                              count_alternations, equioscillation_extrema)
@@ -495,17 +495,26 @@ def test_bands_short_of_two_nodes_get_interior_points():
     assert np.allclose(u[6:], lo[1] + (hi[1] - lo[1]) * np.array([1, 2]) / 3)
 
 
+def _tilted(plan, side, scale):
+    """The plan with only the ``side`` ("pass" or "stop") band weights divided by ``scale``."""
+    return tuple(replace(b, weight=b.weight / scale) if (b.desired != 0.0) == (side == "pass")
+                 else b for b in plan)
+
+
 def _warm_and_cold(make_spec, order):
-    """(cold, warm) pairs at ``order`` on the plan of ``make_spec``: each
-    start the order search can take there, first the neighbouring counts'
-    references on the plan, then every tilt from the count's own."""
+    """(cold, warm) pairs at ``order`` on the plan of ``make_spec``: first
+    each start the order search can take there, the neighbouring counts'
+    references on the plan; then, from the count's own reference, plans
+    with one side's weights divided by 0.9**k, k = 1..5 (the tilts of the
+    tolerance walk the search once ran; a plan whose weights move keeps
+    its nodes close)."""
     plan = to_prototype_spec(make_spec())
     base = design_prototype(plan, order)
     for n in (order - 1, order + 1):
         yield base, design_prototype(plan, order, design_prototype(plan, n).reference), None
     for side in ("pass", "stop"):
-        for k in range(1, MAX_SHRINKS + 1):
-            tilted = _tilted(plan, side, DELTA_SHRINK ** k)
+        for k in range(1, 6):
+            tilted = _tilted(plan, side, 0.9 ** k)
             yield (design_prototype(tilted, order),
                    design_prototype(tilted, order, base.reference), (side, k))
 

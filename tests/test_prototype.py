@@ -14,20 +14,74 @@ from mparray import (BandSpec, DesignSpec, FactorizationError,
                      design2_spec, design3_spec, find_min_order, pencil_spec,
                      spectral_factorize)
 from mparray.equiripple import _chebyshev_points
-from mparray.prototype import (DELTA_SHRINK, _attempt, _tilted, design_prototype,
-                               measure, measure_symbol, to_prototype_spec)
+from mparray.prototype import (_attempt, design_prototype, measure, measure_symbol,
+                               to_prototype_spec)
+from mparray.spectral_factor import GAMMA_MARGIN, find_gamma
 
 from equioscillation import amplitude_response, equioscillation_extrema
 
 
 def test_squared_pattern_tolerances_for_design1():
     plan = to_prototype_spec(design1_spec())
-    # Each band is weighted 1/delta. stop: half the squared linear ceiling;
-    # pass: what the ripple leaves.
+    # Each band is weighted 1/swing: the pass band 1/p*, the stop band 1/q*
+    # of the exact plan (the conservative plan gave 0.028366 and 3.1548e-6).
     by_target = {b.desired: b for b in plan}
-    assert 1.0 / by_target[0.0].weight == pytest.approx(3.1547867224009644e-06, rel=1e-12)
-    assert 1.0 / by_target[1.0].weight == pytest.approx(0.028365738849448957, rel=1e-12)
+    assert 1.0 / by_target[0.0].weight == pytest.approx(3.2439522804023003e-06, rel=1e-12)
+    assert 1.0 / by_target[1.0].weight == pytest.approx(0.028774461768017758, rel=1e-12)
     assert [b.u_lo for b in plan] == sorted(b.u_lo for b in plan)
+
+
+def _plan_levels(p, q, mu=GAMMA_MARGIN):
+    """(ripple, stop level) in dB that the judge reads from swings p and q,
+    lifted by (1 + mu) q, with the peak 1 + p + gamma in the pass band."""
+    gamma = (1.0 + mu) * q
+    peak = 1.0 + p + gamma
+    return (10.0 * math.log10(peak / (1.0 - p + gamma)),
+            10.0 * math.log10((q + gamma) / peak))
+
+
+@pytest.mark.parametrize("ripple_db, stop_dbs", [
+    (0.25, (-52.0,)), (1.0, (-30.0, -45.0)), (0.01, (-3.0,)), (3.0, (-20.0, -90.0, -60.0)),
+    (40.0, (-0.01,)), (0.001, (-300.0,))])
+def test_plan_solves_its_two_equations(ripple_db, stop_dbs):
+    # The two levels meet the ripple bound and the tightest stop ceiling
+    # exactly, and every stop band gets that band's weight.
+    bands = [BandSpec(0.0, 0.5, "pass", ripple_db=ripple_db)]
+    bands += [BandSpec(1.0 + 0.5 * i, 1.4 + 0.5 * i, "stop", max_level_db=db)
+              for i, db in enumerate(stop_dbs)]
+    plan = to_prototype_spec(DesignSpec(0.5, tuple(bands)))
+    p = 1.0 / plan[0].weight
+    q = {1.0 / b.weight for b in plan[1:]}
+    assert len(q) == 1
+    q = q.pop()
+    assert p > 0.0 and q > 0.0
+    r, s = 10.0 ** (ripple_db / 10.0), 10.0 ** (min(stop_dbs) / 10.0)
+    mu = GAMMA_MARGIN
+    assert -s * p + (2.0 + mu - s * (1.0 + mu)) * q == pytest.approx(s, rel=1e-12)
+    assert (1.0 + r) * p + (1.0 - r) * (1.0 + mu) * q == pytest.approx(r - 1.0, rel=1e-9)
+    ripple, stop = _plan_levels(p, q)
+    assert ripple == pytest.approx(ripple_db, rel=1e-9)
+    assert stop == pytest.approx(min(stop_dbs), rel=1e-9)
+
+
+def test_level_one_prototypes_meet_the_bands(monkeypatch):
+    # Sweep seed 1: wherever G's least value is the stop band's own swing,
+    # G + gamma meets both bands exactly when the exchange's level delta is
+    # at most 1.  A few trials dip lower outside the stop band, where the
+    # plan bounds nothing; the lift then grows, and they are left out.
+    designed = _record_prototypes(monkeypatch)
+    judged = 0
+    for spec in _sweep_specs(1):
+        q = 1.0 / to_prototype_spec(spec)[1].weight
+        designed.clear()
+        find_min_order(spec, SearchLimits(max_order=32))
+        for proto in designed:
+            if find_gamma(proto.taps)[1] < -proto.delta * q * (1.0 + 1e-9):
+                continue
+            meets = all(lv.margin_db >= 0.0 for lv in measure_symbol(proto.taps, spec))
+            assert meets == (proto.delta <= 1.0), proto.delta
+            judged += 1
+    assert judged >= 240
 
 
 def test_tolerance_mapping_monotone_in_ripple():
@@ -42,9 +96,18 @@ def test_tolerance_mapping_monotone_in_ripple():
 
 
 def test_overtight_ripple_is_infeasible():
+    # The conservative plan had no squared-pattern tolerance left for this
+    # request; the exact plan has one, and the search meets the bands.
     bands = (BandSpec(0.0, 1.0, "pass", ripple_db=0.01),
              BandSpec(2.0, math.pi, "stop", max_level_db=-3.0))
-    with pytest.raises(InfeasibleSpecError, match="no squared-pattern"):
+    result = find_min_order(DesignSpec(0.5, bands))
+    assert result.order == 6 and result.feasible
+    assert result.report.minimality == "route_only"
+    # What the plan cannot weight is still an input error: a stop ceiling
+    # within 0.002 dB of the peak under a loose ripple bound.
+    bands = (BandSpec(0.0, 1.0, "pass", ripple_db=40.0),
+             BandSpec(2.0, math.pi, "stop", max_level_db=-0.001))
+    with pytest.raises(InfeasibleSpecError, match="no finite positive squared-pattern"):
         to_prototype_spec(DesignSpec(0.5, bands))
 
 
@@ -183,14 +246,19 @@ _SHORT_STOP = DesignSpec(0.5, (
              max_level_db=-57.77033050100829)))
 
 
+# _SHORT_STOP's bands with the weights the former conservative plan gave
+# them at its fourth stop-side tilt (stop weight 1/delta2' over 0.9**4).
+_SHORT_STOP_TILTED = (
+    PrototypeBand(0.0, 0.5596160170328854, 1.0, 10.267684027617927),
+    PrototypeBand(1.2309532909585377, 1.6471045872554742, 0.0, 1824286.3475573005))
+
+
 def test_non_finite_taps_are_an_exchange_failure(monkeypatch):
-    # At 22 elements the walk's fourth stop-side tilt reads its final taps at
-    # Chebyshev points past the stop band's end, outside the reference
-    # nodes; the first barycentric form keeps them finite there.  The scale
-    # is multiplied up as the walk does it.
+    # At 22 elements these weights read the final taps at Chebyshev points
+    # past the stop band's end, outside the reference nodes; the first
+    # barycentric form keeps them finite there.
     plan = to_prototype_spec(_SHORT_STOP)
-    tilted = _tilted(plan, "stop", math.prod([DELTA_SHRINK] * 4))
-    assert np.all(np.isfinite(design_prototype(tilted, 22).taps))
+    assert np.all(np.isfinite(design_prototype(_SHORT_STOP_TILTED, 22).taps))
     # The guard stays: a non-finite final evaluation (the one at the n+1
     # Chebyshev points of [-1, 1]) fails the count in the exchange, and the
     # search goes on.
@@ -204,13 +272,14 @@ def test_non_finite_taps_are_an_exchange_failure(monkeypatch):
 
     monkeypatch.setattr(equiripple_module, "_bary_eval", infinite_taps_at_22)
     with pytest.raises(RemezConvergenceError, match="non-finite taps"):
-        design_prototype(tilted, 22)
+        design_prototype(_SHORT_STOP_TILTED, 22)
     failed = _attempt(_SHORT_STOP, plan, 22)
     assert failed.prototype is None and failed.levels is None
     assert failed.violations == ("exchange failed: non-finite taps",)
-    with pytest.raises(OrderSearchError) as info:
+    calls = _count_prototypes(monkeypatch)
+    with pytest.raises(OrderSearchError):
         find_min_order(_SHORT_STOP, SearchLimits(max_order=24))
-    assert info.value.best.order == 23  # a count past the failed one
+    assert 22 in calls and {23, 24} <= set(calls)  # counts past the failed one
 
 
 def test_too_few_alternations_is_an_exchange_failure():
@@ -273,25 +342,28 @@ def test_exact_extrema_verify_what_the_grid_left_unmet(bands):
                   BandSpec(0.6493955068832813, 1.210281840288849, "pass",
                            ripple_db=1.8164152273389282),
                   BandSpec(1.7442131083363193, math.pi, "stop", max_level_db=-45.42022318964646)),
-                 29, id="bandpass-29"),
+                 17, id="bandpass-29"),
     pytest.param((BandSpec(0.0, 0.05, "stop", max_level_db=-40.360831665785376),
                   BandSpec(0.6401192529517337, 1.0158045816792698, "pass",
                            ripple_db=1.1058457329127553),
                   BandSpec(1.7673336503456718, math.pi, "stop", max_level_db=-21.95611468368913)),
-                 20, id="bandpass-20"),
+                 11, id="bandpass-20"),
 ])
 def test_bandpass_counts_hold(bands, order):
     # The exchange expands its interpolant on each band's own x-interval;
     # one series over the hull of all bands missed both of these counts.
+    # (The ids give the counts of the conservative plan; the exact plan,
+    # which weights both stop bands by the tightest one, needs fewer.)
     result = find_min_order(DesignSpec(0.5, bands))
     assert result.order == order
     assert result.feasible
 
 
 def test_zeros_near_the_circle_end_minimum_phase():
-    # The lifted G of this request nearly touches zero, so at Q = 30N the
-    # extracted factor has a zero at radius 1.0007; reflecting it into the
-    # disc gives the minimum-phase factor with the same pattern.
+    # The lifted G of this request nearly touches zero.  At Q = 30N the
+    # extracted factor had a zero at radius 1.0007, which the reflection
+    # moved into the disc; Q sized from the symbol (zeros 0.99923 from the
+    # centre) resolves it, and the factor is minimum phase as extracted.
     spec = DesignSpec(0.5, (BandSpec(0.0, 0.49831031292556177, "pass",
                                      ripple_db=1.3299101106803255),
                             BandSpec(2.170245083630752, math.pi, "stop",
@@ -301,16 +373,16 @@ def test_zeros_near_the_circle_end_minimum_phase():
     assert result.report.min_phase
     assert np.max(np.abs(np.roots(result.weights.c))) <= 1.0
     assert result.diagnostics.autocorr_residual <= 1e-12
+    assert result.diagnostics.expansion > 30 * 9
 
 
 @pytest.mark.parametrize("make_spec, starts", [
     (design1_spec, [(7, None), (6, 8), (5, 7)]),
-    (design3_spec, [(13, None), (13, 14), (14, 14)])])
+    (design3_spec, [(13, None), (14, 14)])])
 def test_search_starts_each_exchange_from_a_converged_reference(monkeypatch, make_spec,
                                                                 starts):
-    # (count, nodes in the start reference): the first count starts cold, a
-    # tilt from its count's reference (count + 1 nodes), and each next count
-    # from its neighbour's, scaled by the exchange.
+    # (count, nodes in the start reference): the first count starts cold,
+    # and each next count from its neighbour's, scaled by the exchange.
     seen = []
     real = prototype_module.design_prototype
 
@@ -338,11 +410,10 @@ def _count_prototypes(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("make_spec, orders", [(design1_spec, [7, 6, 5]),
                                                (design2_spec, [13, 14]),
-                                               (design3_spec, [13, 13, 14])])
+                                               (design3_spec, [13, 14])])
 def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
-    # Each count is designed at the mapped weight ratio; design3 tilts 13
-    # once, toward the pass band, then fails on the stop band, which ends
-    # the walk.  No weight ratio is designed twice.
+    # Each count is designed once, on the exact plan; the conservative plan
+    # tilted design3's 13 once more (13, 13, 14).
     calls = _count_prototypes(monkeypatch)
     find_min_order(make_spec())
     assert calls == orders
@@ -417,7 +488,8 @@ def test_symbol_levels_are_the_factor_levels_of_a_design(monkeypatch, make_spec)
 
 
 def test_symbol_levels_are_the_factor_levels_on_a_sweep(monkeypatch):
-    # Every trial of sweep seed 1, tilts included; Newton is kept on all.
+    # Every trial of sweep seed 1 (350 with the tolerance walk's tilts, 249
+    # now that each count is designed once); Newton is kept on all.
     designed = _record_prototypes(monkeypatch)
     judged = 0
     for spec in _sweep_specs(1):
@@ -427,7 +499,30 @@ def test_symbol_levels_are_the_factor_levels_on_a_sweep(monkeypatch):
         except OrderSearchError:
             pass
         judged += sum(_symbol_agrees_with_factor(spec, p) for p in designed)
-    assert judged == 350
+    assert judged == 249
+
+
+def test_every_sweep_design_meets_the_residual_bound():
+    # Criterion 6's bound, 1e-8 * max|g|, on each returned design of sweep
+    # seed 2, with Newton kept on each.
+    for spec in _sweep_specs(2):
+        result = find_min_order(spec, SearchLimits(max_order=32))
+        g = result.prototype.taps
+        assert result.diagnostics.refined
+        assert result.diagnostics.autocorr_residual <= 1e-8 * float(np.max(np.abs(g)))
+
+
+def test_zeros_near_the_circle_keep_newton():
+    # Sweep seed 7, request 17: the lift leaves zeros of G + gamma at
+    # radius 0.998-0.9992.  At Q = 30N = 210 the extraction error was
+    # about 0.43, and Newton, started there, was not kept; Q sized from the
+    # symbol puts the extraction inside Newton's basin.
+    spec = _sweep_specs(7)[17]
+    result = find_min_order(spec, SearchLimits(max_order=32))
+    assert result.order == 7
+    assert result.diagnostics.refined
+    assert result.diagnostics.expansion > 30 * 7
+    assert result.diagnostics.autocorr_residual <= 1e-12
 
 
 @pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
@@ -459,8 +554,8 @@ def test_only_trials_the_symbol_passes_are_factored(monkeypatch, make_spec):
 @pytest.mark.parametrize("make_spec, order", [(design1_spec, 5), (design2_spec, 13),
                                               (design3_spec, 13)])
 def test_uniform_weight_scaling_keeps_the_prototype(make_spec, order):
-    # Only the ratio of the band weights shapes the equiripple prototype,
-    # which is why the walk never tightens both sides at once.
+    # Only the ratio of the band weights shapes the equiripple prototype:
+    # the plan's level, not its scale, decides the count.
     plan = to_prototype_spec(make_spec())
     base = design_prototype(plan, order).taps
     for k in range(1, 6):
@@ -469,28 +564,27 @@ def test_uniform_weight_scaling_keeps_the_prototype(make_spec, order):
         assert np.max(np.abs(taps - base)) <= 1e-12 * np.max(np.abs(base))
 
 
-def test_pass_side_tilt_rescues_an_element_count(monkeypatch):
+def test_exact_plan_meets_the_count_a_tilt_rescued(monkeypatch):
+    # The conservative plan missed 5 elements on the pass side, and a
+    # pass-side tilt of the walk rescued it; the exact plan meets 5 with one
+    # design.
     spec = DesignSpec(0.5, (BandSpec(0.0, 1.1799745512985573, "pass",
                                      ripple_db=1.7713404806886275),
                             BandSpec(2.7224321676816112, math.pi, "stop",
                                      max_level_db=-46.029040801240924)))
     plan = to_prototype_spec(spec)
     assert find_min_order(spec).order == 5
-    monkeypatch.setattr(prototype_module, "MAX_SHRINKS", 0)
-    untilted = _attempt(spec, plan, 5)
-    assert not untilted.feasible
-    assert {lv.kind for lv in untilted.levels if lv.margin_db < 0.0} == {"pass"}
-    monkeypatch.undo()
     calls = _count_prototypes(monkeypatch)
     assert _attempt(spec, plan, 5).feasible
-    assert len(calls) == 2
+    assert calls == [5]
 
 
-def test_walk_tightens_the_side_the_factor_fails(monkeypatch):
-    # Sweep seed 13, request 22: at 8 elements G + gamma meets both bands,
-    # but Newton is not kept on its factor, whose stop band misses by
-    # 0.05 dB.  The walk tightens the stop side, as the factor's levels say,
-    # and 8 holds; a walk that read its side from G + gamma would end at 9.
+def test_symbol_sized_expansion_holds_the_count_the_walk_held(monkeypatch):
+    # Sweep seed 13, request 22: at 8 elements G + gamma meets both bands.
+    # At Q = 30N Newton was not kept on its factor, whose stop band missed
+    # by 0.05 dB, and only a stop-side tilt of the walk held 8.  With Q
+    # sized from the symbol the factor is refined, meets the bands, and 8
+    # holds with one design per count.
     spec = DesignSpec(0.5, (BandSpec(0.0, 0.48248741287811314, "pass",
                                      ripple_db=1.5332049033771575),
                             BandSpec(2.2323599069240436, math.pi, "stop",
@@ -498,22 +592,38 @@ def test_walk_tightens_the_side_the_factor_fails(monkeypatch):
     calls = _count_prototypes(monkeypatch)
     result = find_min_order(spec, SearchLimits(max_order=32))
     assert result.order == 8
-    assert calls == [9, 8, 8, 7, 7]
+    assert result.diagnostics.refined
+    assert calls == [9, 8, 7]
+
+
+# The bands of test_touching_stop_bands_with_different_weights with the
+# weights the conservative plan gave them: 1/delta1' for the pass band and
+# 1/delta2' of each stop band's own ceiling.
+def _touching_plan(gap):
+    return (PrototypeBand(0.0, 0.6, 1.0, 9.198156324997317),
+            PrototypeBand(1.2, 2.0, 0.0, 2000.0000000000005),
+            PrototypeBand(2.0 + gap, math.pi, 0.0, 63245.553203367585))
 
 
 def test_touching_stop_bands_with_different_weights():
-    # The stop bands share u = 2.0 and their ceilings give them different
-    # weights.  An exchange node at the shared edge keeps the band whose
-    # weight its error was measured with; read back as the first band's, it
-    # stalled the exchange at every count.  The count is the one a 1e-3 gap
-    # between the stop bands gives.
+    # The stop bands share u = 2.0.  With different weights, an exchange
+    # node at the shared edge keeps the band whose weight its error was
+    # measured with; read back as the first band's, it stalled the exchange
+    # at every count.  Each count converges as a 1e-3 gap between the bands
+    # does, at a level no lower and within 1 %.
+    for n in range(14, 26):
+        touching, gap = design_prototype(_touching_plan(0.0), n), design_prototype(
+            _touching_plan(1e-3), n)
+        assert touching.iterations == gap.iterations
+        assert gap.delta * (1.0 - 1e-12) <= touching.delta <= 1.01 * gap.delta
+    # The exact plan weights both stop bands by the tightest, -45 dB.
     def spec(gap):
         return DesignSpec(0.5, (BandSpec(0.0, 0.6, "pass", ripple_db=1.0),
                                 BandSpec(1.2, 2.0, "stop", max_level_db=-30.0),
                                 BandSpec(2.0 + gap, math.pi, "stop", max_level_db=-45.0)))
 
     result = find_min_order(spec(0.0))
-    assert result.order == 22
+    assert result.order == 17
     assert result.feasible
     assert result.report.min_phase
-    assert find_min_order(spec(1e-3)).order == 22
+    assert find_min_order(spec(1e-3)).order == 17

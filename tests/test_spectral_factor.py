@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from mparray import FactorizationError, design1_spec, spectral_factorize
+from mparray import FactorizationError, design1_spec, design_pencil, spectral_factorize
 from mparray.prototype import to_prototype_spec
 from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
                                      GAMMA_MARGIN, MIN_EXPANSION,
@@ -99,11 +101,14 @@ def symbol_on_grid(g, points: int = 2_000_001) -> np.ndarray:
 
 
 def test_gamma_zero_for_nonnegative_symbol():
-    gamma, m = find_gamma(autocorrelation([1.0, 0.5]))
+    gamma, m, t = find_gamma(autocorrelation([1.0, 0.5]))
     assert gamma == 0.0
     assert m == pytest.approx(0.25, abs=1e-15)  # |1 + 0.5 e^{iu}|^2 at u = pi
-    gamma, m = find_gamma(np.array([1.0]))
-    assert gamma == 0.0 and m == 1.0
+    # G = 1.25 + cos u: G_uu(pi) = 1, so t = sqrt(2 * 0.25); the zero -0.5
+    # lies ln 2 = 0.693 from the circle.
+    assert t == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    gamma, m, t = find_gamma(np.array([1.0]))
+    assert gamma == 0.0 and m == 1.0 and t == math.inf
 
 
 def test_critical_cosines_match_numpy_chebder():
@@ -125,7 +130,7 @@ def test_symbol_min_matches_dense_grid(design1, design2, design3):
     chebyshev[7] = 0.3
     cases = [r.prototype.taps for r in (design1, design2, design3)] + [chebyshev]
     for g in cases:
-        _, m = find_gamma(g)
+        m = find_gamma(g)[1]
         assert m == pytest.approx(float(symbol_on_grid(g).min()),
                                   abs=1e-12 * float(np.max(np.abs(g))))
     assert find_gamma(chebyshev)[1] == pytest.approx(-0.7, abs=1e-12)
@@ -137,7 +142,7 @@ def test_section_eigenvalues_lie_above_symbol_min(design1):
     # lowest eigenvalue is lower, approaching m from above.
     stop = next(b for b in to_prototype_spec(design1_spec()) if b.desired == 0.0)
     g = design1.prototype.taps
-    gamma, m = find_gamma(g)
+    gamma, m, _ = find_gamma(g)
     lams = []
     for q in (24, 100):
         lam = float(np.linalg.eigvalsh(dense_operator(g, q)).min())
@@ -146,14 +151,16 @@ def test_section_eigenvalues_lie_above_symbol_min(design1):
         lams.append(lam)
     assert lams[1] <= lams[0]
     assert gamma == (1.0 + GAMMA_MARGIN) * -m
-    assert 0.0 < gamma <= 2.0 / stop.weight * 1.01
+    # The plan is exact: at a count that meets the bands, G dips at most
+    # q* = 1/weight below zero, and the lift is (1 + GAMMA_MARGIN) times that dip.
+    assert 0.0 < gamma <= (1.0 + GAMMA_MARGIN) / stop.weight
 
 
 def test_cholesky_fails_below_lift_and_succeeds_at_gamma(design1):
     g = design1.prototype.taps
     order = (len(g) + 1) // 2
     expansion = max(DEFAULT_EXPANSION_FACTOR * order, MIN_EXPANSION)
-    gamma, m = find_gamma(g)
+    gamma, m, _ = find_gamma(g)
     assert m < 0.0
     with pytest.raises(FactorizationError):
         cholesky_banded(g, expansion, 0.5 * -m)
@@ -178,12 +185,31 @@ def test_factorize_runs_one_cholesky(monkeypatch, design2):
 
 def test_touching_symbol_gets_the_pivot_floor_and_keeps_newton():
     g = autocorrelation([1.0, 2.0, 1.0])  # (1 + e^{iu})^2 vanishes at u = pi
-    gamma, m = find_gamma(g)
+    gamma, m, t = find_gamma(g)
     assert m == pytest.approx(0.0, abs=1e-15)
     assert gamma == PIVOT_FLOOR_FACTOR * 6.0 - m
+    # Its zeros lie on the circle: no expansion resolves them geometrically,
+    # so Q stays at the floor and Newton recovers the factor.
+    assert t == 0.0
     w, diag = spectral_factorize(g, newton=True)
     assert diag.refined and diag.symbol_min == m
+    assert diag.expansion == MIN_EXPANSION
     assert diag.autocorr_residual <= 1e-12
+
+
+@pytest.mark.parametrize("c", [[1.0, 1.0], [1.0, 0.0, 1.0], "pencil"])
+def test_zeros_on_the_circle_keep_the_floor_expansion(c):
+    # Each symbol touches zero, so the pivot floor sets the lift and the
+    # zeros of G + gamma sit about 1e-7 from the circle; Q sized for that
+    # distance would run to 6e7-6e8 (GBs of section).  They count as on
+    # the circle: the floor stands, and Newton recovers the factor.
+    c = design_pencil().taps if c == "pencil" else np.array(c)
+    g = autocorrelation(c)
+    assert find_gamma(g)[2] == 0.0
+    w, diag = spectral_factorize(g, newton=True)
+    assert diag.expansion == max(DEFAULT_EXPANSION_FACTOR * len(c), MIN_EXPANSION)
+    assert diag.refined
+    assert np.max(np.abs(w.c - c)) <= 1e-7
 
 
 def test_lifted_input_is_fully_lifted_and_min_phase():
@@ -217,7 +243,7 @@ def test_leading_section_column_equals_full_factor_column():
     rng = np.random.default_rng(10)
     for n in range(1, 65):
         g = lifted_taps(rng, n) if n > 1 else np.array([rng.uniform(0.5, 2.0)])
-        gamma, _ = find_gamma(g)
+        gamma = find_gamma(g)[0]
         q = max(DEFAULT_EXPANSION_FACTOR * n, MIN_EXPANSION)
         full = np.repeat(g[:n, None], 2 * q + n, axis=1)
         full[-1, :] += gamma
@@ -397,8 +423,55 @@ def test_factorize_rejects_even_length():
 
 
 def test_expansion_floor_is_applied():
-    _, diag = spectral_factorize(autocorrelation([1.0, 0.5]), expansion_factor=30)
+    # Its zero -0.5 needs Q = 2 by the symbol; the floor is 176.
+    _, diag = spectral_factorize(autocorrelation([1.0, 0.5]))
     assert diag.expansion == MIN_EXPANSION
+
+
+def test_expansion_is_sized_from_the_outermost_zero():
+    # A zero at -0.99, t = 0.01: Q = ln(4/t) / (2t) keeps exp(-2Qt) <= t/4,
+    # above the floor; the raw extraction then meets that bound.
+    c = np.array([1.0, 0.99])
+    g = autocorrelation(c)
+    t = find_gamma(g)[2]
+    assert t == pytest.approx(-math.log(0.99), rel=1e-3)
+    w, diag = spectral_factorize(g)
+    assert diag.expansion == math.ceil(math.log(4.0 / t) / (2.0 * t)) > MIN_EXPANSION
+    assert np.max(np.abs(w.c - c)) <= t / 4.0
+
+
+def test_outermost_zero_distance_matches_the_roots():
+    # Lifted taps put zeros of the factor close to the circle, where the
+    # quadratic model of G + gamma at its minima is sharp: within 1 % of
+    # -ln(radius) up to 0.05, within 20 % beyond.
+    rng = np.random.default_rng(13)
+    close = 0
+    for _ in range(40):
+        n = int(rng.integers(3, 25))
+        g = lifted_taps(rng, n)
+        t = find_gamma(g)[2]
+        w, diag = spectral_factorize(g, newton=True)
+        assert diag.refined
+        outermost = -math.log(float(np.max(np.abs(np.roots(w.c)))))
+        close += outermost < 0.05
+        assert t == pytest.approx(outermost, rel=0.01 if outermost < 0.05 else 0.2), n
+    assert close >= 20
+
+
+def test_section_is_factored_in_place(monkeypatch):
+    seen = []
+    original = scipy.linalg.cholesky_banded
+
+    def recording(ab, **kwargs):
+        seen.append((ab, kwargs))
+        return original(ab, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky_banded", recording)
+    g = autocorrelation(make_min_phase(np.random.default_rng(3), 9))
+    fact = cholesky_banded(g, 300, 0.0)
+    [(ab, kwargs)] = seen
+    assert ab.flags.f_contiguous and kwargs["overwrite_ab"]
+    assert np.shares_memory(fact, ab)
 
 
 def test_center_equation_holds(oracle_rng):
@@ -418,8 +491,8 @@ def test_residual_improves_with_expansion():
     g = autocorrelation(c)
     resids = []
     for factor in (15, 30, 60):
-        _, diag = spectral_factorize(g, expansion_factor=factor)
-        resids.append(diag.autocorr_residual)
+        raw = cholesky_banded(g, factor * 12, 0.0)[::-1, -1]
+        resids.append(float(np.max(np.abs(autocorrelation(raw) - g))))
     assert resids[1] <= resids[0] * (1.0 + 1e-9)
     assert resids[2] <= resids[1] * (1.0 + 1e-9)
 
