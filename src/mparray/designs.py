@@ -35,34 +35,28 @@ EXPECTED_ELEMENTS = {"design1": 6, "design2": 14, "design3": 14,
                      "pencil": PENCIL_ELEMENT_COUNT}
 
 
-def design1_spec() -> DesignSpec:
+def _flat_top(name: str, pass_edge: float, ripple_db: float,
+              stop_edge: float, max_level_db: float) -> DesignSpec:
+    """A pass band [0, pass_edge] and a stop band [stop_edge, pi]."""
     return DesignSpec(
         spacing_wavelengths=SPACING,
         bands=(
-            BandSpec(0.0, DESIGN1_PASS_EDGE, "pass", ripple_db=0.25),
-            BandSpec(DESIGN1_STOP_EDGE, math.pi, "stop", max_level_db=-52.0),
+            BandSpec(0.0, pass_edge, "pass", ripple_db=ripple_db),
+            BandSpec(stop_edge, math.pi, "stop", max_level_db=max_level_db),
         ),
-        name="design1")
+        name=name)
+
+
+def design1_spec() -> DesignSpec:
+    return _flat_top("design1", DESIGN1_PASS_EDGE, 0.25, DESIGN1_STOP_EDGE, -52.0)
 
 
 def design2_spec() -> DesignSpec:
-    return DesignSpec(
-        spacing_wavelengths=SPACING,
-        bands=(
-            BandSpec(0.0, DESIGN2_PASS_EDGE, "pass", ripple_db=1.18),
-            BandSpec(DESIGN2_STOP_EDGE, math.pi, "stop", max_level_db=-21.0),
-        ),
-        name="design2")
+    return _flat_top("design2", DESIGN2_PASS_EDGE, 1.18, DESIGN2_STOP_EDGE, -21.0)
 
 
 def design3_spec() -> DesignSpec:
-    return DesignSpec(
-        spacing_wavelengths=SPACING,
-        bands=(
-            BandSpec(0.0, DESIGN3_PASS_EDGE, "pass", ripple_db=0.5),
-            BandSpec(DESIGN3_STOP_EDGE, math.pi, "stop", max_level_db=-30.0),
-        ),
-        name="design3")
+    return _flat_top("design3", DESIGN3_PASS_EDGE, 0.5, DESIGN3_STOP_EDGE, -30.0)
 
 
 def pencil_spec() -> DesignSpec:

@@ -17,9 +17,9 @@ the stop rule reads the true peak error.
 
 The first reference is an even spread of nodes over the bands unless the
 caller hands in the final reference of a converged exchange on the same
-bands: as it is when the node count matches, as the order search's tilts
-do, and otherwise scaled band by band to the new count (reference scaling,
-Filip, ACM TOMS 43(1), 2016, section 4), as its neighbouring counts do.
+bands, as the order search does from a neighbouring count: it is then
+scaled band by band to the new count (reference scaling, Filip, ACM TOMS
+43(1), 2016, section 4).
 
 The interpolant is evaluated in the first (modified-Lagrange) barycentric
 form, which has no denominator to cancel and stays backward stable past the
@@ -223,6 +223,11 @@ def _derivative_roots(series: np.ndarray) -> np.ndarray:
     ``chebcompanion``'s arithmetic and rotation, share one ``eigvals`` call.
     A derivative whose leading coefficient is exactly 0, which ``chebroots``
     trims, goes through ``chebroots`` alone.
+
+    This is the program's one finder of the critical points of a real
+    Chebyshev series: the exchange's candidates (:func:`_band_extrema`),
+    and, through ``spectral_factor.critical_cosines``, G's minimum for the
+    lift, t for the expansion, and the levels both band judges read.
     """
     rows, n = series.shape[0], series.shape[1] - 2
     if n < 1:  # a derivative of degree 0 or less has no roots
@@ -250,16 +255,17 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
     """Candidate extrema (u, e, band) of the weighted error, in ascending u.
 
     On band b the weighted error W_b (A - D_b) peaks at the band's edges and
-    at the real roots of A' inside it.  Like ``critical_cosines`` it takes
-    the real part of every root: that of a complex pair is only a spurious
-    candidate, which cannot win a same-signed run.  ``amp`` evaluates the
-    degree-n polynomial A at an array of x = cos(u) and is called once, at
-    the n+1 Chebyshev points of every band's own x-interval; ``to_series``
-    turns the values there into A's Chebyshev series on each interval.  The
-    roots of A' on all bands come from one stacked eigenvalue problem
-    (:func:`_derivative_roots`).  ``band_err(u, band)`` is called once, at
-    all candidates.  Returns None when a series is not finite, before any
-    root is taken.
+    at the real roots of A' inside it.  ``amp`` evaluates the degree-n
+    polynomial A at an array of x = cos(u) and is called once, at the n+1
+    Chebyshev points of every band's own x-interval; ``to_series`` turns
+    the values there into A's Chebyshev series on each interval.  The roots
+    of A' on all bands come from one stacked eigenvalue problem
+    (:func:`_derivative_roots`, the solver ``critical_cosines`` takes its
+    points from as well).  Like ``critical_cosines`` it takes the real part
+    of every root: that of a complex pair is only a spurious candidate,
+    which cannot win a same-signed run.  ``band_err(u, band)`` is called
+    once, at all candidates.  Returns None when a series is not finite,
+    before any root is taken.
     """
     t = _chebyshev_points(len(to_series) - 1)
     x_lo, x_hi = np.cos(band_hi), np.cos(band_lo)
@@ -283,18 +289,15 @@ def _band_extrema(amp, band_err, band_lo, band_hi, to_series):
 def _scaled_reference(start, m: int, band_lo, band_hi):
     """The reference ``start`` = (u, band) mapped to m nodes, band by band.
 
-    A reference of m nodes is returned as it is.  Otherwise each band keeps
-    its share of the nodes, rounded down; the nodes still missing go to the
-    bands with the largest remainders, the first of equal ones, so the
-    shares add up to m.  A band that held 2 or more nodes takes its new ones
-    by linear interpolation in its own node index, which keeps its outermost
-    nodes and their order; a band that held fewer gets evenly spread
-    interior points.  The nodes stay strictly increasing and inside
+    Each band keeps its share of the nodes, rounded down; the nodes still
+    missing go to the bands with the largest remainders, the first of equal
+    ones, so the shares add up to m.  A band that held 2 or more nodes takes
+    its new ones by linear interpolation in its own node index, which keeps
+    its outermost nodes and their order; a band that held fewer gets evenly
+    spread interior points.  The nodes stay strictly increasing and inside
     their bands.
     """
     u, band = start
-    if len(u) == m:
-        return u, band
     old = np.bincount(band, minlength=len(band_lo))
     new, remainder = np.divmod(old * m, len(u))
     new[np.argsort(-remainder, kind="stable")[:m - new.sum()]] += 1
@@ -320,9 +323,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
         Amplitude polynomial degree; the design has 2*half_order+1 taps.
     start : (ndarray, ndarray), optional
         The first reference: the ``reference`` of a converged design on
-        bands with the same edges, for any order.  It is used as it is when
-        it holds half_order+2 nodes and is otherwise scaled to that count
-        band by band.  By default the first reference spreads the nodes
+        bands with the same edges, for any order, scaled to half_order+2
+        nodes band by band.  By default the first reference spreads the nodes
         evenly over the bands' total width.
 
     Returns

@@ -96,11 +96,6 @@ def theta_to_u(theta_rad: float, spacing_wavelengths: float) -> float:
     return 2.0 * math.pi * spacing_wavelengths * math.sin(theta_rad)
 
 
-def db_to_amplitude(level_db: float) -> float:
-    """Linear amplitude ratio for a dB level: 10**(dB/20)."""
-    return 10.0 ** (level_db / 20.0)
-
-
 def _band_problems(i: int, band: BandSpec) -> list[str]:
     problems = []
     if not (math.isfinite(band.u_lo) and math.isfinite(band.u_hi)):

@@ -18,7 +18,9 @@ leading section; only that section is formed and factored.
 G is a Chebyshev series in x = cos u, so its minimum m is exact: the
 smallest value at x = +-1 and at the real roots of G' in [-1, 1] (the
 points of :func:`critical_cosines`, at which the search's band judge
-reads G + gamma before factoring, :func:`lifted_symbol`).  Every finite
+reads G + gamma before factoring, :func:`lifted_symbol`).  Those roots
+come from the Remez exchange's stacked solver, one row at a time, so one
+function finds every critical point of a real series.  Every finite
 Toeplitz section has its eigenvalues in [min G, max G] (Grenander-Szego),
 so the lift gamma = -m, enlarged by a small safety margin and kept above a
 tiny pivot floor, makes every section positive definite; one banded
@@ -38,7 +40,7 @@ import numpy as np
 import scipy.linalg as _sla
 from numpy.polynomial import chebyshev as _cheb
 
-from .equiripple import chebder
+from .equiripple import _derivative_roots
 
 DEFAULT_EXPANSION_FACTOR = 30
 MIN_EXPANSION = 176
@@ -83,6 +85,9 @@ def critical_cosines(r) -> np.ndarray:
     ``r`` is the one-sided autocorrelation r_0..r_{N-1} (r_{-k} = conj(r_k)).
     Real r: G is the Chebyshev series a_0 = r_0, a_k = 2 r_k in x, and the
     points are +-1 and the real parts of the roots of G', clipped to [-1, 1].
+    The roots come from the exchange's stacked solver
+    (:func:`mparray.equiripple._derivative_roots`) on the one row a, so the
+    lift, t and both band judges read the same points an exchange would.
     Complex r: the points are +-1 and the cosines of the angles of all roots
     of sum_|k|<N k r_k z^(k+N-1), which vanishes where dG/du does, z = exp(ju).
     A spurious point only adds a value G does take, so no root tolerance is
@@ -93,11 +98,9 @@ def critical_cosines(r) -> np.ndarray:
         k = np.arange(1, len(r))
         dz = np.concatenate([(k * r[1:])[::-1], [0.0], -k * np.conj(r[1:])])
         return np.concatenate([[-1.0, 1.0], np.cos(np.angle(np.roots(dz)))])
-    if len(r) < 3:  # G' has degree 0 or less: no roots
-        return np.array([-1.0, 1.0])
-    a = np.concatenate([r[:1], 2.0 * r[1:]])
-    roots = np.real(_cheb.chebroots(chebder(a.tolist())))
-    return np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
+    roots = _derivative_roots(np.concatenate([r[:1], 2.0 * r[1:]])[None, :])[0]
+    # nan pads a row whose derivative chebroots trimmed; it marks no root.
+    return np.concatenate([[-1.0, 1.0], np.clip(roots[~np.isnan(roots)], -1.0, 1.0)])
 
 
 def _lifted(taps):

@@ -477,9 +477,6 @@ def test_scaled_reference_is_increasing_and_in_band(name):
     _assert_valid_reference(*ref, m, lo, hi)
     for new_m in (m - 1, m + 1):
         _assert_valid_reference(*_scaled_reference(ref, new_m, lo, hi), new_m, lo, hi)
-    # A reference of the count it is scaled to is used as it is.
-    same = _scaled_reference(ref, m, lo, hi)
-    assert np.array_equal(same[0], ref[0]) and np.array_equal(same[1], ref[1])
 
 
 def test_bands_short_of_two_nodes_get_interior_points():

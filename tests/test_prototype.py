@@ -11,8 +11,8 @@ import mparray.prototype as prototype_module
 from mparray import (BandSpec, DesignSpec, FactorizationError,
                      InfeasibleSpecError, OrderSearchError, PrototypeBand,
                      RemezConvergenceError, SearchLimits, design1_spec,
-                     design2_spec, design3_spec, find_min_order, pencil_spec,
-                     spectral_factorize)
+                     design2_spec, design3_spec, evaluate, find_min_order,
+                     pencil_spec, spectral_factorize)
 from mparray.equiripple import _chebyshev_points
 from mparray.prototype import (_attempt, design_prototype, measure, measure_symbol,
                                to_prototype_spec)
@@ -152,6 +152,15 @@ def test_minimal_order_search_design1(design1):
     assert design1.report.witness
     assert design1.report.minimality == "route_only"
     assert all(lv.margin_db >= 0.0 for lv in design1.levels)
+
+
+def test_trailing_zero_element_keeps_the_band_levels(design1):
+    # A zero last element leaves the pattern as it is; its autocorrelation
+    # ends in an exact 0, which sends the judge's root-find down the
+    # finder's fallback row.
+    c = design1.weights.c
+    got = evaluate(np.append(c, 0.0), design1_spec())
+    assert got.bands == evaluate(c, design1_spec()).bands
 
 
 def test_search_is_deterministic(design1):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mparray import BandSpec, DesignSpec, SpecValidationError, design1_spec
-from mparray.spec_model import db_to_amplitude, theta_to_u, validate_spec
+from mparray.spec_model import theta_to_u, validate_spec
 
 
 def test_theta_to_u_known_points():
@@ -22,17 +22,6 @@ def test_theta_to_u_odd_and_increasing(theta, spacing):
     # theta_to_u is defined on [-pi/2, pi/2]; sin falls beyond pi/2.
     if theta + eps <= math.pi / 2:
         assert theta_to_u(theta + eps, spacing) > theta_to_u(theta, spacing)
-
-
-def test_db_conversions_known_values():
-    assert db_to_amplitude(0.0) == 1.0
-    assert db_to_amplitude(-52.0) == pytest.approx(0.0025118864315095794, rel=1e-15)
-    assert db_to_amplitude(-30.0) == pytest.approx(0.03162277660168379, rel=1e-15)
-
-
-@given(st.floats(-200.0, 40.0))
-def test_db_round_trip(level):
-    assert 20.0 * math.log10(db_to_amplitude(level)) == pytest.approx(level, abs=1e-12)
 
 
 def test_design1_spec_is_valid():

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from mparray import FactorizationError, design1_spec, design_pencil, spectral_factorize
+from mparray.equiripple import _derivative_roots
 from mparray.prototype import to_prototype_spec
 from mparray.spectral_factor import (DEFAULT_EXPANSION_FACTOR,
                                      GAMMA_MARGIN, MIN_EXPANSION,
@@ -112,8 +113,8 @@ def test_gamma_zero_for_nonnegative_symbol():
 
 
 def test_critical_cosines_match_numpy_chebder():
-    # The derivative recurrence on Python floats gives numpy's chebder bit
-    # for bit, so the points are those of chebroots(chebder(a)).
+    # The stacked finder gives numpy's chebroots(chebder(a)) bit for bit,
+    # so the points are those.
     rng = np.random.default_rng(20261019)
     for n in range(1, 40):
         r = rng.normal(size=n) * 10.0 ** rng.integers(-6, 7)
@@ -121,6 +122,27 @@ def test_critical_cosines_match_numpy_chebder():
         roots = np.real(np.polynomial.chebyshev.chebroots(np.polynomial.chebyshev.chebder(a)))
         want = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
         assert np.array_equal(critical_cosines(r), want), n
+
+
+def test_critical_cosines_of_a_trimmed_derivative():
+    # r ends in an exact 0, so G' has a zero leading coefficient: chebroots
+    # trims it, and the stacked finder sends the row down its fallback,
+    # whose padding (nan) critical_cosines drops.
+    rng = np.random.default_rng(20261020)
+    for n in range(3, 20):
+        r = rng.normal(size=n)
+        r[-1] = 0.0
+        a = np.concatenate([r[:1], 2.0 * r[1:]])
+        assert np.isnan(_derivative_roots(a[None, :])[0, -1]), n
+        roots = np.real(np.polynomial.chebyshev.chebroots(np.polynomial.chebyshev.chebder(a)))
+        want = np.concatenate([[-1.0, 1.0], np.clip(roots, -1.0, 1.0)])
+        assert np.array_equal(critical_cosines(r), want), n
+
+
+@pytest.mark.parametrize("r", [[], [2.0], [1.0, 0.5]])
+def test_critical_cosines_below_degree_two_are_the_ends(r):
+    # G' of degree 0 or less has no roots: only x = -1 and 1 remain.
+    assert np.array_equal(critical_cosines(np.array(r)), [-1.0, 1.0])
 
 
 def test_symbol_min_matches_dense_grid(design1, design2, design3):
