@@ -14,11 +14,10 @@ ceiling s = 10**(stop_dB/10) exactly when
 
 Their solution (p*, q*) weights the plan, so a count whose G takes its
 extremes in the bands meets them exactly when its equiripple level is at
-most 1: the plan is exact, not conservative.  Feasibility of an element count is still always judged
-against the original bands, never on the plan: each trial is judged
-first on the exact levels of the lifted prototype G + gamma, and only a
-trial G + gamma passes is factored; the factor's own |C| has the last
-word.
+most 1: the plan is exact, not conservative.  Each element count is still
+judged against the original bands, never on the plan: on the exact levels
+of the lifted prototype G + gamma.  Only the count the search hands back
+is factored, and its factor's own |C| has the last word.
 """
 from __future__ import annotations
 
@@ -71,11 +70,10 @@ class SearchLimits:
 class DesignTrial:
     """One element count attempted against the original bands.
 
-    ``levels`` holds the band levels of the factor's pattern when the trial
-    has weights, else those of the lifted prototype G + gamma (which did
-    not meet the bands, so the trial was not factored); it is None when
-    the exchange or the factorization failed.  ``find_min_order`` sets
-    ``report`` on the trial it hands back when that trial has weights.
+    ``levels`` holds the band levels of G + gamma, or of the factor's
+    pattern once the trial is factored; None when the exchange or the
+    factorization failed.  ``find_min_order`` sets ``report`` on the
+    trial it hands back when that trial has weights.
     """
 
     order: int
@@ -247,11 +245,10 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
 
     The exchange starts from the reference ``start`` (by default an even
     spread; ``find_min_order`` passes a neighbouring count's final
-    reference); its failure fails the count.  The prototype is judged
-    first on G + gamma (:func:`measure_symbol`), whose lift from G's exact
-    minimum covers the stop-band dips and any dip in a transition band
-    alike.  A prototype G + gamma passes is factored, and its factor's
-    levels (:func:`measure`) give the verdict.
+    reference); its failure fails the count.  The prototype is judged on
+    G + gamma (:func:`measure_symbol`), whose lift from G's exact minimum
+    covers the stop-band dips and any dip in a transition band alike.
+    The trial is not factored.
     """
     try:
         prototype = design_prototype(plan, order, start)
@@ -259,25 +256,25 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
         return DesignTrial(order, None, None, None, None,
                            (f"exchange failed: {err}",))
     levels = measure_symbol(prototype.taps, spec)
-    if _unmet(levels):
-        return DesignTrial(order, None, None, prototype, levels, _unmet(levels))
-    return _factored(spec, order, prototype)
+    return DesignTrial(order, None, None, prototype, levels, _unmet(levels))
 
 
 def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> DesignTrial:
     """Smallest element count whose synthesized pattern meets every band.
 
-    Starts from the heuristic estimate, then walks down while feasible or
-    up while infeasible.  A count is feasible when its minimum-phase factor
-    meets the original bands, and infeasible when G + gamma or the factor
-    misses one (see :func:`_attempt`).  Returns the trial at that count
-    with its ``report`` set.  The first exchange at a count starts from the final reference of the count one below or above, when
-    that count has a prototype, and otherwise from an even spread.  The
-    report carries a minimality witness, the failure observed at one
-    element fewer, and says what backs the claim: ``"route_only"`` when
-    that trial violated a band (this design route cannot meet the bands
-    there), ``"unproven"`` when its exchange failed, or its factorization
-    after G + gamma met the bands, ``"trivial"`` at one element.
+    Every count is decided on G + gamma (:func:`_attempt`): from the
+    heuristic estimate the search walks down while G + gamma meets the
+    bands, or up while it does not.  The least count it passes is
+    factored once, and :func:`measure` judges its factor; should that
+    fail, the search steps up to the next count G + gamma passes.
+    Returns the trial at that count with its ``report`` set.  The first
+    exchange at a count starts from the final reference of the count one
+    below or above, when that count has a prototype, and otherwise from
+    an even spread.  The report carries a minimality witness, the failure
+    observed at one element fewer, and says what backs the claim:
+    ``"route_only"`` when that trial violated a band, on G + gamma or its
+    factor (this route cannot meet the bands there), ``"unproven"`` when
+    its exchange or factorization failed, ``"trivial"`` at one element.
 
     Raises
     ------
@@ -300,28 +297,31 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
             trials[n] = _attempt(spec, plan, n, starts[0] if starts else None)
         return trials[n]
 
+    def factored(n: int) -> DesignTrial:
+        trials[n] = _factored(spec, n, trials[n].prototype)
+        return trials[n]
+
     def reported(t: DesignTrial, **claim) -> DesignTrial:
         # The trial's levels are measure(t.weights.c, spec) already.
         return replace(t, report=_report(t.weights.c, spec, t.levels,
                                          diagnostics=t.diagnostics, **claim))
 
-    if trial(guess).feasible:
-        order = guess
+    order = guess
+    if trial(order).feasible:
         while order > 1 and trial(order - 1).feasible:
             order -= 1
-    else:
-        order = guess + 1
-        while order <= limits.max_order and not trial(order).feasible:
-            order += 1
-        if order > limits.max_order:
-            best = max(trials.values(),
-                       key=lambda t: min((lv.margin_db for lv in t.levels),
-                                         default=-math.inf) if t.levels else -math.inf)
-            if best.weights is None and best.levels is not None:
-                best = _factored(spec, best.order, best.prototype)
-            raise OrderSearchError(
-                f"no element count up to {limits.max_order} meets the bands",
-                best if best.weights is None else reported(best))
+    while order <= limits.max_order and not (trial(order).feasible
+                                             and factored(order).feasible):
+        order += 1
+    if order > limits.max_order:
+        best = max(trials.values(),
+                   key=lambda t: min((lv.margin_db for lv in t.levels),
+                                     default=-math.inf) if t.levels else -math.inf)
+        if best.weights is None and best.levels is not None:
+            best = _factored(spec, best.order, best.prototype)
+        raise OrderSearchError(
+            f"no element count up to {limits.max_order} meets the bands",
+            best if best.weights is None else reported(best))
 
     if order == 1:
         return reported(trial(order), witness=(), minimality="trivial")

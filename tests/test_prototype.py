@@ -14,8 +14,8 @@ from mparray import (BandSpec, DesignSpec, FactorizationError,
                      design2_spec, design3_spec, evaluate, find_min_order,
                      pencil_spec, spectral_factorize)
 from mparray.equiripple import _chebyshev_points
-from mparray.prototype import (_attempt, design_prototype, measure, measure_symbol,
-                               to_prototype_spec)
+from mparray.prototype import (_attempt, _factored, design_prototype, measure,
+                               measure_symbol, to_prototype_spec)
 from mparray.spectral_factor import GAMMA_MARGIN, find_gamma
 
 from equioscillation import amplitude_response, equioscillation_extrema
@@ -313,21 +313,57 @@ def test_factorization_failure_is_a_failed_trial(monkeypatch):
     monkeypatch.setattr(prototype_module, "spectral_factorize", fails_at_five_and_six)
     spec = design1_spec()
     plan = to_prototype_spec(spec)
-    # G + gamma misses design1's bands at 5 elements, so 5 is never factored.
-    ruled_out = _attempt(spec, plan, 5)
+    # Each count is decided on G + gamma, unfactored: it misses design1's
+    # bands at 5 elements and meets them at 6.
+    ruled_out, passed = _attempt(spec, plan, 5), _attempt(spec, plan, 6)
     assert ruled_out.weights is None and ruled_out.levels is not None
     assert ruled_out.violations and all(" band [" in v for v in ruled_out.violations)
-    # G + gamma meets them at 6, so 6 is factored, and its failure fails the count.
-    failed = _attempt(spec, plan, 6)
-    assert failed.prototype is not None
+    assert passed.feasible and passed.weights is None
+    # 6 is the least count G + gamma passes, so it is factored, and its
+    # failure fails the count.
+    failed = _factored(spec, 6, passed.prototype)
+    assert failed.prototype is passed.prototype
     assert failed.weights is None and failed.levels is None
     assert failed.violations == ("factorization failed: forced",)
-    # Nothing shows that 6 elements cannot meet the bands.
+    # The search steps up to 7; nothing shows that 6 elements cannot meet
+    # the bands.
     result = find_min_order(spec)
     assert result.order == 7
     assert result.feasible
     assert result.report.minimality == "unproven"
     assert result.report.witness == ("factorization failed: forced",)
+
+
+def test_a_factor_that_misses_a_band_steps_the_search_up(monkeypatch):
+    # G + gamma meets design1's bands at 6 elements; a factor there that
+    # misses the stop band by 1 dB fails the count, the search factors 7,
+    # and 6's witness is its factor's band levels.
+    real_measure = prototype_module.measure
+    real_factorize, factored = prototype_module.spectral_factorize, []
+
+    def misses_at_six(c, spec):
+        levels = real_measure(c, spec)
+        if len(c) != 6:
+            return levels
+        return tuple(replace(lv, achieved_db=lv.bound_db + 1.0, margin_db=-1.0)
+                     if lv.kind == "stop" else lv for lv in levels)
+
+    def counted(taps, **kwargs):
+        factored.append(len(taps) // 2 + 1)
+        return real_factorize(taps, **kwargs)
+
+    monkeypatch.setattr(prototype_module, "measure", misses_at_six)
+    monkeypatch.setattr(prototype_module, "spectral_factorize", counted)
+    spec = design1_spec()
+    result = find_min_order(spec)
+    assert result.order == 7
+    assert result.feasible
+    assert factored == [6, 7]
+    assert result.report.minimality == "route_only"
+    stop = next(b for b in spec.bands if b.kind == "stop")
+    assert result.report.witness == (
+        f"stop band [{stop.u_lo:.6g}, {stop.u_hi:.6g}]: achieved "
+        f"{stop.max_level_db + 1.0:.4f} dB vs bound {stop.max_level_db:.4f} dB",)
 
 
 @pytest.mark.parametrize("bands", [
@@ -429,8 +465,9 @@ def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
 
 
 def test_winner_is_not_measured_again(monkeypatch):
-    # The report is built from the winning trial's levels: one measure per
-    # prototype that G + gamma passes (7 and 6; it rules 5 out), none more.
+    # The report is built from the winning trial's levels: G + gamma passes
+    # 7 and 6 and rules 5 out, and only 6, the count handed back, is
+    # factored and measured.
     designed, measured = _count_prototypes(monkeypatch), []
     real = prototype_module.measure
 
@@ -441,7 +478,7 @@ def test_winner_is_not_measured_again(monkeypatch):
     monkeypatch.setattr(prototype_module, "measure", counted)
     result = find_min_order(design1_spec())
     assert designed == [7, 6, 5]
-    assert measured == [7, 6]
+    assert measured == [6]
     assert result.report.bands == result.levels
 
 
@@ -535,7 +572,7 @@ def test_zeros_near_the_circle_keep_newton():
 
 
 @pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
-def test_only_trials_the_symbol_passes_are_factored(monkeypatch, make_spec):
+def test_one_factorization_per_search(monkeypatch, make_spec):
     designed, factored = _record_prototypes(monkeypatch), []
     real = prototype_module.spectral_factorize
 
@@ -545,12 +582,14 @@ def test_only_trials_the_symbol_passes_are_factored(monkeypatch, make_spec):
 
     monkeypatch.setattr(prototype_module, "spectral_factorize", recorded)
     spec = make_spec()
-    find_min_order(spec)
-    passed = [p.taps for p in designed
+    result = find_min_order(spec)
+    # Every count is decided on G + gamma; only the least count it passes,
+    # the one handed back, is factored, once.
+    passed = [p for p in designed
               if all(lv.margin_db >= 0.0 for lv in measure_symbol(p.taps, spec))]
-    assert 0 < len(passed) < len(designed)
-    assert len(factored) == len(passed)
-    assert all(f is p for f, p in zip(factored, passed))
+    least = min(passed, key=lambda p: len(p.taps))
+    assert least.taps is result.prototype.taps
+    assert [f is least.taps for f in factored] == [True]
     # A search that meets no count factors its best trial once, for its report.
     designed.clear()
     factored.clear()
