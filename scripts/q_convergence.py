@@ -24,7 +24,7 @@ BOUND = 1e-6
 def sweep(key: str) -> bool:
     result = find_min_order(builtin_spec(key))
     g = result.prototype.taps
-    gamma, q = result.diagnostics.gamma, result.diagnostics.expansion
+    gamma, q = result.report.gamma, result.report.expansion
     expansions = [max(1, round(k * q)) for k in MULTIPLES]
     raw = [cholesky_banded(g, e, gamma)[::-1, -1] for e in expansions]
     polished = [refine_newton(c, g, gamma)[0] for c in raw]

@@ -384,7 +384,6 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
         return delta, x_ext[:-1], values, bweights
 
     prev_delta = None
-    prev_set = None
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
         delta, nodes, values, bweights = reference()
@@ -413,20 +412,18 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
 
         with np.errstate(over="ignore"):  # a vanishing delta reads as inf
             quality = (np.max(np.abs(new_e)) - abs(delta)) / max(abs(delta), 1e-300)
-        same_set = prev_set is not None and np.max(np.abs(prev_set - new_u)) <= 1e-14
         stalled = prev_delta is not None and \
             abs(abs(delta) - prev_delta) <= _DELTA_STALL * abs(delta)
 
         ext_u, ext_band = new_u, new_band
         if quality <= _QUALITY_STOP:
             break
-        if same_set or stalled:
+        if stalled:
             if quality <= _QUALITY_ACCEPT:
                 break
             raise RemezConvergenceError(
                 f"exchange stalled with excess ripple {quality:.3e}", iterations)
         prev_delta = abs(delta)
-        prev_set = new_u
     else:
         if not quality <= _QUALITY_ACCEPT:  # a nan error reads as unconverged
             raise RemezConvergenceError(

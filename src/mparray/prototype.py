@@ -26,14 +26,14 @@ import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
 from .analysis import (BandLevel, DesignReport, ZERO_RADIUS_TOL, array_factor,
                        pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
 from .spec_model import DesignSpec, validate_spec
-from .spectral_factor import (GAMMA_MARGIN, FactorizationError,
-                              FactorizationDiagnostics, MinPhaseWeights,
+from .spectral_factor import (GAMMA_MARGIN, FactorizationError, MinPhaseWeights,
                               autocorrelation, critical_cosines,
                               lifted_symbol, spectral_factorize)
 
@@ -72,16 +72,16 @@ class DesignTrial:
 
     ``levels`` holds the band levels of G + gamma, or of the factor's
     pattern once the trial is factored; None when the exchange or the
-    factorization failed.  ``find_min_order`` sets ``report`` on the
-    trial it hands back when that trial has weights.
+    factorization failed.  A factored trial carries its ``weights`` and
+    the ``report`` it was judged by (:func:`evaluate`'s, with the
+    factorization's fields).
     """
 
     order: int
-    weights: MinPhaseWeights | None
-    diagnostics: FactorizationDiagnostics | None
     prototype: LinearPhasePrototype | None
     levels: tuple[BandLevel, ...] | None
     violations: tuple[str, ...]
+    weights: MinPhaseWeights | None = None
     report: DesignReport | None = None
 
     @property
@@ -112,10 +112,12 @@ def measure_symbol(taps, spec: DesignSpec) -> tuple[BandLevel, ...]:
     residual.  It is read at the points of :func:`lifted_symbol` and the
     band edges and normalized as :func:`measure` normalizes |C|.
     """
-    u, s = lifted_symbol(taps, _edges(spec))
+    a, x, g, gamma, _ = lifted_symbol(taps)
+    edges = _edges(spec)
+    s = np.concatenate([g, chebval(np.cos(edges), a)]) + gamma
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(np.maximum(s, 0.0) / s.max())
-    return pattern_metrics(u, db, spec)
+    return pattern_metrics(np.concatenate([np.arccos(x), edges]), db, spec)
 
 
 def _edges(spec: DesignSpec) -> list[float]:
@@ -133,23 +135,18 @@ def _unmet(levels: tuple[BandLevel, ...]) -> tuple[str, ...]:
 def evaluate(c, spec: DesignSpec | None, *, name: str | None = None) -> DesignReport:
     """Judge excitation ``c`` against ``spec`` and report it: the one report path.
 
-    The bands are measured by :func:`measure`.  The report is feasible
-    when no band is violated, and its witness lists the violated
-    bands.  ``flattop_ripple_db`` is the pass band's achieved ripple (0.0
-    without one) and ``max_sidelobe_db`` the highest stop level (-inf
-    without one).  ``spec`` None judges the zeros only, leaves both None
-    and needs ``name`` (ValueError without it).  The design is minimum
-    phase when no zero lies farther than ZERO_RADIUS_TOL outside the unit
-    circle.
+    Every DesignReport starts here; the search only replaces fields on
+    it.  :func:`measure` gives the bands; the report is feasible when no
+    band is violated, and its witness lists the violated ones.
+    ``flattop_ripple_db`` is the pass band's achieved ripple (0.0 without
+    one) and ``max_sidelobe_db`` the highest stop level (-inf without
+    one).  ``spec`` None judges the zeros only, leaves both None and needs
+    ``name`` (ValueError without it).  The design is minimum phase when
+    no zero lies farther than ZERO_RADIUS_TOL outside the unit circle.
     """
     if spec is None and name is None:
         raise ValueError("evaluate needs a name when spec is None")
-    return _report(c, spec, () if spec is None else measure(c, spec), name=name)
-
-
-def _report(c, spec, levels, *, diagnostics=None, witness=None, minimality=None,
-            name=None) -> DesignReport:
-    """:func:`evaluate`'s report of ``c`` from the band levels ``measure`` gave."""
+    levels = () if spec is None else measure(c, spec)
     zeros = polynomial_zeros(c)
     radii = np.abs(zeros)
     max_radius = float(radii.max()) if len(radii) else 0.0
@@ -167,10 +164,7 @@ def _report(c, spec, levels, *, diagnostics=None, witness=None, minimality=None,
         zero_min_radius=float(radii.min()) if len(radii) else 0.0,
         min_phase=max_radius <= 1.0 + ZERO_RADIUS_TOL,
         steering_angle_rad=0.0 if spec is None else spec.steering_angle_rad,
-        witness=_unmet(levels) if witness is None else tuple(witness),
-        minimality=minimality, zeros=zeros,
-        # the factorization fields of the report are those of the diagnostics
-        **({} if diagnostics is None else asdict(diagnostics)))
+        witness=_unmet(levels), zeros=zeros)
 
 
 def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
@@ -229,14 +223,13 @@ def design_prototype(plan: tuple[PrototypeBand, ...], order: int,
 
 def _factored(spec: DesignSpec, order: int,
               prototype: LinearPhasePrototype) -> DesignTrial:
-    """The trial of ``prototype`` judged by :func:`measure` on its own factor."""
+    """The trial of ``prototype`` judged by :func:`evaluate` on its own factor."""
     try:
         weights, diag = spectral_factorize(prototype.taps, newton=True)
     except FactorizationError as err:
-        return DesignTrial(order, None, None, prototype, None,
-                           (f"factorization failed: {err}",))
-    levels = measure(weights.c, spec)
-    return DesignTrial(order, weights, diag, prototype, levels, _unmet(levels))
+        return DesignTrial(order, prototype, None, (f"factorization failed: {err}",))
+    report = replace(evaluate(weights.c, spec), **asdict(diag))
+    return DesignTrial(order, prototype, report.bands, report.witness, weights, report)
 
 
 def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
@@ -253,10 +246,9 @@ def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
     try:
         prototype = design_prototype(plan, order, start)
     except RemezConvergenceError as err:
-        return DesignTrial(order, None, None, None, None,
-                           (f"exchange failed: {err}",))
+        return DesignTrial(order, None, None, (f"exchange failed: {err}",))
     levels = measure_symbol(prototype.taps, spec)
-    return DesignTrial(order, None, None, prototype, levels, _unmet(levels))
+    return DesignTrial(order, prototype, levels, _unmet(levels))
 
 
 def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> DesignTrial:
@@ -265,16 +257,17 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     Every count is decided on G + gamma (:func:`_attempt`): from the
     heuristic estimate the search walks down while G + gamma meets the
     bands, or up while it does not.  The least count it passes is
-    factored once, and :func:`measure` judges its factor; should that
+    factored once, and :func:`evaluate` judges its factor; should that
     fail, the search steps up to the next count G + gamma passes.
-    Returns the trial at that count with its ``report`` set.  The first
-    exchange at a count starts from the final reference of the count one
-    below or above, when that count has a prototype, and otherwise from
-    an even spread.  The report carries a minimality witness, the failure
-    observed at one element fewer, and says what backs the claim:
+    Returns the factored trial at that count.  The first exchange at a
+    count starts from the final reference of the count one below or
+    above, when that count has a prototype, and otherwise from an even
+    spread.  The trial's report carries a minimality witness, the failure
+    observed at one element fewer (one element never passes: its flat
+    pattern misses every stop band), and says what backs the claim:
     ``"route_only"`` when that trial violated a band, on G + gamma or its
     factor (this route cannot meet the bands there), ``"unproven"`` when
-    its exchange or factorization failed, ``"trivial"`` at one element.
+    its exchange or factorization failed.
 
     Raises
     ------
@@ -301,11 +294,6 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         trials[n] = _factored(spec, n, trials[n].prototype)
         return trials[n]
 
-    def reported(t: DesignTrial, **claim) -> DesignTrial:
-        # The trial's levels are measure(t.weights.c, spec) already.
-        return replace(t, report=_report(t.weights.c, spec, t.levels,
-                                         diagnostics=t.diagnostics, **claim))
-
     order = guess
     if trial(order).feasible:
         while order > 1 and trial(order - 1).feasible:
@@ -320,11 +308,9 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         if best.weights is None and best.levels is not None:
             best = _factored(spec, best.order, best.prototype)
         raise OrderSearchError(
-            f"no element count up to {limits.max_order} meets the bands",
-            best if best.weights is None else reported(best))
+            f"no element count up to {limits.max_order} meets the bands", best)
 
-    if order == 1:
-        return reported(trial(order), witness=(), minimality="trivial")
-    below = trial(order - 1)
-    return reported(trial(order), witness=below.violations,
-                    minimality="route_only" if below.levels is not None else "unproven")
+    won, below = trial(order), trial(order - 1)
+    return replace(won, report=replace(
+        won.report, witness=below.violations,
+        minimality="route_only" if below.levels is not None else "unproven"))

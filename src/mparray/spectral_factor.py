@@ -103,9 +103,15 @@ def critical_cosines(r) -> np.ndarray:
     return np.concatenate([[-1.0, 1.0], np.clip(roots[~np.isnan(roots)], -1.0, 1.0)])
 
 
-def _lifted(taps):
-    """G's Chebyshev series a, the points x of :func:`critical_cosines`,
-    G(x) and :func:`find_gamma`'s (gamma, m), for float ``taps``."""
+def lifted_symbol(taps):
+    """The one reader of G's critical levels and lift, for float ``taps``.
+
+    Returns ``(a, x, g, gamma, m)``: G's Chebyshev series a in x = cos u,
+    the points x of :func:`critical_cosines`, G(x) and :func:`find_gamma`'s
+    lift gamma and minimum m.  g + gamma is |C|^2 of the factor
+    :func:`spectral_factorize` extracts, up to its residual, at every point
+    where it may take an extreme, read with no factorization.
+    """
     r = taps[(len(taps) - 1) // 2:]
     a = np.concatenate([r[:1], 2.0 * r[1:]])
     x = critical_cosines(r)
@@ -137,7 +143,7 @@ def find_gamma(taps) -> tuple[float, float, float]:
     the circle and t is 0.
     """
     taps = np.asarray(taps, float)
-    a, x, g, gamma, m = _lifted(taps)
+    a, x, g, gamma, m = lifted_symbol(taps)
     if gamma == PIVOT_FLOOR_FACTOR * float(np.max(np.abs(taps))) - m:
         return gamma, m, 0.0
     k = np.arange(len(a))
@@ -145,20 +151,6 @@ def find_gamma(taps) -> tuple[float, float, float]:
     curved = g_uu > 0.0
     t = np.min(np.sqrt(2.0 * (g[curved] + gamma) / g_uu[curved]), initial=math.inf)
     return gamma, m, float(t)
-
-
-def lifted_symbol(taps, u) -> tuple[np.ndarray, np.ndarray]:
-    """G + gamma, with :func:`find_gamma`'s lift, where it may take its extremes.
-
-    Returns the angles arccos x for every x of :func:`critical_cosines`,
-    followed by ``u``, and G + gamma there.  These are the levels of |C|^2
-    for the factor :func:`spectral_factorize` extracts, up to its
-    residual, read with one root-find and no factorization.
-    """
-    a, x, g, gamma, _ = _lifted(np.asarray(taps, float))
-    u = np.asarray(u, float)
-    return (np.concatenate([np.arccos(x), u]),
-            np.concatenate([g, _cheb.chebval(np.cos(u), a)]) + gamma)
 
 
 def cholesky_banded(taps, expansion: int, gamma: float) -> np.ndarray:

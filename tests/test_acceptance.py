@@ -183,7 +183,7 @@ def test_criterion_06_autocorrelation_residual(design1, design2, design3):
         # Q sized from the symbol: exp(-2Qt) <= t/4 for the outermost zero's
         # distance t from the circle, never below 30 N or MIN_EXPANSION.
         t = find_gamma(g)[2]
-        assert result.diagnostics.expansion == max(
+        assert result.report.expansion == max(
             30 * result.order, MIN_EXPANSION, math.ceil(math.log(4.0 / t) / (2.0 * t)))
         resid = float(np.max(np.abs(verify_factorization(result.weights, g))))
         bound = 1e-8 * float(np.max(np.abs(g)))
@@ -205,7 +205,7 @@ def test_criterion_07_expansion_stability(design1, design2, design3):
     for label, result in (("design1", design1), ("design2", design2),
                           ("design3", design3)):
         g = result.prototype.taps
-        gamma, q = result.diagnostics.gamma, result.diagnostics.expansion
+        gamma, q = result.report.gamma, result.report.expansion
         raw = [cholesky_banded(g, e, gamma)[::-1, -1] for e in (q, 2 * q)]
         polished = [refine_newton(c, g, gamma)[0] for c in raw]
         move = float(np.max(np.abs(raw[0] - raw[1])))

@@ -331,7 +331,7 @@ def test_report_serializes_to_json(design1):
     assert payload["min_phase"] is True
     assert payload["feasible"] is True
     assert payload["zero_count"] == 5
-    assert payload["expansion"] == design1.diagnostics.expansion
+    assert payload["expansion"] == design1.report.expansion
     assert len(payload["bands"]) == len(spec.bands)
 
 

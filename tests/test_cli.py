@@ -265,6 +265,20 @@ def test_usage_errors_exit_one():
     assert exc.value.code == 1
 
 
+def test_grid_sets_only_the_pattern_rows(tmp_path):
+    # --grid 5 samples [0, pi] at 5 points, mirrored to 9 rows over
+    # [-pi, pi].  The bands are judged exactly, not on the grid, so the
+    # weights and the report match a default-grid run byte for byte.
+    coarse, fine = tmp_path / "coarse", tmp_path / "fine"
+    assert main(["reproduce", "design1", "--grid", "5", "--out", str(coarse)]) == 0
+    assert main(["reproduce", "design1", "--out", str(fine)]) == 0
+    rows = (coarse / "pattern.csv").read_text().splitlines()[1:]
+    u = [float(row.split(",")[0]) for row in rows]
+    assert u == pytest.approx(np.linspace(-math.pi, math.pi, 9), rel=1e-11)
+    for name in ("weights.csv", "report.json"):
+        assert (coarse / name).read_bytes() == (fine / name).read_bytes()
+
+
 def test_unreachable_bands_write_best_attempt(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec)

@@ -302,6 +302,30 @@ def test_too_few_alternations_is_an_exchange_failure():
     assert failed.violations[0].startswith("exchange failed: only")
 
 
+_UNEVEN = DesignSpec(0.5, (
+    BandSpec(0.0, 1.0, "stop", max_level_db=-20.0),
+    BandSpec(1.4, 1.8, "pass", ripple_db=1.0),
+    BandSpec(2.2, math.pi, "stop", max_level_db=-50.0)), name="uneven")
+
+
+@pytest.mark.parametrize("spec", [design1_spec(), design2_spec(), design3_spec(), _UNEVEN],
+                         ids=["design1", "design2", "design3", "uneven"])
+def test_one_element_never_passes(spec):
+    # A one-element pattern is flat: 0 dB on every band, above every stop
+    # ceiling (each lies below 0 dB).  No search hands back one element, so
+    # its winner always has a count below it to witness the claim.
+    flat = measure_symbol(np.ones(1), spec)
+    for levels in (flat, measure(np.ones(1), spec)):
+        stops = [lv for lv in levels if lv.kind == "stop"]
+        assert stops and all(lv.achieved_db == 0.0 and lv.margin_db < 0.0 for lv in stops)
+        assert all(lv.margin_db >= 0.0 for lv in levels if lv.kind == "pass")
+    trial = _attempt(spec, to_prototype_spec(spec), 1)
+    assert not trial.feasible
+    # The uneven band-pass request fails its one-element exchange instead:
+    # its even-spread start puts both nodes in the stop bands.
+    assert trial.levels == (None if spec is _UNEVEN else flat)
+
+
 def test_factorization_failure_is_a_failed_trial(monkeypatch):
     real = prototype_module.spectral_factorize
 
@@ -417,8 +441,8 @@ def test_zeros_near_the_circle_end_minimum_phase():
     assert result.order == 9
     assert result.report.min_phase
     assert np.max(np.abs(np.roots(result.weights.c))) <= 1.0
-    assert result.diagnostics.autocorr_residual <= 1e-12
-    assert result.diagnostics.expansion > 30 * 9
+    assert result.report.autocorr_residual <= 1e-12
+    assert result.report.expansion > 30 * 9
 
 
 @pytest.mark.parametrize("make_spec, starts", [
@@ -554,8 +578,8 @@ def test_every_sweep_design_meets_the_residual_bound():
     for spec in _sweep_specs(2):
         result = find_min_order(spec, SearchLimits(max_order=32))
         g = result.prototype.taps
-        assert result.diagnostics.refined
-        assert result.diagnostics.autocorr_residual <= 1e-8 * float(np.max(np.abs(g)))
+        assert result.report.refined
+        assert result.report.autocorr_residual <= 1e-8 * float(np.max(np.abs(g)))
 
 
 def test_zeros_near_the_circle_keep_newton():
@@ -566,9 +590,9 @@ def test_zeros_near_the_circle_keep_newton():
     spec = _sweep_specs(7)[17]
     result = find_min_order(spec, SearchLimits(max_order=32))
     assert result.order == 7
-    assert result.diagnostics.refined
-    assert result.diagnostics.expansion > 30 * 7
-    assert result.diagnostics.autocorr_residual <= 1e-12
+    assert result.report.refined
+    assert result.report.expansion > 30 * 7
+    assert result.report.autocorr_residual <= 1e-12
 
 
 @pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
@@ -640,7 +664,7 @@ def test_symbol_sized_expansion_holds_the_count_the_walk_held(monkeypatch):
     calls = _count_prototypes(monkeypatch)
     result = find_min_order(spec, SearchLimits(max_order=32))
     assert result.order == 8
-    assert result.diagnostics.refined
+    assert result.report.refined
     assert calls == [9, 8, 7]
 
 
