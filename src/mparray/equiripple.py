@@ -13,13 +13,17 @@ iteration takes exactly those points: it expands the current interpolant
 as a Chebyshev series on every band's own x-interval and takes the roots
 of its derivative on all bands from one stacked eigenvalue problem, the
 bands' colleague matrices side by side.  No working grid is sampled, and
-the stop rule reads the true peak error.
+the stop rule reads the true peak error.  Every iteration therefore
+brackets the minimax error between the level on its reference and its
+interpolant's peak error (de la Vallee Poussin), and a caller that only
+needs to know on which side of a level the minimax error lies can stop
+the exchange as soon as the bracket says.
 
 The first reference is an even spread of nodes over the bands unless the
-caller hands in the final reference of a converged exchange on the same
-bands, as the order search does from a neighbouring count: it is then
-scaled band by band to the new count (reference scaling, Filip, ACM TOMS
-43(1), 2016, section 4).
+caller hands in the reference of an exchange on the same bands, as the
+order search does from a neighbouring count: it is then scaled band by
+band to the new count (reference scaling, Filip, ACM TOMS 43(1), 2016,
+section 4), or taken as it is to resume an exchange at its own count.
 
 The interpolant is evaluated in the first (modified-Lagrange) barycentric
 form, which has no denominator to cancel and stays backward stable past the
@@ -78,11 +82,12 @@ class LinearPhasePrototype:
 
     Attributes
     ----------
-    taps : ndarray
+    taps : ndarray or None
         2n+1 symmetric real taps, n the degree of the amplitude polynomial
-        in cos(u).
+        in cos(u); None when an exchange with a decision level stopped on
+        a reference whose level exceeds it (see remez_design).
     delta : float
-        The equiripple level |delta|.
+        The equiripple level |delta| of the final reference.
     iterations : int
         Exchange iterations used; 0 for a closed-form design.
     reference : (ndarray, ndarray) or None
@@ -90,7 +95,7 @@ class LinearPhasePrototype:
         the index of each node's band.  None for a closed-form design.
     """
 
-    taps: np.ndarray
+    taps: np.ndarray | None
     delta: float
     iterations: int = 0
     reference: tuple[np.ndarray, np.ndarray] | None = None
@@ -156,11 +161,27 @@ def _bary_eval(nodes, values, weights, x) -> np.ndarray:
     return out
 
 
-def _leveled_delta(g, d_ext, w_ext) -> float:
-    """The level delta of the reference points whose barycentric weights are ``g``."""
-    signs = np.where(np.arange(len(g)) % 2 == 0, 1.0, -1.0)
+def _leveled_delta(g, d_ext, w_ext) -> tuple[float, float]:
+    """The level delta of the m reference nodes whose barycentric weights
+    are ``g``, and a bound on the rounding error of the computed delta.
+
+    delta = num / den, num = sum g_j d_j and den = sum s_j g_j / w_j.
+    Each g_j carries at most 2m roundings (m-1 differences, m-2 products,
+    a reciprocal), each term one more and each sum m-1 more.  The weights
+    of descending nodes alternate in sign as s_j does, so the terms of den
+    share one sign and only num can cancel:
+
+        |fl(delta) - delta| <= (3m + 1) u (sum |g_j d_j| + |num|) / |den|
+
+    to first order in the unit roundoff u.  The bound returned takes the
+    machine epsilon 2u for u, which covers the higher-order terms.
+    """
+    m = len(g)
+    signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
     den = np.sum(g * signs / w_ext)
-    return float(np.sum(g * d_ext) / den)
+    num = np.sum(g * d_ext)
+    scale = (np.sum(np.abs(g * d_ext)) + abs(num)) / abs(den)
+    return float(num / den), float((3 * m + 1) * np.finfo(float).eps * scale)
 
 
 def _alternating_skeleton(cands):
@@ -295,9 +316,12 @@ def _scaled_reference(start, m: int, band_lo, band_hi):
     its new ones by linear interpolation in its own node index, which keeps
     its outermost nodes and their order; a band that held fewer gets evenly
     spread interior points.  The nodes stay strictly increasing and inside
-    their bands.
+    their bands.  A reference of m nodes is kept as it is, so an exchange
+    resumed from its own reference goes on where it stopped.
     """
     u, band = start
+    if len(u) == m:
+        return start
     old = np.bincount(band, minlength=len(band_lo))
     new, remainder = np.divmod(old * m, len(u))
     new[np.argsort(-remainder, kind="stable")[:m - new.sum()]] += 1
@@ -312,7 +336,8 @@ def _scaled_reference(start, m: int, band_lo, band_hi):
 
 
 def remez_design(bands: Sequence[PrototypeBand], half_order: int,
-                 start: tuple[np.ndarray, np.ndarray] | None = None) -> LinearPhasePrototype:
+                 start: tuple[np.ndarray, np.ndarray] | None = None, *,
+                 level: float | None = None) -> LinearPhasePrototype:
     """Weighted-Chebyshev design of a 2*half_order+1 tap symmetric prototype.
 
     Parameters
@@ -322,10 +347,20 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
     half_order : int
         Amplitude polynomial degree; the design has 2*half_order+1 taps.
     start : (ndarray, ndarray), optional
-        The first reference: the ``reference`` of a converged design on
-        bands with the same edges, for any order, scaled to half_order+2
-        nodes band by band.  By default the first reference spreads the nodes
-        evenly over the bands' total width.
+        The first reference: the ``reference`` of a design on bands with
+        the same edges, for any order, scaled to half_order+2 nodes band by
+        band (a design of this order resumes from its reference as it is).
+        By default the first reference spreads the nodes evenly over the
+        bands' total width.
+    level : float, optional
+        A decision level for the minimax error.  Every iteration brackets
+        it (de la Vallee Poussin): |delta| on the reference <= minimax
+        error <= the interpolant's peak weighted error.  With a level, the
+        exchange returns as soon as the bracket decides against it: at the
+        first reference whose |delta| exceeds the level by more than its
+        rounding bound, with no taps, or at the first interpolant whose
+        peak error is at most the level, with that interpolant's taps and
+        the reference exchanged from it.  None converges.
 
     Returns
     -------
@@ -379,14 +414,24 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
         x_ext = np.cos(ext_u)
         d_ext, w_ext = band_d[ext_band], band_w[ext_band]
         g, bweights = _bary_weights(x_ext)
-        delta = _leveled_delta(g, d_ext, w_ext)
+        delta, slack = _leveled_delta(g, d_ext, w_ext)
         values = d_ext[:-1] - signs[:-1] * delta / w_ext[:-1]
-        return delta, x_ext[:-1], values, bweights
+        return delta, slack, x_ext[:-1], values, bweights
+
+    def taps(nodes, values, bweights):
+        """The interpolant's values at the Chebyshev points of [-1, 1] -> taps."""
+        a = to_series @ _bary_eval(nodes, values, bweights, cheb_t)
+        if not np.all(np.isfinite(a)):
+            raise RemezConvergenceError("non-finite taps", iterations)
+        return cosine_taps(a)
 
     prev_delta = None
 
     for iterations in range(1, _MAX_ITERATIONS + 1):
-        delta, nodes, values, bweights = reference()
+        delta, slack, nodes, values, bweights = reference()
+        if level is not None and abs(delta) - slack > level:
+            return LinearPhasePrototype(taps=None, delta=abs(delta), iterations=iterations,
+                                        reference=(ext_u, ext_band))
 
         def amp(x):
             return _bary_eval(nodes, values, bweights, x)
@@ -398,7 +443,8 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
         if found is None:
             raise RemezConvergenceError("non-finite interpolant", iterations)
         cand_u, cand_e, cand_band = found
-        if np.max(np.abs(cand_e)) <= 1e-13 * err_scale:
+        peak = np.max(np.abs(cand_e))
+        if peak <= 1e-13 * err_scale:
             break
 
         cands = zip(cand_u.tolist(), cand_e.tolist(), cand_band.tolist())
@@ -416,6 +462,9 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
             abs(abs(delta) - prev_delta) <= _DELTA_STALL * abs(delta)
 
         ext_u, ext_band = new_u, new_band
+        if level is not None and peak <= level:
+            return LinearPhasePrototype(taps=taps(nodes, values, bweights), delta=abs(delta),
+                                        iterations=iterations, reference=(ext_u, ext_band))
         if quality <= _QUALITY_STOP:
             break
         if stalled:
@@ -429,10 +478,6 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
             raise RemezConvergenceError(
                 f"no convergence in {_MAX_ITERATIONS} iterations", _MAX_ITERATIONS)
 
-    # Final node set -> amplitude values at the Chebyshev points of [-1, 1] -> taps.
-    delta, nodes, values, bweights = reference()
-    a = to_series @ _bary_eval(nodes, values, bweights, cheb_t)
-    if not np.all(np.isfinite(a)):
-        raise RemezConvergenceError("non-finite taps", iterations)
-    return LinearPhasePrototype(taps=cosine_taps(a), delta=abs(delta),
+    delta, _, nodes, values, bweights = reference()  # the final node set
+    return LinearPhasePrototype(taps=taps(nodes, values, bweights), delta=abs(delta),
                                 iterations=iterations, reference=(ext_u, ext_band))

@@ -14,10 +14,12 @@ ceiling s = 10**(stop_dB/10) exactly when
 
 Their solution (p*, q*) weights the plan, so a count whose G takes its
 extremes in the bands meets them exactly when its equiripple level is at
-most 1: the plan is exact, not conservative.  Each element count is still
-judged against the original bands, never on the plan: on the exact levels
-of the lifted prototype G + gamma.  Only the count the search hands back
-is factored, and its factor's own |C| has the last word.
+most 1: the plan is exact, not conservative.  Above 1 no prototype of
+that count fits the plan, so the exchange's own bracket on the level
+rules a count out as soon as it passes 1.  Every other verdict is read
+against the original bands, never on the plan: on the exact levels of
+the lifted prototype G + gamma.  Only the count the search hands back is
+converged and factored, and its factor's own |C| has the last word.
 """
 from __future__ import annotations
 
@@ -71,7 +73,8 @@ class DesignTrial:
     """One element count attempted against the original bands.
 
     ``levels`` holds the band levels of G + gamma, or of the factor's
-    pattern once the trial is factored; None when the exchange or the
+    pattern once the trial is factored; None when the exchange's level
+    ruled the count out (:attr:`bracketed`), or when the exchange or the
     factorization failed.  A factored trial carries its ``weights`` and
     the ``report`` it was judged by (:func:`evaluate`'s, with the
     factorization's fields).
@@ -87,6 +90,11 @@ class DesignTrial:
     @property
     def feasible(self) -> bool:
         return not self.violations
+
+    @property
+    def bracketed(self) -> bool:
+        """Decided infeasible by the exchange's level alone: a prototype with no taps."""
+        return self.prototype is not None and self.prototype.taps is None
 
 
 def measure(c, spec: DesignSpec) -> tuple[BandLevel, ...]:
@@ -213,12 +221,14 @@ def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
 
 
 def design_prototype(plan: tuple[PrototypeBand, ...], order: int,
-                     start: tuple[np.ndarray, np.ndarray] | None = None) -> LinearPhasePrototype:
+                     start: tuple[np.ndarray, np.ndarray] | None = None, *,
+                     level: float | None = None) -> LinearPhasePrototype:
     """Equiripple G design with 2*order-1 taps for an order-N excitation,
-    its exchange started from the reference ``start`` (see remez_design)."""
+    its exchange started from the reference ``start`` and stopped by the
+    decision ``level`` (see remez_design)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    return remez_design(plan, order - 1, start)
+    return remez_design(plan, order - 1, start, level=level)
 
 
 def _factored(spec: DesignSpec, order: int,
@@ -233,48 +243,71 @@ def _factored(spec: DesignSpec, order: int,
 
 
 def _attempt(spec: DesignSpec, plan: tuple[PrototypeBand, ...], order: int,
-             start: tuple[np.ndarray, np.ndarray] | None = None) -> DesignTrial:
-    """Design one element count once and judge it against the original bands.
+             start: tuple[np.ndarray, np.ndarray] | None = None,
+             level: float | None = 1.0) -> DesignTrial:
+    """Decide one element count against the original bands.
 
-    The exchange starts from the reference ``start`` (by default an even
-    spread; ``find_min_order`` passes a neighbouring count's final
-    reference); its failure fails the count.  The prototype is judged on
-    G + gamma (:func:`measure_symbol`), whose lift from G's exact minimum
-    covers the stop-band dips and any dip in a transition band alike.
+    One element is judged in closed form: G is the plan's minimax
+    constant, whose pattern is flat.  Otherwise the exchange starts from
+    the reference ``start`` (by default an even spread; ``find_min_order``
+    passes a neighbouring count's last reference, or the count's own to
+    resume it) and stops once its bracket decides against ``level`` (1,
+    the exact plan's threshold; None converges); its failure fails the
+    count.  A reference level above it rules the count out: no prototype
+    of that count fits the plan, and the bracket is the trial's witness.
+    Any other prototype is judged on G + gamma (:func:`measure_symbol`),
+    whose lift from G's exact minimum covers the stop-band dips and any
+    dip in a transition band alike.  An early prototype that misses is
+    resumed to convergence and judged again, and that verdict stands.
     The trial is not factored.
     """
-    try:
-        prototype = design_prototype(plan, order, start)
-    except RemezConvergenceError as err:
-        return DesignTrial(order, None, None, (f"exchange failed: {err}",))
+    if order == 1:
+        w_pass = next(b.weight for b in plan if b.desired)
+        w_stop = next(b.weight for b in plan if not b.desired)
+        prototype = LinearPhasePrototype(np.array([w_pass / (w_pass + w_stop)]),
+                                         w_pass * w_stop / (w_pass + w_stop))
+    else:
+        try:
+            prototype = design_prototype(plan, order, start, level=level)
+        except RemezConvergenceError as err:
+            return DesignTrial(order, None, None, (f"exchange failed: {err}",))
+        if prototype.taps is None:
+            return DesignTrial(order, prototype, None, (
+                f"equiripple level >= {prototype.delta:.4f} > {level:g} on the plan "
+                f"(iteration {prototype.iterations})",))
     levels = measure_symbol(prototype.taps, spec)
+    if level is not None and order > 1 and _unmet(levels):
+        return _attempt(spec, plan, order, prototype.reference, None)
     return DesignTrial(order, prototype, levels, _unmet(levels))
 
 
 def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> DesignTrial:
     """Smallest element count whose synthesized pattern meets every band.
 
-    Every count is decided on G + gamma (:func:`_attempt`): from the
-    heuristic estimate the search walks down while G + gamma meets the
-    bands, or up while it does not.  The least count it passes is
-    factored once, and :func:`evaluate` judges its factor; should that
-    fail, the search steps up to the next count G + gamma passes.
-    Returns the factored trial at that count.  The first exchange at a
-    count starts from the final reference of the count one below or
-    above, when that count has a prototype, and otherwise from an even
-    spread.  The trial's report carries a minimality witness, the failure
-    observed at one element fewer (one element never passes: its flat
-    pattern misses every stop band), and says what backs the claim:
-    ``"route_only"`` when that trial violated a band, on G + gamma or its
-    factor (this route cannot meet the bands there), ``"unproven"`` when
-    its exchange or factorization failed.
+    Every count is decided by :func:`_attempt`, on its exchange's level or
+    on G + gamma: from the heuristic estimate the search walks down while
+    a count passes, or up while it does not.  The count the walks end on
+    resumes its exchange to convergence and is judged on G + gamma again;
+    if it passes, it is factored once, and :func:`evaluate` judges its
+    factor.  Should either fail, the search steps up to the next count that
+    passes.  Returns the factored trial at that count.  The first exchange
+    at a count starts from the last reference of the count one below or
+    above, when that count has one, and otherwise from an even spread.
+    The trial's report carries a minimality witness, the failure observed
+    at one element fewer (one element never passes: its flat pattern
+    misses every stop band), and says what backs the claim:
+    ``"route_only"`` when that count's level passed 1 or its trial
+    violated a band, on G + gamma or its factor (this route cannot meet
+    the bands there), ``"unproven"`` when its exchange or factorization
+    failed.
 
     Raises
     ------
     OrderSearchError
-        If no count up to ``limits.max_order`` is feasible; the best
-        failing trial is attached, factored first when it was judged on
-        G + gamma alone, with its own report when it has weights.
+        If no count up to ``limits.max_order`` is feasible.  Each count its
+        level ruled out is first converged and judged on G + gamma; the
+        best failing trial is attached, factored first when it was judged
+        on G + gamma alone, with its own report when it has weights.
     """
     limits = limits or SearchLimits()
     spec = validate_spec(spec)
@@ -287,7 +320,11 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         if n not in trials:
             starts = [trials[k].prototype.reference for k in (n - 1, n + 1)
                       if k in trials and trials[k].prototype is not None]
-            trials[n] = _attempt(spec, plan, n, starts[0] if starts else None)
+            trials[n] = _attempt(spec, plan, n, next(filter(None, starts), None))
+        return trials[n]
+
+    def converged(n: int) -> DesignTrial:
+        trials[n] = _attempt(spec, plan, n, trials[n].prototype.reference, None)
         return trials[n]
 
     def factored(n: int) -> DesignTrial:
@@ -299,9 +336,12 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         while order > 1 and trial(order - 1).feasible:
             order -= 1
     while order <= limits.max_order and not (trial(order).feasible
+                                             and converged(order).feasible
                                              and factored(order).feasible):
         order += 1
     if order > limits.max_order:
+        for n in [n for n, t in trials.items() if t.bracketed]:
+            converged(n)
         best = max(trials.values(),
                    key=lambda t: min((lv.margin_db for lv in t.levels),
                                      default=-math.inf) if t.levels else -math.inf)
@@ -313,4 +353,5 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
     won, below = trial(order), trial(order - 1)
     return replace(won, report=replace(
         won.report, witness=below.violations,
-        minimality="route_only" if below.levels is not None else "unproven"))
+        minimality="route_only" if below.levels is not None or below.bracketed
+        else "unproven"))

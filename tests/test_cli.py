@@ -72,6 +72,9 @@ def test_design_writes_artifacts(tmp_path):
     assert report["min_phase"] is True
     assert report["max_sidelobe_db"] <= -52.0
     assert report["minimality"] == "route_only"
+    # The exchange's level at 5 elements is the witness: it passed 1 on
+    # the third reference.
+    assert report["witness"] == ["equiripple level >= 1.8408 > 1 on the plan (iteration 3)"]
     assert report["symbol_min"] < 0.0 < report["gamma"]
     assert "purge_residual" not in report and "lambda_min_estimate" not in report
     assert len(_read_weights(out / "weights.csv")) == 6
@@ -136,10 +139,10 @@ EXCHANGE_FAILURE_BANDS = [
 def test_exchange_failure_is_a_failed_trial_not_a_crash(tmp_path, capsys, monkeypatch):
     real = prototype_module.design_prototype
 
-    def fails_at_13(plan, n, start=None):
+    def fails_at_13(plan, n, start=None, **kwargs):
         if n == 13:
             raise RemezConvergenceError("forced", 1)
-        return real(plan, n, start)
+        return real(plan, n, start, **kwargs)
 
     monkeypatch.setattr(prototype_module, "design_prototype", fails_at_13)
     spec = tmp_path / "spec.json"

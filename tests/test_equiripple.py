@@ -12,7 +12,7 @@ from mparray import (BandSpec, DesignSpec, PrototypeBand, design1_spec, design2_
                      design3_spec, remez_design)
 from mparray.equiripple import (RemezConvergenceError, _band_extrema, _bary_eval,
                                 _bary_weights, _chebyshev_points, _derivative_roots,
-                                _scaled_reference, estimate_order)
+                                _leveled_delta, _scaled_reference, estimate_order)
 from mparray.prototype import design_prototype, to_prototype_spec
 
 from equioscillation import (amplitude_response, cosine_coefficients,
@@ -297,7 +297,7 @@ def test_non_finite_interpolant_is_a_convergence_error(monkeypatch):
     def no_roots(*args):
         raise AssertionError("a root was taken of a non-finite series")
 
-    monkeypatch.setattr(equiripple_module, "_leveled_delta", lambda *args: math.nan)
+    monkeypatch.setattr(equiripple_module, "_leveled_delta", lambda *args: (math.nan, 0.0))
     monkeypatch.setattr(equiripple_module, "_derivative_roots", no_roots)
     monkeypatch.setattr(equiripple_module.np.linalg, "eigvals", no_roots)
     bands = [PrototypeBand(0.0, 0.4 * math.pi, 1.0, 1.0),
@@ -533,3 +533,50 @@ def test_tilt_from_its_counts_reference_takes_fewer_iterations(make_spec, order)
     for cold, warm, tilt in _warm_and_cold(make_spec, order):
         if tilt is not None:
             assert warm.iterations < cold.iterations, tilt
+
+
+@pytest.mark.parametrize("make_spec, order", _COUNTS)
+def test_leveling_rounding_stays_inside_its_bound(make_spec, order):
+    # The level of the exchange's first, second and last reference,
+    # computed exactly in rationals from the same float nodes, lies within
+    # the bound _leveled_delta derives for its rounding, which is far below
+    # the search's decision level 1.
+    plan = to_prototype_spec(make_spec())
+    refs = [design_prototype(plan, order, level=level).reference
+            for level in (0.0, math.inf, None)]
+    for u, band in refs:
+        x = np.cos(u)
+        d = np.array([plan[b].desired for b in band])
+        w = np.array([plan[b].weight for b in band])
+        g, _ = _bary_weights(x)
+        delta, slack = _leveled_delta(g, d, w)
+        xf = [Fraction(v) for v in x]
+        gf = [1 / math.prod(xi - xj for j, xj in enumerate(xf) if j != i)
+              for i, xi in enumerate(xf)]
+        exact = (sum(gi * Fraction(di) for gi, di in zip(gf, d))
+                 / sum(gi * (-1) ** i / Fraction(wi) for i, (gi, wi) in enumerate(zip(gf, w))))
+        assert abs(Fraction(delta) - exact) <= Fraction(slack)
+        assert 0.0 < slack <= 1e-12
+
+
+@pytest.mark.parametrize("make_spec, order", _COUNTS)
+def test_a_decision_level_stops_the_exchange_on_its_bracket(make_spec, order):
+    # Every iteration brackets the minimax level: |delta| <= level* <= peak
+    # error.  Above level* the exchange returns at its first interpolant
+    # whose peak error is within the level, with its taps; below, at its
+    # first reference whose |delta| exceeds the level, with none.  Resumed
+    # from its reference, it goes on as the uninterrupted exchange does.
+    plan = to_prototype_spec(make_spec())
+    cold = design_prototype(plan, order)
+    for scale in (1.0 + 1e-3, 1.5, 1.0 - 1e-3, 0.5):
+        early = design_prototype(plan, order, level=scale * cold.delta)
+        resumed = design_prototype(plan, order, early.reference)
+        assert resumed.taps.tobytes() == cold.taps.tobytes()
+        if scale > 1.0:
+            assert early.delta <= cold.delta * (1.0 + 1e-12)
+            peak = np.max(np.abs(equioscillation_extrema(early, plan).band_peaks()))
+            assert peak <= scale * cold.delta
+            assert early.iterations + resumed.iterations == cold.iterations
+        else:
+            assert early.taps is None and early.delta > scale * cold.delta
+            assert early.iterations + resumed.iterations - 1 == cold.iterations

@@ -66,16 +66,20 @@ def test_plan_solves_its_two_equations(ripple_db, stop_dbs):
 
 def test_level_one_prototypes_meet_the_bands(monkeypatch):
     # Sweep seed 1: wherever G's least value is the stop band's own swing,
-    # G + gamma meets both bands exactly when the exchange's level delta is
-    # at most 1.  A few trials dip lower outside the stop band, where the
-    # plan bounds nothing; the lift then grows, and they are left out.
+    # G + gamma meets both bands exactly when the converged exchange's level
+    # delta is at most 1.  Every count the search decided is converged from
+    # the reference it stopped on.  A few trials dip lower outside the stop
+    # band, where the plan bounds nothing; the lift then grows, and they are
+    # left out.
     designed = _record_prototypes(monkeypatch)
     judged = 0
     for spec in _sweep_specs(1):
-        q = 1.0 / to_prototype_spec(spec)[1].weight
+        plan = to_prototype_spec(spec)
+        q = 1.0 / plan[1].weight
         designed.clear()
         find_min_order(spec, SearchLimits(max_order=32))
-        for proto in designed:
+        for proto in [design_prototype(plan, len(p.reference[0]) - 1, p.reference)
+                      for p in designed]:
             if find_gamma(proto.taps)[1] < -proto.delta * q * (1.0 + 1e-9):
                 continue
             meets = all(lv.margin_db >= 0.0 for lv in measure_symbol(proto.taps, spec))
@@ -208,10 +212,10 @@ def _exchange_fails_at(monkeypatch, order: int):
     """Make every exchange at ``order`` elements fail."""
     real = prototype_module.design_prototype
 
-    def fails(plan, n, start=None):
+    def fails(plan, n, start=None, **kwargs):
         if n == order:
             raise RemezConvergenceError("forced", 1)
-        return real(plan, n, start)
+        return real(plan, n, start, **kwargs)
 
     monkeypatch.setattr(prototype_module, "design_prototype", fails)
 
@@ -310,7 +314,7 @@ _UNEVEN = DesignSpec(0.5, (
 
 @pytest.mark.parametrize("spec", [design1_spec(), design2_spec(), design3_spec(), _UNEVEN],
                          ids=["design1", "design2", "design3", "uneven"])
-def test_one_element_never_passes(spec):
+def test_one_element_never_passes(monkeypatch, spec):
     # A one-element pattern is flat: 0 dB on every band, above every stop
     # ceiling (each lies below 0 dB).  No search hands back one element, so
     # its winner always has a count below it to witness the claim.
@@ -319,11 +323,15 @@ def test_one_element_never_passes(spec):
         stops = [lv for lv in levels if lv.kind == "stop"]
         assert stops and all(lv.achieved_db == 0.0 and lv.margin_db < 0.0 for lv in stops)
         assert all(lv.margin_db >= 0.0 for lv in levels if lv.kind == "pass")
+    # One element is judged in closed form, with no exchange, on exactly
+    # that flat pattern; the uneven band-pass request, whose one-element
+    # exchange failed from an even spread with both nodes in the stop
+    # bands, is judged like the others.
+    calls = _count_prototypes(monkeypatch)
     trial = _attempt(spec, to_prototype_spec(spec), 1)
-    assert not trial.feasible
-    # The uneven band-pass request fails its one-element exchange instead:
-    # its even-spread start puts both nodes in the stop bands.
-    assert trial.levels == (None if spec is _UNEVEN else flat)
+    assert calls == []
+    assert not trial.feasible and trial.levels == flat
+    assert trial.violations == tuple(v for v in trial.violations if v.startswith("stop band"))
 
 
 def test_factorization_failure_is_a_failed_trial(monkeypatch):
@@ -337,11 +345,14 @@ def test_factorization_failure_is_a_failed_trial(monkeypatch):
     monkeypatch.setattr(prototype_module, "spectral_factorize", fails_at_five_and_six)
     spec = design1_spec()
     plan = to_prototype_spec(spec)
-    # Each count is decided on G + gamma, unfactored: it misses design1's
-    # bands at 5 elements and meets them at 6.
+    # Each count is decided unfactored: the exchange's level rules 5
+    # elements out, and G + gamma meets design1's bands at 6.
     ruled_out, passed = _attempt(spec, plan, 5), _attempt(spec, plan, 6)
-    assert ruled_out.weights is None and ruled_out.levels is not None
-    assert ruled_out.violations and all(" band [" in v for v in ruled_out.violations)
+    assert ruled_out.weights is None and ruled_out.levels is None and ruled_out.bracketed
+    assert ruled_out.violations == (
+        f"equiripple level >= {ruled_out.prototype.delta:.4f} > 1 on the plan "
+        f"(iteration {ruled_out.prototype.iterations})",)
+    assert ruled_out.prototype.delta > 1.0
     assert passed.feasible and passed.weights is None
     # 6 is the least count G + gamma passes, so it is factored, and its
     # failure fails the count.
@@ -446,22 +457,17 @@ def test_zeros_near_the_circle_end_minimum_phase():
 
 
 @pytest.mark.parametrize("make_spec, starts", [
-    (design1_spec, [(7, None), (6, 8), (5, 7)]),
-    (design3_spec, [(13, None), (14, 14)])])
-def test_search_starts_each_exchange_from_a_converged_reference(monkeypatch, make_spec,
-                                                                starts):
-    # (count, nodes in the start reference): the first count starts cold,
-    # and each next count from its neighbour's, scaled by the exchange.
-    seen = []
-    real = prototype_module.design_prototype
-
-    def record(plan, order, start=None):
-        seen.append((order, None if start is None else len(start[0])))
-        return real(plan, order, start)
-
-    monkeypatch.setattr(prototype_module, "design_prototype", record)
+    (design1_spec, [(7, None, 1.0), (6, 8, 1.0), (5, 7, 1.0), (6, 7, None)]),
+    (design3_spec, [(13, None, 1.0), (14, 14, 1.0), (14, 15, None)])])
+def test_each_exchange_starts_from_its_neighbours_reference(monkeypatch, make_spec, starts):
+    # (count, nodes in the start reference, decision level): the first count
+    # starts cold, and each next count from the reference its neighbour's
+    # exchange stopped on, scaled by the exchange.  The count handed back
+    # resumes from its own reference and converges.
+    exchanges = _record_exchanges(monkeypatch)
     find_min_order(make_spec())
-    assert seen == starts
+    assert [(order, None if start is None else len(start[0]), level)
+            for order, start, level, _ in exchanges] == starts
 
 
 def _count_prototypes(monkeypatch) -> list[int]:
@@ -482,16 +488,17 @@ def _count_prototypes(monkeypatch) -> list[int]:
                                                (design3_spec, [13, 14])])
 def test_search_designs_no_prototype_twice(monkeypatch, make_spec, orders):
     # Each count is designed once, on the exact plan; the conservative plan
-    # tilted design3's 13 once more (13, 13, 14).
+    # tilted design3's 13 once more (13, 13, 14).  The one further exchange
+    # resumes the count handed back from where its own stopped.
     calls = _count_prototypes(monkeypatch)
-    find_min_order(make_spec())
-    assert calls == orders
+    result = find_min_order(make_spec())
+    assert calls == orders + [result.order]
 
 
 def test_winner_is_not_measured_again(monkeypatch):
     # The report is built from the winning trial's levels: G + gamma passes
-    # 7 and 6 and rules 5 out, and only 6, the count handed back, is
-    # factored and measured.
+    # 7 and 6, the exchange's level rules 5 out, and only 6, the count
+    # handed back, is converged, factored and measured.
     designed, measured = _count_prototypes(monkeypatch), []
     real = prototype_module.measure
 
@@ -501,9 +508,22 @@ def test_winner_is_not_measured_again(monkeypatch):
 
     monkeypatch.setattr(prototype_module, "measure", counted)
     result = find_min_order(design1_spec())
-    assert designed == [7, 6, 5]
+    assert designed == [7, 6, 5, 6]
     assert measured == [6]
     assert result.report.bands == result.levels
+
+
+def _record_exchanges(monkeypatch) -> list:
+    """Record (count, start, level, prototype) of every design_prototype call."""
+    exchanges = []
+    real = prototype_module.design_prototype
+
+    def recorded(plan, order, start=None, *, level=None):
+        exchanges.append((order, start, level, real(plan, order, start, level=level)))
+        return exchanges[-1][-1]
+
+    monkeypatch.setattr(prototype_module, "design_prototype", recorded)
+    return exchanges
 
 
 def _record_prototypes(monkeypatch) -> list:
@@ -550,16 +570,21 @@ def _symbol_agrees_with_factor(spec, prototype) -> bool:
 def test_symbol_levels_are_the_factor_levels_of_a_design(monkeypatch, make_spec):
     designed = _record_prototypes(monkeypatch)
     spec = make_spec()
-    order = find_min_order(spec).order
-    # The last prototype of each count is the one its trial was judged on.
-    last = {len(p.taps) // 2 + 1: p for p in designed}
-    for n in (order, order - 1):
-        assert _symbol_agrees_with_factor(spec, last[n]), n
+    result = find_min_order(spec)
+    # The count handed back is judged on its converged prototype; the count
+    # below, ruled out by its exchange's level, is converged here.
+    below = next(p for p in designed if len(p.reference[0]) == result.order)
+    assert below.taps is None
+    below = design_prototype(to_prototype_spec(spec), result.order - 1, below.reference)
+    for proto in (result.prototype, below):
+        assert _symbol_agrees_with_factor(spec, proto), len(proto.taps)
 
 
 def test_symbol_levels_are_the_factor_levels_on_a_sweep(monkeypatch):
-    # Every trial of sweep seed 1 (350 with the tolerance walk's tilts, 249
-    # now that each count is designed once); Newton is kept on all.
+    # Every prototype with taps of sweep seed 1: 151 exchanges stopped at a
+    # peak error of at most 1 and 98 converged (350 trials with the
+    # tolerance walk's tilts, 249 when every count converged once); Newton
+    # is kept on all.
     designed = _record_prototypes(monkeypatch)
     judged = 0
     for spec in _sweep_specs(1):
@@ -568,7 +593,8 @@ def test_symbol_levels_are_the_factor_levels_on_a_sweep(monkeypatch):
             find_min_order(spec, SearchLimits(max_order=32))
         except OrderSearchError:
             pass
-        judged += sum(_symbol_agrees_with_factor(spec, p) for p in designed)
+        judged += sum(_symbol_agrees_with_factor(spec, p) for p in designed
+                      if p.taps is not None)
     assert judged == 249
 
 
@@ -595,6 +621,61 @@ def test_zeros_near_the_circle_keep_newton():
     assert result.report.autocorr_residual <= 1e-12
 
 
+def _meets(prototype, spec) -> bool:
+    return all(lv.margin_db >= 0.0 for lv in measure_symbol(prototype.taps, spec))
+
+
+@pytest.mark.parametrize("specs, tally", [
+    pytest.param(lambda: [design1_spec(), design2_spec(), design3_spec()], (3, 4),
+                 id="designs"),
+    pytest.param(lambda: _sweep_specs(1), (98, 149), id="sweep-1")])
+def test_the_bracket_decides_as_convergence_does(monkeypatch, specs, tally):
+    # Each exchange the search stops early, converged from the reference it
+    # stopped on, gets the same verdict: a count the level ruled out fails
+    # G + gamma, and a count G + gamma passed early still passes.  (The
+    # tally counts both kinds; an early prototype G + gamma misses is
+    # resumed by the search itself.)
+    exchanges = _record_exchanges(monkeypatch)
+    ruled_out = passed = 0
+    for spec in specs():
+        plan = to_prototype_spec(spec)
+        exchanges.clear()
+        find_min_order(spec, SearchLimits(max_order=32))
+        stopped = [(order, p) for order, _, level, p in exchanges if level is not None]
+        for order, p in stopped:
+            if p.taps is not None and not _meets(p, spec):
+                continue  # resumed by the search itself
+            converged = design_prototype(plan, order, p.reference)
+            assert _meets(converged, spec) == (p.taps is not None), order
+            ruled_out += p.taps is None
+            passed += p.taps is not None
+    assert (ruled_out, passed) == tally
+
+
+@pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
+def test_a_resumed_exchange_converges_to_the_cold_level(monkeypatch, make_spec):
+    spec = make_spec()
+    plan = to_prototype_spec(spec)
+    exchanges = _record_exchanges(monkeypatch)
+    result = find_min_order(spec)
+    for order in (result.order - 1, result.order, result.order + 1):
+        cold = design_prototype(plan, order)
+        early = design_prototype(plan, order, level=1.0)
+        assert early.iterations < cold.iterations
+        resumed = design_prototype(plan, order, early.reference)
+        assert resumed.delta == pytest.approx(cold.delta, rel=1e-9)
+        if order == result.order:
+            assert result.prototype.delta == pytest.approx(cold.delta, rel=1e-9)
+    # The winner's prototype, its iterations and reference included, is the
+    # search's last exchange, which converged: resumed from its reference,
+    # the exchange stops at once.
+    _, _, level, last = exchanges[-1]
+    assert level is None and last is result.prototype
+    again = design_prototype(plan, result.order, result.prototype.reference)
+    assert again.iterations == 1
+    assert again.delta == pytest.approx(result.prototype.delta, rel=1e-9)
+
+
 @pytest.mark.parametrize("make_spec", [design1_spec, design2_spec, design3_spec])
 def test_one_factorization_per_search(monkeypatch, make_spec):
     designed, factored = _record_prototypes(monkeypatch), []
@@ -609,11 +690,13 @@ def test_one_factorization_per_search(monkeypatch, make_spec):
     result = find_min_order(spec)
     # Every count is decided on G + gamma; only the least count it passes,
     # the one handed back, is factored, once.
-    passed = [p for p in designed
-              if all(lv.margin_db >= 0.0 for lv in measure_symbol(p.taps, spec))]
-    least = min(passed, key=lambda p: len(p.taps))
-    assert least.taps is result.prototype.taps
-    assert [f is least.taps for f in factored] == [True]
+    passed = [p for p in designed if p.taps is not None
+              and all(lv.margin_db >= 0.0 for lv in measure_symbol(p.taps, spec))]
+    assert min(len(p.taps) for p in passed) == len(result.prototype.taps)
+    # The count handed back is factored on its converged prototype, the
+    # exchange designed last.
+    assert designed[-1] is result.prototype
+    assert [f is result.prototype.taps for f in factored] == [True]
     # A search that meets no count factors its best trial once, for its report.
     designed.clear()
     factored.clear()
@@ -665,7 +748,7 @@ def test_symbol_sized_expansion_holds_the_count_the_walk_held(monkeypatch):
     result = find_min_order(spec, SearchLimits(max_order=32))
     assert result.order == 8
     assert result.report.refined
-    assert calls == [9, 8, 7]
+    assert calls == [9, 8, 7, 8]
 
 
 # The bands of test_touching_stop_bands_with_different_weights with the
