@@ -139,32 +139,63 @@ def _read_weights(path: str | Path) -> np.ndarray:
     return c
 
 
-def _write_artifacts(out: Path, c, spacing: float, zeros, report,
-                     points: int) -> None:
-    """Write the four artifacts of the module docstring, each as its lines.
+def _pattern_rows(u, theta, db) -> list[str]:
+    """The pattern.csv rows of the samples u: one %-format over the slice."""
+    values = np.column_stack([u, theta, db]).ravel().tolist()
+    return ("\n".join(["%.12g,%.6f,%.4f"] * len(u)) % tuple(values)).split("\n")
 
-    The rows of pattern.csv come from one formatting pass over the whole
-    table: theta_deg is computed for every u at once (nan where |u| is past
-    the visible limit 2*pi*spacing) and a single %-format prints them all.
+
+def _pattern_text(c, spacing: float, points: int) -> str:
+    """pattern.csv over u in [-pi, pi], ``points`` samples on each half.
+
+    The grid is odd and theta_deg (nan where |u| is past the visible limit
+    2*pi*spacing) is computed on u >= 0 and mirrored.  The pattern is one
+    ``array_factor`` call over every u.  Only the u >= 0 rows are
+    formatted for real weights: |C| is then even, so each u < 0 row is the
+    text of its u > 0 row with u and a finite theta negated.  Complex
+    weights are formatted on both halves.  The rows are made in blocks of
+    512 samples and joined per block, so only a block's row strings and
+    floats are alive at a time.
     """
     half = np.linspace(0.0, math.pi, points)
-    u = np.concatenate([-half[:0:-1], half])
     visible = 2.0 * math.pi * spacing
-    theta = np.where(np.abs(u) <= visible * (1.0 + 1e-12),
-                     np.degrees(np.arcsin(np.clip(u / visible, -1.0, 1.0))), np.nan)
-    rows = np.column_stack([u, theta, array_factor(c, u)]).ravel().tolist()
+    theta = np.where(half <= visible * (1.0 + 1e-12),
+                     np.degrees(np.arcsin(np.clip(half / visible, 0.0, 1.0))), np.nan)
+    db = array_factor(c, np.concatenate([-half[:0:-1], half]))
+    pos, neg = db[points - 1:], db[points - 1::-1]  # at u = half and at u = -half
+    real = np.isrealobj(c)
+    seen = np.count_nonzero(np.isfinite(theta))  # theta is finite on half[:seen]
+    upper = _pattern_rows(half[:1], theta[:1], pos[:1])  # u = 0 has no mirror
+    lower = []
+    for lo in range(1, points, 512):
+        k = slice(lo, lo + 512)
+        rows = _pattern_rows(half[k], theta[k], pos[k])
+        upper.append("\n".join(rows))
+        if real:
+            cut = max(seen - lo, 0)
+            rows = (["-" + row.replace(",", ",-", 1) for row in rows[:cut]]
+                    + ["-" + row for row in rows[cut:]])
+        else:
+            rows = _pattern_rows(-half[k], -theta[k], neg[k])
+        lower.append("\n".join(reversed(rows)))
+    return "\n".join(["u_rad,theta_deg,magnitude_db", *reversed(lower), *upper, ""])
+
+
+def _write_artifacts(out: Path, c, spacing: float, zeros, report,
+                     points: int) -> None:
+    """Write the four artifacts of the module docstring, each text joined once."""
     artifacts = {
-        "weights.csv": ["index,re,im"] + [f"{k},{z.real!r},{z.imag!r}" for k, z
-                                          in enumerate(np.asarray(c, complex).tolist())],
-        "pattern.csv": ["u_rad,theta_deg,magnitude_db",
-                        "\n".join(["%.12g,%.6f,%.4f"] * len(u)) % tuple(rows)],
-        "zeros.csv": ["re,im,radius"] + [f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}"
-                                         for z in zeros.tolist()],
-        "report.json": [json.dumps(report.to_dict(), indent=2, sort_keys=True)],
+        "weights.csv": "\n".join(["index,re,im"] + [
+            f"{k},{z.real!r},{z.imag!r}"
+            for k, z in enumerate(np.asarray(c, complex).tolist())] + [""]),
+        "pattern.csv": _pattern_text(c, spacing, points),
+        "zeros.csv": "\n".join(["re,im,radius"] + [
+            f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}" for z in zeros.tolist()] + [""]),
+        "report.json": json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
     }
     out.mkdir(parents=True, exist_ok=True)
-    for name, lines in artifacts.items():
-        (out / name).write_text("\n".join(lines) + "\n")
+    for name, text in artifacts.items():
+        (out / name).write_text(text)
 
 
 def _search(spec: DesignSpec, limits: SearchLimits):

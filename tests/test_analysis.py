@@ -62,6 +62,21 @@ def test_real_weights_give_even_magnitude(vals):
     assert _linear(pos) == pytest.approx(_linear(neg), abs=1e-12 / c.sum())
 
 
+_MAGNITUDE = st.floats(1e-3, 1e3)
+
+
+@given(st.lists(st.builds(math.copysign, _MAGNITUDE, st.sampled_from([1.0, -1.0])),
+                min_size=1, max_size=40),
+       st.integers(2, 8192))
+@settings(deadline=None)
+def test_real_weights_give_a_bitwise_even_pattern(vals, points):
+    # pattern.csv writes the u < 0 rows of real weights as the text of the
+    # u > 0 rows, so the pattern on the odd grid must be even bit for bit.
+    half = np.linspace(0.0, math.pi, points)
+    db = array_factor(np.array(vals), np.concatenate([-half[:0:-1], half]))
+    assert db.tobytes() == db[::-1].tobytes()
+
+
 def test_normalization_puts_peak_at_zero_db():
     assert array_factor([0.3, 1.1, 0.4], GRID).max() == 0.0
 

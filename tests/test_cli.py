@@ -551,6 +551,11 @@ _TAP = st.floats(-2.0, 2.0)
 @example(design_pencil().taps.tolist(), 0.5, PATTERN_POINTS)
 @example([1.0, -1.0], 0.5, 101)  # a null at u = 0: -inf
 @example([0.3, 1.1, 0.4], 0.25, 101)  # past the visible limit: nan
+@example(design_pencil().taps.tolist(), 0.25, PATTERN_POINTS)  # 8,192 nan rows
+@example([0.3, 1.1, 0.4], 0.25, 8193)  # the visible limit pi/2 is a grid point
+@example([0.3, 1.1, 0.4], 0.5, 2)  # only u = -pi, 0 and pi
+@example([1.0], 0.5, 101)  # a flat pattern
+@example([0.3 + 0j, 1.1 + 0j, -0.4 + 0j], 0.5, 101)  # complex dtype, real values
 @settings(deadline=None)
 def test_pattern_csv_matches_the_per_row_writer(c, spacing, points):
     with tempfile.TemporaryDirectory() as tmp:
