@@ -2,10 +2,12 @@
 """Run the four built-in reference designs and print their headline numbers.
 
 Exit status is the number of designs that miss their published result: a
-flat-top design whose bands come out unmet, or a pencil whose sidelobes
-are not at the Chebyshev optimum 1/T_M(y1) for its element count (the
-27-element pencil cannot reach its -30 dB bound, so that bound is not the
-judge).  A clean reproduction exits 0.
+flat-top design judged by the rule of ``mparray reproduce`` (its bands
+unmet, a zero outside the unit circle, or more elements than the published
+count), or a pencil whose sidelobes are not at the Chebyshev optimum
+1/T_M(y1) for its element count (the 27-element pencil cannot reach its
+-30 dB bound, so that bound is not the judge).  A clean reproduction
+exits 0.
 """
 import math
 import sys
@@ -17,7 +19,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mparray import builtin_spec, design_pencil, evaluate, find_min_order
-from mparray.designs import PENCIL_STOP_EDGE
+from mparray.designs import EXPECTED_ELEMENTS, PENCIL_STOP_EDGE
 
 PENCIL_TOL_DB = 1e-4
 
@@ -30,8 +32,10 @@ def flat_top_designs() -> int:
         result = find_min_order(spec)
         elapsed = time.perf_counter() - t0
         report = result.report
-        failures += not report.feasible
-        print(f"{key}: N={result.order}  "
+        published = EXPECTED_ELEMENTS[key]
+        failures += not (report.feasible and report.min_phase
+                         and result.order <= published)
+        print(f"{key}: N={result.order} (published {published})  "
               f"sidelobes {report.max_sidelobe_db:.4f} dB  "
               f"ripple {report.flattop_ripple_db:.4f} dB  "
               f"max|z| {report.zero_max_radius:.9f}  ({elapsed:.2f} s)")

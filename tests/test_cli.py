@@ -306,8 +306,7 @@ def test_reproduce_with_unreachable_bands_writes_best_attempt(tmp_path, capsys):
     assert main(["reproduce", "design1", "--out", str(out), "--max-n", "3"]) == 2
     captured = capsys.readouterr()
     assert "bands unmet" in captured.err
-    assert any(line.startswith("FAIL") and "element count" in line
-               for line in captured.out.splitlines())
+    assert "published 6 elements" in captured.out
     for name in ("weights.csv", "pattern.csv", "zeros.csv", "report.json"):
         assert (out / name).exists()
     report = read_report(out)
@@ -319,24 +318,26 @@ def test_reproduce_with_unreachable_bands_writes_best_attempt(tmp_path, capsys):
         find_min_order(builtin_spec("design1"), SearchLimits(max_order=3))
     assert report["witness"] == list(err.value.best.violations)
     assert report == json.loads(json.dumps(err.value.best.report.to_dict()))
+    lines = captured.out.splitlines()
+    assert all(f"  {line}" in lines for line in report["witness"])
 
 
 def test_reproduce_design1_passes(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["reproduce", "design1", "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert all(line.startswith("PASS") for line in lines)
-    assert any("element count" in line for line in lines)
-    assert any("minimum phase" in line for line in lines)
-    assert read_report(out)["element_count"] == 6
+    report = read_report(out)
+    assert report["element_count"] == 6
+    assert report["min_phase"] is True
+    assert "published 6 elements" in lines[1]
+    # exit 0: the witness is the bracket that rules out 5 elements
+    assert report["witness"] == ["equiripple level >= 1.8408 > 1 on the plan (iteration 3)"]
+    assert f"  {report['witness'][0]}" in lines
 
 
-def test_reproduce_design3_checks_real_weights(tmp_path, capsys):
+def test_reproduce_design3_checks_real_weights(tmp_path):
     out = tmp_path / "out"
     assert main(["reproduce", "design3", "--out", str(out)]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("PASS") and "weights real" in line
-               for line in lines)
     c = _read_weights(out / "weights.csv")
     assert c.dtype == np.float64  # imaginary parts all exactly zero
     assert np.min(c) < 0.0
@@ -349,12 +350,13 @@ def test_reproduce_pencil_reports_sidelobe_shortfall(tmp_path, capsys):
     # say so, not hide it.
     assert main(["reproduce", "pencil", "--out", str(out)]) == 2
     lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("PASS") and "element count" in line
-               for line in lines)
-    assert any(line.startswith("PASS") and "unit circle" in line
-               for line in lines)
-    assert any(line.startswith("FAIL") and "-30 dB" in line for line in lines)
-    assert read_report(out)["element_count"] == 27
+    assert "published 27 elements" in lines[1]
+    assert ("  stop band [0.314159, 3.14159]: "
+            "achieved -29.6024 dB vs bound -30.0000 dB") in lines
+    report = read_report(out)
+    assert report["element_count"] == 27
+    assert abs(report["zero_max_radius"] - 1.0) <= 1e-3  # zeros on the unit circle
+    assert abs(report["zero_min_radius"] - 1.0) <= 1e-3
 
 
 def test_analyze_round_trips_design_artifacts(tmp_path):
