@@ -4,8 +4,10 @@
 For each built-in flat-top design, extract the factor of the same
 prototype at multiples of the Q that spectral_factorize sizes from the
 symbol, and print how far the weights move from the finest run, raw and
-after Newton polish.  Exits 1 if doubling the symbol-sized Q moves the
-raw extraction by more than 1e-6.
+after Newton polish.  One banded Cholesky factor, of the section at the
+largest Q, serves every Q: its column Q'+N-1 is the extraction at Q'.
+Exits 1 if doubling the symbol-sized Q moves the raw extraction by more
+than 1e-6.
 """
 import sys
 from pathlib import Path
@@ -26,7 +28,10 @@ def sweep(key: str) -> bool:
     g = result.prototype.taps
     gamma, q = result.report.gamma, result.report.expansion
     expansions = [max(1, round(k * q)) for k in MULTIPLES]
-    raw = [cholesky_banded(g, e, gamma)[::-1, -1] for e in expansions]
+    # Cholesky factors nest: column Q'+N-1 of the factor of the largest
+    # section is the last column of the (Q'+N)-dimensional one's, bit for bit.
+    fact = cholesky_banded(g, expansions[-1], gamma)
+    raw = [fact[::-1, e + result.order - 1] for e in expansions]
     polished = [refine_newton(c, g, gamma)[0] for c in raw]
     print(f"{key} (N={result.order}): symbol-sized Q={q}, "
           f"max weight move vs Q={expansions[-1]}")

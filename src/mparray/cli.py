@@ -30,8 +30,8 @@ Design requests are JSON objects:
       ]
     }
 
-With angle_unit "theta_deg" the band edges are read as theta in degrees
-and converted through u = 2*pi*spacing*sin(theta) on load.
+With angle_unit "theta_deg" the band edges are read as theta in degrees,
+each in [-90, 90], and converted through u = 2*pi*spacing*sin(theta) on load.
 """
 from __future__ import annotations
 
@@ -87,9 +87,14 @@ def load_design_spec(path: str | Path) -> DesignSpec:
     if angle_unit not in ("u_rad", "theta_deg"):
         raise ValueError(f"angle_unit must be 'u_rad' or 'theta_deg', got {angle_unit!r}")
 
-    def to_u(value: float) -> float:
+    def edge(entry: dict, key: str, owner: str) -> float:
+        """A band edge in u; theta past endfire is an input error (sin folds it)."""
+        field = f"{owner}.{key}"
+        value = _number(_required(entry, key, owner), field)
         if angle_unit == "u_rad":
             return value
+        if not abs(value) <= 90.0:
+            raise ValueError(f"{field} must be a theta in [-90, 90] degrees, got {value!r}")
         return theta_to_u(math.radians(value), spacing)
 
     entries = _required(data, "bands", "the request")
@@ -102,8 +107,8 @@ def load_design_spec(path: str | Path) -> DesignSpec:
                  for key in ("ripple_db", "max_level_db")}
         owner = f"bands[{i}]"
         bands.append(BandSpec(
-            u_lo=to_u(_number(_required(entry, "u_lo", owner), f"{owner}.u_lo")),
-            u_hi=to_u(_number(_required(entry, "u_hi", owner), f"{owner}.u_hi")),
+            u_lo=edge(entry, "u_lo", owner),
+            u_hi=edge(entry, "u_hi", owner),
             kind=_required(entry, "kind", owner),
             **level))
     spec = DesignSpec(

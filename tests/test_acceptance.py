@@ -98,8 +98,7 @@ def _chebyshev_pencil_level(element_count: int, edge: float) -> float:
     1/T_M(y1) with y1 = (3 - cos edge)/(1 + cos edge).  Any phase,
     minimum phase included, does no better: |pattern|^2 is a nonnegative
     degree-2M polynomial in x, and T_2M + 1 = 2 T_M^2 gives it the same
-    optimum.  scripts/reproduce_all.py ``chebyshev_pencil_db`` repeats
-    this closed form in dB; keep the two in step.
+    optimum.
     """
     half_order = (element_count - 1) // 2
     x_edge = math.cos(edge)

@@ -109,6 +109,18 @@ def test_degree_bands_match_u_bands(tmp_path):
     assert cd == pytest.approx(cu, abs=1e-9)
 
 
+def test_theta_edge_past_endfire_exits_one(tmp_path, capsys):
+    # sin folds 100 deg onto 80 deg: the stop band would be met as [30, 80] deg.
+    spec, out = tmp_path / "deg.json", tmp_path / "o"
+    write_spec(spec, angle_unit="theta_deg", bands=[
+        {"u_lo": 0.0, "u_hi": 10.0, "kind": "pass", "ripple_db": 0.5},
+        {"u_lo": 30.0, "u_hi": 100.0, "kind": "stop", "max_level_db": -30.0},
+    ])
+    assert main(["design", "--spec", str(spec), "--out", str(out)]) == 1
+    assert "error: bands[1].u_hi must be a theta in [-90, 90]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_spec_exits_one(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, bands=[
