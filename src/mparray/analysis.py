@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .spec_model import DesignSpec
+from .spec_model import EDGE_SLACK, DesignSpec
 
 ZERO_RADIUS_TOL = 1e-6
 ALLPASS_MAX_ORDER = 12
@@ -127,7 +127,7 @@ def pattern_metrics(u, db, spec: DesignSpec) -> tuple[BandLevel, ...]:
     """
     levels = []
     for band in spec.bands:
-        inside = db[(u >= band.u_lo - 1e-9) & (u <= band.u_hi + 1e-9)]
+        inside = db[(u >= band.u_lo - EDGE_SLACK) & (u <= band.u_hi + EDGE_SLACK)]
         if band.kind == "stop":
             achieved = float(inside.max())
             bound = band.max_level_db

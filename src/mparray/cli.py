@@ -11,11 +11,12 @@ Exit codes: 0 success, 1 usage or input errors, 2 bands unmet (the best
 attempt is still written).  reproduce exits 0 only when its report is
 feasible and minimum phase with no more elements than the published count.
 
-Options beyond the inputs and --out: --max-n caps the element search
-(design, reproduce) and --grid sets the resolution of pattern.csv.  Every
-tolerance is fixed: the factorization is Newton-polished with the lift
-margin spectral_factor.GAMMA_MARGIN, and a design is minimum phase when no
-zero lies more than analysis.ZERO_RADIUS_TOL outside the unit circle.
+The one option beyond the inputs and --out, --max-n, caps the element
+search (design, reproduce).  pattern.csv always has PATTERN_POINTS samples
+on [0, pi], mirrored to [-pi, pi].  Every tolerance is fixed: the
+factorization is Newton-polished with the lift margin
+spectral_factor.GAMMA_MARGIN, and a design is minimum phase when no zero
+lies more than analysis.ZERO_RADIUS_TOL outside the unit circle.
 
 Design requests are JSON objects:
 
@@ -62,10 +63,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _number(value, field: str) -> float:
-    """A JSON number as a float; strings, booleans and nulls are input errors."""
+    """A JSON number as a float; strings, booleans, nulls and huge ints are input errors."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # json reads any integer literal, however long
+        raise ValueError(f"{field} must be a number in float range") from None
 
 
 def _required(entry: dict, key: str, owner: str):
@@ -186,14 +190,13 @@ def _pattern_text(c, spacing: float, points: int) -> str:
     return "\n".join(["u_rad,theta_deg,magnitude_db", *reversed(lower), *upper, ""])
 
 
-def _write_artifacts(out: Path, c, spacing: float, zeros, report,
-                     points: int) -> None:
-    """Write the four artifacts of the module docstring, each text joined once."""
+def _write_artifacts(out: Path, c, spacing: float, zeros, report) -> None:
+    """Write the four artifacts, pattern.csv at PATTERN_POINTS, each joined once."""
     artifacts = {
         "weights.csv": "\n".join(["index,re,im"] + [
             f"{k},{z.real!r},{z.imag!r}"
             for k, z in enumerate(np.asarray(c, complex).tolist())] + [""]),
-        "pattern.csv": _pattern_text(c, spacing, points),
+        "pattern.csv": _pattern_text(c, spacing, PATTERN_POINTS),
         "zeros.csv": "\n".join(["re,im,radius"] + [
             f"{z.real:.12g},{z.imag:.12g},{abs(z):.12g}" for z in zeros.tolist()] + [""]),
         "report.json": json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -235,8 +238,7 @@ def _publish(args, spec: DesignSpec, c, report) -> None:
     c_out = _steered(c, spec, 1.0)
     # steering rotates the zeros
     zeros = report.zeros if c_out is c else polynomial_zeros(c_out)
-    _write_artifacts(out, c_out, spec.spacing_wavelengths, zeros, report,
-                     args.grid)
+    _write_artifacts(out, c_out, spec.spacing_wavelengths, zeros, report)
     print(f"{report.name or 'design'}: {report.element_count} elements, "
           f"sidelobes {report.max_sidelobe_db:.4f} dB, "
           f"ripple {report.flattop_ripple_db:.4f} dB -> {out}")
@@ -282,27 +284,12 @@ def run_analyze(args) -> int:
                       name=Path(args.weights).stem if spec is None else None)
     zeros = report.zeros if judged is c else polynomial_zeros(c)
     spacing = 0.5 if spec is None else spec.spacing_wavelengths
-    _write_artifacts(out, c, spacing, zeros, report, args.grid)
+    _write_artifacts(out, c, spacing, zeros, report)
     outside = np.count_nonzero(np.abs(zeros) > 1.0 + ZERO_RADIUS_TOL)
     verdict_txt = "minimum phase" if report.min_phase else \
         f"not minimum phase ({outside} zeros outside)"
     print(f"{len(c)} elements, {verdict_txt} -> {out}")
     return 0 if report.feasible else 2
-
-
-def _pattern_points(text: str) -> int:
-    """The ``--grid`` value: pattern.csv holds at least u = 0 and u = pi."""
-    points = int(text)
-    if points < 2:
-        raise argparse.ArgumentTypeError(f"needs at least 2 points, got {points}")
-    return points
-
-
-def _add_common(p) -> None:
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--grid", type=_pattern_points, default=PATTERN_POINTS,
-                   help="pattern.csv points over [0, pi] (default %(default)s); "
-                        "the bands are judged exactly, not on this grid")
 
 
 def _add_search(p) -> None:
@@ -318,21 +305,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_design = sub.add_parser("design", help="design from a JSON band request")
     p_design.add_argument("--spec", required=True, help="JSON design request")
-    _add_common(p_design)
+    p_design.add_argument("--out", required=True, help="output directory")
     _add_search(p_design)
     p_design.set_defaults(func=run_design)
 
     p_rep = sub.add_parser("reproduce", help="run a built-in reference design")
     p_rep.add_argument("design", choices=sorted(EXPECTED_ELEMENTS),
                        help="which reference design to run")
-    _add_common(p_rep)
+    p_rep.add_argument("--out", required=True, help="output directory")
     _add_search(p_rep)
     p_rep.set_defaults(func=run_reproduce)
 
     p_an = sub.add_parser("analyze", help="analyze an excitation from file")
     p_an.add_argument("--weights", required=True, help="weights CSV (index,re,im)")
     p_an.add_argument("--spec", help="optional JSON design request to check against")
-    _add_common(p_an)
+    p_an.add_argument("--out", required=True, help="output directory")
     p_an.set_defaults(func=run_analyze)
     return parser
 

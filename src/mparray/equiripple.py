@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .spec_model import DEGENERATE_WIDTH
+from .spec_model import DEGENERATE_WIDTH, EDGE_SLACK
 
 _QUALITY_STOP = 1e-9
 _QUALITY_ACCEPT = 1e-6
@@ -69,7 +69,7 @@ class PrototypeBand:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.u_lo < self.u_hi <= math.pi + 1e-9):
+        if not (0.0 <= self.u_lo < self.u_hi <= math.pi + EDGE_SLACK):
             raise ValueError(f"band edges must satisfy 0 <= u_lo < u_hi <= pi, "
                              f"got [{self.u_lo!r}, {self.u_hi!r}]")
         if not self.weight > 0.0:

@@ -102,13 +102,16 @@ def measure(c, spec: DesignSpec) -> tuple[BandLevel, ...]:
 
     The pattern is sampled where |C|^2 can take its extremes: at every band
     edge and at u = arccos x for every x of :func:`critical_cosines` of the
-    autocorrelation of c (0, pi and the critical points of |C|^2).  A
+    autocorrelation of c (0, pi and the critical points of |C|^2).  For
+    complex c, |C| is not even and a cosine keeps no sign, so both +-u are
+    sampled: the maximum the levels are read against may lie at u < 0.  A
     spurious point only adds a value |C| does take, so it cannot hide a
     violation.  C is evaluated straight from c, so deep stop-band levels
     keep their relative accuracy.
     """
     r = autocorrelation(c)[len(c) - 1:]
-    u = np.concatenate([np.arccos(critical_cosines(r)), _edges(spec)])
+    u = np.arccos(critical_cosines(r))
+    u = np.concatenate([u, -u if np.iscomplexobj(c) else [], _edges(spec)])
     return pattern_metrics(u, array_factor(c, u), spec)
 
 

@@ -17,7 +17,8 @@ BandKind = Literal["pass", "stop"]
 # Width below which a band is treated as a single point (pencil beam).
 DEGENERATE_WIDTH = 1e-12
 
-_EDGE_SLACK = 1e-9
+# Edge slack of the validator, and so of every reader of the bands (plan, judge).
+EDGE_SLACK = 1e-9
 
 
 class SpecValidationError(ValueError):
@@ -101,7 +102,7 @@ def _band_problems(i: int, band: BandSpec) -> list[str]:
     if not (math.isfinite(band.u_lo) and math.isfinite(band.u_hi)):
         problems.append(f"band {i}: edges must be finite")
         return problems
-    if band.u_lo < -_EDGE_SLACK or band.u_hi > math.pi + _EDGE_SLACK:
+    if band.u_lo < -EDGE_SLACK or band.u_hi > math.pi + EDGE_SLACK:
         problems.append(f"band {i}: edges must lie in [0, pi], got "
                         f"[{band.u_lo:.6g}, {band.u_hi:.6g}]")
     if band.u_hi < band.u_lo:
@@ -146,7 +147,7 @@ def validate_spec(spec: DesignSpec) -> DesignSpec:
 
     bands = tuple(sorted(spec.bands, key=lambda b: (b.u_lo, b.u_hi)))
     for prev, nxt in zip(bands, bands[1:]):
-        if nxt.u_lo < prev.u_hi - _EDGE_SLACK:
+        if nxt.u_lo < prev.u_hi - EDGE_SLACK:
             problems.append(
                 f"bands [{prev.u_lo:.6g}, {prev.u_hi:.6g}] and "
                 f"[{nxt.u_lo:.6g}, {nxt.u_hi:.6g}] overlap")

@@ -294,10 +294,11 @@ def _excitation(case, request):
 
 
 def _scan_with_its_peak(c, points):
-    """A uniform scan of [0, pi] plus the pattern's peak, found by a bounded
-    scalar maximization of |C|^2 between the grid neighbours of the scan's
-    largest sample, so the scan's levels are relative to the true peak."""
-    scan = np.linspace(0.0, math.pi, points)
+    """A uniform scan of [0, pi] ([-pi, pi] for complex c, whose |C| is not
+    even) plus the pattern's peak, found by a bounded scalar maximization
+    of |C|^2 between the grid neighbours of the scan's largest sample, so
+    the scan's levels are relative to the true peak."""
+    scan = np.linspace(-math.pi if np.iscomplexobj(c) else 0.0, math.pi, points)
     i = int(np.argmax(array_factor(c, scan)))
     power = lambda u: -abs(np.polyval(np.asarray(c)[::-1], np.exp(1j * u))) ** 2
     peak = scipy.optimize.minimize_scalar(

@@ -8,13 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.signal.windows import chebwin
 
 import mparray.prototype as prototype_module
 from mparray import (OrderSearchError, RemezConvergenceError, SearchLimits,
-                     builtin_spec, design_pencil, evaluate, find_min_order)
+                     apply_steering, builtin_spec, design1_spec, design_pencil,
+                     evaluate, find_min_order)
 from mparray.analysis import array_factor
-from mparray.cli import (PATTERN_POINTS, _build_parser, _read_weights,
-                         _write_artifacts, load_design_spec, main)
+from mparray.cli import (PATTERN_POINTS, _build_parser, _pattern_text,
+                         _read_weights, load_design_spec, main)
 from mparray.spec_model import validate_spec
 
 PASS_EDGE = math.pi * math.sin(0.2182)
@@ -212,7 +214,9 @@ def test_numerical_failure_is_not_an_input_error(tmp_path, monkeypatch):
 @pytest.mark.parametrize("field, value", [
     ("ripple_db", "0.25"), ("spacing_wavelengths", "0.5"),
     ("steering_angle_rad", True), ("u_hi", "1.0"), ("max_level_db", False),
-    ("spacing_wavelengths", None)])
+    ("spacing_wavelengths", None),
+    pytest.param("max_level_db", -(10**400), id="max_level_db-400_digits"),
+    pytest.param("spacing_wavelengths", 10**400, id="spacing_wavelengths-400_digits")])
 def test_non_numeric_request_fields_exit_one(tmp_path, capsys, field, value):
     request = {"spacing_wavelengths": 0.5, "steering_angle_rad": 0.0, "bands": [
         {"u_lo": 0.0, "u_hi": 1.0, "kind": "pass", "ripple_db": 0.25},
@@ -275,18 +279,19 @@ def test_usage_errors_exit_one():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:  # pattern.csv needs u = 0 and pi
-        main(["reproduce", "design1", "--out", "o", "--grid", "1"])
+    with pytest.raises(SystemExit) as exc:  # pattern.csv's resolution is fixed
+        main(["reproduce", "design1", "--out", "o", "--grid", "5"])
     assert exc.value.code == 1
 
 
-def test_grid_sets_only_the_pattern_rows(tmp_path):
-    # --grid 5 samples [0, pi] at 5 points, mirrored to 9 rows over
-    # [-pi, pi].  The bands are judged exactly, not on the grid, so the
-    # weights and the report match a default-grid run byte for byte.
+def test_grid_sets_only_the_pattern_rows(tmp_path, monkeypatch):
+    # PATTERN_POINTS = 5 samples [0, pi] at 5 points, mirrored to 9 rows
+    # over [-pi, pi].  The bands are judged exactly, not on the grid, so
+    # the weights and the report match a default run byte for byte.
     coarse, fine = tmp_path / "coarse", tmp_path / "fine"
-    assert main(["reproduce", "design1", "--grid", "5", "--out", str(coarse)]) == 0
     assert main(["reproduce", "design1", "--out", str(fine)]) == 0
+    monkeypatch.setattr("mparray.cli.PATTERN_POINTS", 5)
+    assert main(["reproduce", "design1", "--out", str(coarse)]) == 0
     rows = (coarse / "pattern.csv").read_text().splitlines()[1:]
     u = [float(row.split(",")[0]) for row in rows]
     assert u == pytest.approx(np.linspace(-math.pi, math.pi, 9), rel=1e-11)
@@ -443,9 +448,6 @@ def test_parser_defaults_are_the_search_defaults():
     for command in ("design --spec s.json", "reproduce design1"):
         args = parser.parse_args(command.split() + ["--out", "o"])
         assert SearchLimits(args.max_n) == SearchLimits()
-        assert args.grid == PATTERN_POINTS
-    args = parser.parse_args(["analyze", "--weights", "w.csv", "--out", "o"])
-    assert args.grid == PATTERN_POINTS
 
 
 @pytest.mark.parametrize("command", ["design --spec {spec}", "reproduce design1",
@@ -519,6 +521,33 @@ def test_analyze_judges_a_steered_design_unsteered(tmp_path):
         assert (out2 / name).read_text() == (out / name).read_text()
 
 
+def test_complex_weights_are_judged_against_their_peak_at_negative_u(design1, tmp_path):
+    # design1's weights plus a Chebyshev lobe steered to u = -1.6, twice
+    # design1's peak: |C| is not even and peaks at u < 0, where the cosine
+    # of no critical point leads, so design1's bands read relative to a
+    # [0, pi] peak would pass.  Against the true peak the pass band lies
+    # about 6.26 dB down.
+    c = np.zeros(40, complex)
+    c[:6] = design1.weights.c
+    peak = np.abs(np.fft.fft(design1.weights.c, 1 << 16)).max()
+    lobe = chebwin(40, at=100)
+    c += apply_steering(lobe, -1.6) * (2.0 * peak / lobe.sum())
+    spec = design1_spec()
+    report = evaluate(c, spec)
+    u = np.linspace(-math.pi, math.pi, 400_001)
+    db = array_factor(c, u)
+    band = spec.bands[0]
+    depth = -db[(u >= band.u_lo) & (u <= band.u_hi)].min()
+    assert not report.feasible
+    assert report.bands[0].achieved_db == pytest.approx(depth, abs=1e-3)
+    weights, request = tmp_path / "weights.csv", tmp_path / "design1.json"
+    weights.write_text("index,re,im\n" + "".join(
+        f"{k},{z.real!r},{z.imag!r}\n" for k, z in enumerate(c.tolist())))
+    write_request(request, spec)
+    assert main(["analyze", "--weights", str(weights), "--spec", str(request),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_pattern_marks_invisible_angles(tmp_path):
     # Past the stop band nothing bounds the pattern, and the route's designs
     # peak there, outside the pass band and outside visible space, so the
@@ -572,12 +601,8 @@ _TAP = st.floats(-2.0, 2.0)
 @example([0.3 + 0j, 1.1 + 0j, -0.4 + 0j], 0.5, 101)  # complex dtype, real values
 @settings(deadline=None)
 def test_pattern_csv_matches_the_per_row_writer(c, spacing, points):
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        _write_artifacts(out, np.array(c), spacing, np.zeros(0, complex),
-                         evaluate([1.0], None, name="row"), points)
-        assert (out / "pattern.csv").read_bytes() == \
-            _reference_pattern_csv(np.array(c), spacing, points).encode()
+    assert _pattern_text(np.array(c), spacing, points) == \
+        _reference_pattern_csv(np.array(c), spacing, points)
 
 
 # Fields of a request the fuzzer may break, and what it breaks them with.
@@ -586,7 +611,7 @@ _FIELDS = (("spacing_wavelengths",), ("steering_angle_rad",), ("angle_unit",),
            ("bands", 1, "u_lo"), ("bands", 1, "max_level_db"), ("bands", 1, "kind"))
 _MISSING = object()
 _BAD_VALUES = (math.nan, math.inf, -math.inf, "0.5", True, False, None,
-               1e308, -1e308, _MISSING)
+               1e308, -1e308, 10**400, -(10**400), _MISSING)
 
 
 @st.composite

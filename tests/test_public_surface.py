@@ -30,9 +30,9 @@ def test_readme_examples_import_only_exports():
 
 # Every option of every subcommand; a new one has to be added here and to README.md.
 CLI_OPTIONS = {
-    "design": {"--spec", "--out", "--grid", "--max-n"},
-    "reproduce": {"--out", "--grid", "--max-n"},
-    "analyze": {"--weights", "--spec", "--out", "--grid"},
+    "design": {"--spec", "--out", "--max-n"},
+    "reproduce": {"--out", "--max-n"},
+    "analyze": {"--weights", "--spec", "--out"},
 }
 
 
