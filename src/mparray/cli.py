@@ -21,7 +21,7 @@ lies more than analysis.ZERO_RADIUS_TOL outside the unit circle.
 Design requests are JSON objects:
 
     {
-      "name": "lowpass",                  // optional
+      "name": "lowpass",                  // optional, default the file stem
       "spacing_wavelengths": 0.5,
       "angle_unit": "u_rad",              // or "theta_deg"
       "steering_angle_rad": 0.0,          // optional, radians of theta
@@ -49,7 +49,7 @@ from .analysis import (ZERO_RADIUS_TOL, apply_steering, array_factor,
                        pattern_metrics, polynomial_zeros)
 from .designs import EXPECTED_ELEMENTS, builtin_spec, design_pencil
 from .prototype import OrderSearchError, SearchLimits, evaluate, find_min_order
-from .spec_model import BandSpec, DesignSpec, theta_to_u, validate_spec
+from .spec_model import BandSpec, DesignSpec, theta_to_u
 
 
 PATTERN_POINTS = 8192  # pattern.csv samples over [0, pi]
@@ -80,7 +80,7 @@ def _required(entry: dict, key: str, owner: str):
 
 
 def load_design_spec(path: str | Path) -> DesignSpec:
-    """Read and validate a JSON design request."""
+    """Read a JSON design request; DesignSpec checks what it states."""
     path = Path(path)
     data = json.loads(path.read_text())
     if not isinstance(data, dict):
@@ -115,13 +115,15 @@ def load_design_spec(path: str | Path) -> DesignSpec:
             u_hi=edge(entry, "u_hi", owner),
             kind=_required(entry, "kind", owner),
             **level))
-    spec = DesignSpec(
+    name = path.stem if data.get("name") is None else data["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"name must be a string, got {name!r}")
+    return DesignSpec(
         spacing_wavelengths=spacing,
         bands=tuple(bands),
         steering_angle_rad=_number(data.get("steering_angle_rad", 0.0),
                                    "steering_angle_rad"),
-        name=str(data.get("name", path.stem)))
-    return validate_spec(spec)
+        name=name)
 
 
 def _read_weights(path: str | Path) -> np.ndarray:

@@ -467,16 +467,13 @@ def remez_design(bands: Sequence[PrototypeBand], half_order: int,
                                         iterations=iterations, reference=(ext_u, ext_band))
         if quality <= _QUALITY_STOP:
             break
-        if stalled:
-            if quality <= _QUALITY_ACCEPT:
+        if stalled or iterations == _MAX_ITERATIONS:
+            if quality <= _QUALITY_ACCEPT:  # a nan error reads as unconverged
                 break
             raise RemezConvergenceError(
-                f"exchange stalled with excess ripple {quality:.3e}", iterations)
+                f"exchange stalled with excess ripple {quality:.3e}" if stalled
+                else f"no convergence in {_MAX_ITERATIONS} iterations", iterations)
         prev_delta = abs(delta)
-    else:
-        if not quality <= _QUALITY_ACCEPT:  # a nan error reads as unconverged
-            raise RemezConvergenceError(
-                f"no convergence in {_MAX_ITERATIONS} iterations", _MAX_ITERATIONS)
 
     delta, _, nodes, values, bweights = reference()  # the final node set
     return LinearPhasePrototype(taps=taps(nodes, values, bweights), delta=abs(delta),

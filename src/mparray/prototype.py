@@ -34,7 +34,7 @@ from .analysis import (BandLevel, DesignReport, ZERO_RADIUS_TOL, array_factor,
                        pattern_metrics, polynomial_zeros)
 from .equiripple import (LinearPhasePrototype, PrototypeBand,
                          RemezConvergenceError, estimate_order, remez_design)
-from .spec_model import DesignSpec, validate_spec
+from .spec_model import DesignSpec
 from .spectral_factor import (GAMMA_MARGIN, FactorizationError, MinPhaseWeights,
                               autocorrelation, critical_cosines,
                               lifted_symbol, spectral_factorize)
@@ -198,7 +198,6 @@ def to_prototype_spec(spec: DesignSpec) -> tuple[PrototypeBand, ...]:
         positive with a finite weight (a stop ceiling of about -3080 dB,
         where 1/q* overflows, or one within 0.002 dB of the peak).
     """
-    spec = validate_spec(spec)
     pass_band = spec.pass_band
     stops = spec.stop_bands
     if pass_band.is_degenerate:
@@ -313,7 +312,6 @@ def find_min_order(spec: DesignSpec, limits: SearchLimits | None = None) -> Desi
         on G + gamma alone, with its own report when it has weights.
     """
     limits = limits or SearchLimits()
-    spec = validate_spec(spec)
     plan = to_prototype_spec(spec)
     guess = min(max(estimate_order(plan), 1), limits.max_order)
 

@@ -4,12 +4,13 @@ A design is stated as amplitude bands over the spatial frequency
 u = 2*pi*(d/lambda)*sin(theta), where d is the element spacing, lambda the
 wavelength and theta the angle off broadside.  All bands live in u-space on
 [0, pi]; real excitations produce patterns that are even in u, so one half
-axis carries the whole specification.
+axis carries the whole specification.  A DesignSpec checks its invariants
+when it is built, so every spec in hand is a valid request.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 BandKind = Literal["pass", "stop"]
@@ -17,7 +18,7 @@ BandKind = Literal["pass", "stop"]
 # Width below which a band is treated as a single point (pencil beam).
 DEGENERATE_WIDTH = 1e-12
 
-# Edge slack of the validator, and so of every reader of the bands (plan, judge).
+# Edge slack of the spec checks, and so of every reader of the bands (plan, judge).
 EDGE_SLACK = 1e-9
 
 
@@ -65,11 +66,13 @@ class BandSpec:
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """A complete array design request.
+    """A complete array design request, valid by construction.
 
     Exactly one band must be a pass band; every other band is a stop band.
     ``steering_angle_rad`` shifts the synthesized pattern after the design;
     the bands themselves are stated for the unsteered (broadside) pattern.
+    Building one sorts the bands by (u_lo, u_hi), or raises one
+    SpecValidationError listing every problem, each band by its given index.
     """
 
     spacing_wavelengths: float
@@ -77,12 +80,36 @@ class DesignSpec:
     steering_angle_rad: float = 0.0
     name: str = ""
 
+    def __post_init__(self):
+        problems: list[str] = []
+        if not self.bands:
+            problems.append("spec has no bands")
+        if not (math.isfinite(self.spacing_wavelengths) and self.spacing_wavelengths > 0.0):
+            problems.append("spacing_wavelengths must be positive")
+        if not (-math.pi / 2 < self.steering_angle_rad < math.pi / 2):
+            problems.append("steering_angle_rad must lie in (-pi/2, pi/2)")
+
+        for i, band in enumerate(self.bands):
+            problems.extend(_band_problems(i, band))
+
+        n_pass = sum(1 for b in self.bands if b.kind == "pass")
+        if self.bands and n_pass != 1:
+            problems.append(f"spec needs exactly one pass band, found {n_pass}")
+
+        bands = tuple(sorted(self.bands, key=lambda b: (b.u_lo, b.u_hi)))
+        for prev, nxt in zip(bands, bands[1:]):
+            if nxt.u_lo < prev.u_hi - EDGE_SLACK:
+                problems.append(
+                    f"bands [{prev.u_lo:.6g}, {prev.u_hi:.6g}] and "
+                    f"[{nxt.u_lo:.6g}, {nxt.u_hi:.6g}] overlap")
+
+        if problems:
+            raise SpecValidationError(problems)
+        object.__setattr__(self, "bands", bands)
+
     @property
     def pass_band(self) -> BandSpec:
-        for band in self.bands:
-            if band.kind == "pass":
-                return band
-        raise SpecValidationError(["spec has no pass band"])
+        return next(b for b in self.bands if b.kind == "pass")
 
     @property
     def stop_bands(self) -> tuple[BandSpec, ...]:
@@ -118,42 +145,3 @@ def _band_problems(i: int, band: BandSpec) -> list[str]:
     else:
         problems.append(f"band {i}: unknown kind {band.kind!r}")
     return problems
-
-
-def validate_spec(spec: DesignSpec) -> DesignSpec:
-    """Check a DesignSpec and return its normalized (band-sorted) form.
-
-    Idempotent: validating an already validated spec returns an equal spec.
-
-    Raises
-    ------
-    SpecValidationError
-        Collecting every violation found, not just the first.
-    """
-    problems: list[str] = []
-    if not spec.bands:
-        problems.append("spec has no bands")
-    if not (math.isfinite(spec.spacing_wavelengths) and spec.spacing_wavelengths > 0.0):
-        problems.append("spacing_wavelengths must be positive")
-    if not (-math.pi / 2 < spec.steering_angle_rad < math.pi / 2):
-        problems.append("steering_angle_rad must lie in (-pi/2, pi/2)")
-
-    for i, band in enumerate(spec.bands):
-        problems.extend(_band_problems(i, band))
-
-    n_pass = sum(1 for b in spec.bands if b.kind == "pass")
-    if spec.bands and n_pass != 1:
-        problems.append(f"spec needs exactly one pass band, found {n_pass}")
-
-    bands = tuple(sorted(spec.bands, key=lambda b: (b.u_lo, b.u_hi)))
-    for prev, nxt in zip(bands, bands[1:]):
-        if nxt.u_lo < prev.u_hi - EDGE_SLACK:
-            problems.append(
-                f"bands [{prev.u_lo:.6g}, {prev.u_hi:.6g}] and "
-                f"[{nxt.u_lo:.6g}, {nxt.u_hi:.6g}] overlap")
-
-    if problems:
-        raise SpecValidationError(problems)
-    if bands == spec.bands:
-        return spec
-    return replace(spec, bands=bands)

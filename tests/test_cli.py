@@ -17,7 +17,6 @@ from mparray import (OrderSearchError, RemezConvergenceError, SearchLimits,
 from mparray.analysis import array_factor
 from mparray.cli import (PATTERN_POINTS, _build_parser, _pattern_text,
                          _read_weights, load_design_spec, main)
-from mparray.spec_model import validate_spec
 
 PASS_EDGE = math.pi * math.sin(0.2182)
 STOP_EDGE = math.pi * math.sin(math.pi / 3.0)
@@ -231,6 +230,23 @@ def test_non_numeric_request_fields_exit_one(tmp_path, capsys, field, value):
     captured = capsys.readouterr()
     assert "error: " in captured.err and f"{field} must be a number" in captured.err
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("name, expected", [
+    (None, "spec"), ("wide", "wide"), ({"a": 1}, None), (7, None)],
+    ids=["null", "string", "object", "number"])
+def test_request_name_is_a_string_or_the_file_stem(tmp_path, capsys, name, expected):
+    # A null name is an absent one, as for ripple_db and max_level_db.
+    spec, out = tmp_path / "spec.json", tmp_path / "o"
+    write_spec(spec, name=name)
+    code = main(["design", "--spec", str(spec), "--out", str(out)])
+    captured = capsys.readouterr()
+    if expected is None:
+        assert code == 1 and not out.exists()
+        assert f"error: name must be a string, got {name!r}" in captured.err
+    else:
+        assert code == 0 and read_report(out)["name"] == expected
+        assert captured.out.startswith(f"{expected}: 6 elements")
 
 
 @pytest.mark.parametrize("request_json", [
@@ -680,7 +696,6 @@ def test_design_requests_end_in_a_clean_exit(request):
         except (ValueError, KeyError):  # what main reports as exit 1
             spec = None
         else:
-            assert validate_spec(spec) == spec
             assert all(math.isfinite(b.u_lo) and math.isfinite(b.u_hi)
                        for b in spec.bands)
         stdout, stderr = io.StringIO(), io.StringIO()
