@@ -13,10 +13,11 @@ feasible and minimum phase with no more elements than the published count.
 
 The one option beyond the inputs and --out, --max-n, caps the element
 search (design, reproduce).  pattern.csv always has PATTERN_POINTS samples
-on [0, pi], mirrored to [-pi, pi].  Every tolerance is fixed: the
-factorization is Newton-polished with the lift margin
-spectral_factor.GAMMA_MARGIN, and a design is minimum phase when no zero
-lies more than analysis.ZERO_RADIUS_TOL outside the unit circle.
+on each half of [-pi, pi]; its u_rad,theta_deg text is built once per
+spacing in a process, and each write formats only magnitude_db.  Every
+tolerance is fixed: the factorization is Newton-polished with the lift
+margin spectral_factor.GAMMA_MARGIN, and a design is minimum phase when
+no zero lies more than analysis.ZERO_RADIUS_TOL outside the unit circle.
 
 Design requests are JSON objects:
 
@@ -37,6 +38,7 @@ each in [-90, 90], and converted through u = 2*pi*spacing*sin(theta) on load.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -53,6 +55,7 @@ from .spec_model import BandSpec, DesignSpec, theta_to_u
 
 
 PATTERN_POINTS = 8192  # pattern.csv samples over [0, pi]
+_BLOCK_ROWS = 512  # pattern.csv rows per %-format
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,17 +133,26 @@ def _read_weights(path: str | Path) -> np.ndarray:
     """Weights CSV whose indices are 0..N-1, each once, with N >= 1.
 
     Every entry must be finite and at least one nonzero: an all-zero
-    excitation has no pattern to normalize or judge.
+    excitation has no pattern to normalize or judge.  A row that is not
+    an integer and two floats is an input error naming its 1-based line.
     """
-    rows = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text()
+    rows = text.strip().splitlines()
     if not rows or rows[0].strip().lower() != "index,re,im":
         raise ValueError(f"{path}: expected a CSV with header 'index,re,im'")
-    entries = [line.split(",") for line in rows[1:]]
-    if not entries or sorted(int(k) for k, _, _ in entries) != list(range(len(entries))):
+    header_line = text[:len(text) - len(text.lstrip())].count("\n") + 1
+    weights = {}
+    for line, row in enumerate(rows[1:], header_line + 1):
+        try:  # a wrong field count fails the unpacking, a ValueError too
+            k, re, im = row.split(",")
+            weights[int(k)] = complex(float(re), float(im))
+        except ValueError:
+            raise ValueError(f"{path}: line {line}: expected index,re,im, "
+                             f"got {row!r}") from None
+    # a repeated index leaves fewer keys than rows
+    if not weights or sorted(weights) != list(range(len(rows) - 1)):
         raise ValueError(f"{path}: indices must be 0..N-1, each once, with N >= 1")
-    c = np.zeros(len(entries), complex)
-    for k, re, im in entries:
-        c[int(k)] = complex(float(re), float(im))
+    c = np.array([weights[k] for k in range(len(weights))])
     if not np.all(np.isfinite(c)):
         raise ValueError(f"{path}: weights must be finite")
     if not np.any(c):
@@ -150,50 +162,50 @@ def _read_weights(path: str | Path) -> np.ndarray:
     return c
 
 
-def _pattern_rows(u, theta, db) -> list[str]:
-    """The pattern.csv rows of the samples u: one %-format over the slice."""
-    values = np.column_stack([u, theta, db]).ravel().tolist()
-    return ("\n".join(["%.12g,%.6f,%.4f"] * len(u)) % tuple(values)).split("\n")
+@functools.lru_cache(maxsize=4)
+def _pattern_template(spacing: float, points: int):
+    """pattern.csv's u grid (read-only), ``stops`` and its text with magnitude_db as ``%.4f``.
 
-
-def _pattern_text(c, spacing: float, points: int) -> str:
-    """pattern.csv over u in [-pi, pi], ``points`` samples on each half.
-
-    The grid is odd and theta_deg (nan where |u| is past the visible limit
-    2*pi*spacing) is computed on u >= 0 and mirrored.  The pattern is one
-    ``array_factor`` call over every u.  Only the u >= 0 rows are
-    formatted for real weights: |C| is then even, so each u < 0 row is the
-    text of its u > 0 row with u and a finite theta negated.  Complex
-    weights are formatted on both halves.  The rows are made in blocks of
-    512 samples and joined per block, so only a block's row strings and
-    floats are alive at a time.
+    u and theta_deg (nan past the visible limit |u| = 2*pi*spacing) are odd
+    in u whatever the weights, so only the u >= 0 rows are formatted: a
+    u < 0 row is its u > 0 row's text with u and a finite theta negated.
+    The text is made and kept in blocks of at most _BLOCK_ROWS rows, split
+    in u at ``stops``, one %-format each, so that only one block's floats
+    and row strings are alive at a time: that bounds the peak RSS of a write.
     """
     half = np.linspace(0.0, math.pi, points)
     visible = 2.0 * math.pi * spacing
     theta = np.where(half <= visible * (1.0 + 1e-12),
                      np.degrees(np.arcsin(np.clip(half / visible, 0.0, 1.0))), np.nan)
-    db = array_factor(c, np.concatenate([-half[:0:-1], half]))
-    pos, neg = db[points - 1:], db[points - 1::-1]  # at u = half and at u = -half
-    real = np.isrealobj(c)
     seen = np.count_nonzero(np.isfinite(theta))  # theta is finite on half[:seen]
-    upper = _pattern_rows(half[:1], theta[:1], pos[:1])  # u = 0 has no mirror
-    lower = []
-    for lo in range(1, points, 512):
-        k = slice(lo, lo + 512)
-        rows = _pattern_rows(half[k], theta[k], pos[k])
-        upper.append("\n".join(rows))
-        if real:
+    bounds = [0, *range(1, points, _BLOCK_ROWS), points]  # u = 0, with no mirror, alone
+    pos, neg = [], []
+    for lo, hi in zip(bounds, bounds[1:]):
+        rows = ("%.12g,%.6f,%%.4f\n" * (hi - lo) % tuple(np.column_stack(
+            [half[lo:hi], theta[lo:hi]]).ravel().tolist())).splitlines(keepends=True)
+        pos.append("".join(rows))
+        if lo:
             cut = max(seen - lo, 0)
-            rows = (["-" + row.replace(",", ",-", 1) for row in rows[:cut]]
-                    + ["-" + row for row in rows[cut:]])
-        else:
-            rows = _pattern_rows(-half[k], -theta[k], neg[k])
-        lower.append("\n".join(reversed(rows)))
-    return "\n".join(["u_rad,theta_deg,magnitude_db", *reversed(lower), *upper, ""])
+            mirror = (["-" + row.replace(",", ",-", 1) for row in rows[:cut]]
+                      + ["-" + row for row in rows[cut:]])
+            neg.append("".join(reversed(mirror)))
+    sizes = np.diff(bounds)
+    stops = np.cumsum([*sizes[:0:-1], *sizes])[:-1]  # the u < 0 blocks mirror the u > 0 ones
+    u = np.concatenate([-half[:0:-1], half])
+    u.flags.writeable = False  # shared by every write at this key
+    return u, tuple(stops.tolist()), (*reversed(neg), *pos)
+
+
+def _pattern_text(c, spacing: float, points: int) -> str:
+    """pattern.csv of ``c``: one ``array_factor`` call over the template's u."""
+    u, stops, blocks = _pattern_template(spacing, points)
+    return "".join(["u_rad,theta_deg,magnitude_db\n", *(
+        block % tuple(db.tolist())
+        for block, db in zip(blocks, np.split(array_factor(c, u), stops)))])
 
 
 def _write_artifacts(out: Path, c, spacing: float, zeros, report) -> None:
-    """Write the four artifacts, pattern.csv at PATTERN_POINTS, each joined once."""
+    """Write the four artifacts, each joined once (pattern.csv formats only magnitude_db)."""
     artifacts = {
         "weights.csv": "\n".join(["index,re,im"] + [
             f"{k},{z.real!r},{z.imag!r}"

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.signal.windows import chebwin
 
+import mparray.cli as cli_module
 import mparray.prototype as prototype_module
 from mparray import (OrderSearchError, RemezConvergenceError, SearchLimits,
                      apply_steering, builtin_spec, design1_spec, design_pencil,
@@ -500,6 +501,23 @@ def test_analyze_rejects_bad_weight_indices(tmp_path, capsys, body):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("body, line, row", [
+    ("0,1.0,0.0\n0,1.0\n", 3, "0,1.0"),               # two fields
+    ("0,1.0,0.0,2.0\n", 2, "0,1.0,0.0,2.0"),          # four fields
+    ("0,1.0,0.0\n\n1,0.5,0.0\n", 3, ""),              # a blank line inside
+    ("0,1.0,0.0\n1,abc,0\n", 3, "1,abc,0"),           # not a float
+    ("x,1,0\n", 2, "x,1,0"),                          # not an integer
+], ids=["two_fields", "four_fields", "blank_line", "bad_float", "bad_index"])
+def test_malformed_weights_rows_name_the_file_and_line(tmp_path, capsys, body, line, row):
+    weights = tmp_path / "w.csv"
+    weights.write_text("index,re,im\n" + body)
+    assert main(["analyze", "--weights", str(weights),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {weights}: line {line}: expected index,re,im, got {row!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_analyze_rejects_bad_weights_header(tmp_path, capsys):
     weights = tmp_path / "weights.csv"
     weights.write_text("re,im\n0.5,0.0\n")
@@ -619,6 +637,26 @@ _TAP = st.floats(-2.0, 2.0)
 def test_pattern_csv_matches_the_per_row_writer(c, spacing, points):
     assert _pattern_text(np.array(c), spacing, points) == \
         _reference_pattern_csv(np.array(c), spacing, points)
+
+
+
+def test_pattern_template_is_keyed_by_spacing_and_points():
+    # The u_rad,theta_deg text is cached per (spacing, points): writes at
+    # other keys in between neither evict nor corrupt it, and real and
+    # complex weights share it.
+    template = cli_module._pattern_template
+    keys = [(0.5, PATTERN_POINTS), (0.25, PATTERN_POINTS), (0.5, 101),
+            (0.5, PATTERN_POINTS)]
+    for c in (np.array([0.3, 1.1, 0.4]), np.array([0.3 + 0.2j, 1.1, 0.4 - 0.5j])):
+        for spacing, points in keys:
+            before = template.cache_info()
+            assert _pattern_text(c, spacing, points) == \
+                _reference_pattern_csv(c, spacing, points)
+        after = template.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    u = template(0.5, PATTERN_POINTS)[0]
+    with pytest.raises(ValueError):
+        u[0] = 0.0
 
 
 # Fields of a request the fuzzer may break, and what it breaks them with.
